@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -72,17 +72,10 @@ class ExperimentConfig:
     split_combos: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "field": self.field_spec, "region": self.region,
-            "params": self.params, "mollifier": self.mollifier,
-            "kernels": self.kernels, "eps_grid": self.eps_grid,
-            "gagliardo_grid": self.gagliardo_grid, "budget": self.budget,
-            "seed": self.seed, "tolerance": self.tolerance,
-            "pair_tolerance": self.pair_tolerance, "sphere_rule": self.sphere_rule,
-            "dims": self.dims, "q_list": self.q_list, "deltas": self.deltas,
-            "alphas": self.alphas, "truncation_levels": self.truncation_levels,
-            "shifts": self.shifts, "split_combos": self.split_combos,
-        }
+        """The JSON config form: every field, with field_spec under "field"."""
+        d = {fd.name: getattr(self, fd.name) for fd in fields(self)}
+        d["field"] = d.pop("field_spec")
+        return d
 
     # -- construction helpers -------------------------------------------------
 
@@ -145,12 +138,9 @@ def validate_config(d: dict) -> ExperimentConfig:
     base = default_config(kind)
     merged = base.to_dict()
     for key, value in d.items():
-        if key == "field":
-            merged["field"] = value
-        elif key in merged:
-            merged[key] = value
-        else:
+        if key not in merged:
             raise InputError(f"{key}: unknown config key")
+        merged[key] = value
     params = merged["params"]
     q = params.get("q", 2.0)
     _require(isinstance(q, (int, float)) and q >= 1.0, "params.q", "must be >= 1")
@@ -168,21 +158,10 @@ def validate_config(d: dict) -> ExperimentConfig:
     grid = merged["eps_grid"]
     _require(0.0 < float(grid["ratio"]) < 1.0, "eps_grid.ratio", "must lie in (0, 1)")
     _require(int(grid["count"]) >= 4, "eps_grid.count", "must be >= 4")
-    cfg = ExperimentConfig(kind=kind, field_spec=merged["field"],
-                           params=merged["params"], region=merged["region"],
-                           mollifier=merged["mollifier"], kernels=merged["kernels"],
-                           eps_grid=merged["eps_grid"],
-                           gagliardo_grid=merged["gagliardo_grid"],
-                           budget=merged["budget"], seed=int(merged["seed"]),
-                           tolerance=float(merged["tolerance"]),
-                           pair_tolerance=float(merged["pair_tolerance"]),
-                           sphere_rule=merged["sphere_rule"], dims=merged["dims"],
-                           q_list=merged["q_list"], deltas=merged["deltas"],
-                           alphas=merged["alphas"],
-                           truncation_levels=merged["truncation_levels"],
-                           shifts=merged["shifts"],
-                           split_combos=merged["split_combos"])
-    return cfg
+    merged["field_spec"] = merged.pop("field")
+    merged.update(seed=int(merged["seed"]), tolerance=float(merged["tolerance"]),
+                  pair_tolerance=float(merged["pair_tolerance"]))
+    return ExperimentConfig(**merged)
 
 
 def default_config(kind: str) -> ExperimentConfig:

@@ -27,7 +27,6 @@ __all__ = [
     "support_tail",
     "log_kernel_moment",
     "kernel_window",
-    "kernel_piecewise_power",
     "audit_rows",
 ]
 
@@ -125,15 +124,19 @@ def kernel_window(k: RadialKernelFamily, eps: EpsLike):
     return e - sig, e + sig
 
 
-def kernel_piecewise_power(k: RadialKernelFamily, eps: EpsLike) -> PiecewisePower:
-    """The profile as an exact piecewise power law (float-range eps only)."""
+def kernel_profile(k: RadialKernelFamily, eps: EpsLike) -> PiecewisePower:
+    """Density rho_eps as a piecewise power law; kernel_profile(k, eps)(r)
+    evaluates it at radii r > 0.  Needs eps in float range; the audits reach
+    smaller eps through their |ln eps| closed forms."""
     L = k.check_eps(eps)
     e = _as_float_eps(eps)
     if e == 0.0:
         raise InputError("eps underflows float64; use the |ln eps| audit paths")
     n = k.dim
     if k.kind == "trivial":
-        coef = 1.0 / (e ** n * unit_ball_volume(n))
+        # density 1 / (eps^N V_N) = exp(N L - ln V_N), assembled in log space;
+        # np.exp overflows to inf, which the engines' overflow guard reports
+        coef = float(np.exp(n * L - math.log(unit_ball_volume(n))))
         return PiecewisePower(pieces=((0.0, e, coef, 0.0),))
     if k.kind == "logarithmic":
         r_hi = L ** (-k.omega)
@@ -142,36 +145,6 @@ def kernel_piecewise_power(k: RadialKernelFamily, eps: EpsLike) -> PiecewisePowe
     sig = k.sigma_ratio * e
     coef = 1.0 / (2.0 * sig * sphere_measure(n))
     return PiecewisePower(pieces=((e - sig, e + sig, coef, -(n - 1.0)),))
-
-
-def kernel_profile(k: RadialKernelFamily, eps: EpsLike, r) -> np.ndarray:
-    """Density rho_eps(r); vectorized over radii r > 0."""
-    L = k.check_eps(eps)
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise InputError("kernel profile radius must be positive")
-    n = k.dim
-    logr = np.log(r)
-    if k.kind == "trivial":
-        inside = logr < -L
-        out = np.zeros_like(r)
-        # density 1 / (eps^N V_N) = exp(N L - ln V_N), assembled in log space
-        out[inside] = np.exp(n * L - math.log(unit_ball_volume(n)))
-        return out
-    if k.kind == "logarithmic":
-        log_rhi = -k.omega * math.log(L)
-        inside = (logr >= -L) & (logr < log_rhi)
-        out = np.zeros_like(r)
-        norm = sphere_measure(n) * _log_norm_denominator(L, k.omega)
-        out[inside] = np.exp(-n * logr[inside] - math.log(norm))
-        return out
-    e = _as_float_eps(eps)
-    sig = k.sigma_ratio * e
-    inside = (r >= e - sig) & (r <= e + sig)
-    out = np.zeros_like(r)
-    out[inside] = np.exp(-(n - 1.0) * logr[inside]
-                         - math.log(2.0 * sig * sphere_measure(n)))
-    return out
 
 
 def kernel_mass(k: RadialKernelFamily, eps: EpsLike,
@@ -236,7 +209,7 @@ def generic_moment(k: RadialKernelFamily, eps: float, alpha: float) -> float:
     """eps^alpha * int rho_eps(|z|)|z|^-alpha dz for float-range eps, exact."""
     if alpha <= 0.0:
         raise InputError("alpha must be positive")
-    prof = kernel_piecewise_power(k, eps)
+    prof = kernel_profile(k, eps)
     e = _as_float_eps(eps)
     return e ** alpha * sphere_measure(k.dim) * prof.moment(0.0, math.inf,
                                                             k.dim - 1.0 - alpha)

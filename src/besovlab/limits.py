@@ -147,6 +147,8 @@ def extrapolate(sweep: EpsilonSweepResult, model: str,
         if not tail:
             raise FitError("constant-tail extrapolation needs valid rows")
         w = np.array([1.0 / (r.error ** 2 + 1e-300) for r in tail])
+        # exact rows (error 0) weigh 1e300: rescale before w @ v overflows
+        w = w / np.max(w)
         v = np.array([r.value for r in tail])
         limit = float(w @ v / np.sum(w))
         spread = max(r.value for r in tail) - min(r.value for r in tail)

@@ -8,10 +8,13 @@ becomes
     S(t) = int_{S^{N-1}} F(t n) dH^{N-1}(n),
     F(h) = int chi_E(x) chi_E(x+h) |u(x+h)-u(x)|^q dx.
 
-In 1D and for indicator fields in 2D/3D this pipeline is fully deterministic
-(closed-form shift integrals plus panel Gauss-Legendre in t); otherwise the
-(x, t, n) triple is sampled with log-radial strata and a counter-based RNG
-stream per stratum, so parallel and serial runs reduce identically.
+The radial weight w is always a `PiecewisePower`.  For piecewise-constant 1D
+fields F is piecewise linear in t, so I is exact: F at its breakpoints times
+closed-form moments of w.  Other 1D fields and indicator fields in 2D/3D use
+closed-form or panel shift integrals plus panel Gauss-Legendre in t;
+otherwise the (x, t, n) triple is sampled with log-radial strata and a
+counter-based RNG stream per stratum, so parallel and serial runs reduce
+identically.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate as _sciint
 
 from .errors import CapabilityError, DivergenceError, InputError
 from .fields import Field, RegionSpec, eval_field, knots_1d, support_bbox
@@ -147,12 +149,27 @@ def integrate_sphere(g: Callable, n: int, rule: str) -> QuadResult:
 
 @dataclass(frozen=True)
 class PiecewisePower:
-    """Profile of the form sum_i coef_i * r^power_i on [lo_i, hi_i)."""
+    """Profile of the form sum_i coef_i * r^power_i on [lo_i, hi_i).
+
+    Every radial weight of the pair-integral engine is one: t^-s, and each
+    kernel profile times t^-rq."""
 
     pieces: tuple  # of (lo, hi, coef, power)
 
+    @staticmethod
+    def power_law(s: float) -> "PiecewisePower":
+        """The weight t^-s on (0, inf)."""
+        return PiecewisePower(pieces=((0.0, math.inf, 1.0, -float(s)),))
+
+    def times_power(self, e: float) -> "PiecewisePower":
+        """This profile multiplied by r^e."""
+        return PiecewisePower(pieces=tuple((lo, hi, coef, power + e)
+                                           for lo, hi, coef, power in self.pieces))
+
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
+        if np.any(r <= 0.0):
+            raise InputError("profile radius must be positive")
         out = np.zeros_like(r)
         for lo, hi, coef, power in self.pieces:
             mask = (r >= lo) & (r < hi)
@@ -185,18 +202,14 @@ class PiecewisePower:
         return total
 
 
-def radial_integral(profile, n: int, bounds=(0.0, math.inf)) -> float:
+def radial_integral(profile: PiecewisePower, n: int,
+                    bounds=(0.0, math.inf)) -> float:
     """H^{N-1}(S^{N-1}) * int_a^b profile(r) r^(N-1) dr = integral of
     profile(|z|) over the annulus a <= |z| <= b in R^N."""
     a, b = float(bounds[0]), float(bounds[1])
     if not (0.0 <= a < b):
         raise InputError(f"bad radial bounds [{a}, {b}]")
-    h = sphere_measure(n)
-    if isinstance(profile, PiecewisePower):
-        value = h * profile.moment(a, b, n - 1.0)
-    else:
-        val, _ = _sciint.quad(lambda r: profile(r) * r ** (n - 1), a, b, limit=200)
-        value = h * val
+    value = sphere_measure(n) * profile.moment(a, b, n - 1.0)
     if not math.isfinite(value) or abs(value) > OVERFLOW_GUARD:
         raise DivergenceError("radial integral exceeded the overflow guard")
     return value
@@ -233,19 +246,21 @@ def _field_is_indicator(f: Field):
     return f.payload["pieces"][0]
 
 
-def _symdiff_measure(region: RegionSpec, h: np.ndarray) -> float:
-    """Lebesgue measure of A symmetric-difference (A - h), closed form."""
+def _symdiff_measure(region: RegionSpec, h: np.ndarray) -> np.ndarray:
+    """Lebesgue measure of A symmetric-difference (A - h), closed form;
+    vectorized over shifts h of shape (..., N)."""
     n = region.dim
     if region.kind == "ball":
         r = region.radius
-        d = float(np.linalg.norm(h))
-        if d >= 2.0 * r:
-            overlap = 0.0
-        elif n == 1:
+        # past |h| = 2r the shifted balls are disjoint; each formula is 0 there
+        d = np.minimum(np.linalg.norm(h, axis=-1), 2.0 * r)
+        if n == 1:
             overlap = 2.0 * r - d
         elif n == 2:
-            overlap = 2.0 * r * r * math.acos(d / (2.0 * r)) \
-                - 0.5 * d * math.sqrt(4.0 * r * r - d * d)
+            # math.acos: numpy's SIMD arccos can differ from it in the last bit
+            acos = np.vectorize(math.acos, otypes=[float])
+            overlap = 2.0 * r * r * acos(d / (2.0 * r)) \
+                - 0.5 * d * np.sqrt(4.0 * r * r - d * d)
         elif n == 3:
             overlap = math.pi * (4.0 * r + d) * (2.0 * r - d) ** 2 / 12.0
         else:
@@ -253,7 +268,7 @@ def _symdiff_measure(region: RegionSpec, h: np.ndarray) -> float:
         return 2.0 * (region.measure() - overlap)
     if region.kind == "box":
         side = np.asarray(region.hi) - np.asarray(region.lo)
-        overlap = float(np.prod(np.maximum(0.0, side - np.abs(h))))
+        overlap = np.prod(np.maximum(0.0, side - np.abs(h)), axis=-1)
         return 2.0 * (region.measure() - overlap)
     raise CapabilityError(f"no symmetric-difference formula for {region.kind!r}")
 
@@ -306,7 +321,7 @@ def shift_integral(f: Field, region: Optional[RegionSpec], h, q: float,
     if ind is not None and f.dim_in >= 2 and ind[0].kind in ("ball", "box") \
             and _region_inactive(f, region, hnorm):
         amp = float(np.linalg.norm(np.asarray(ind[1], dtype=float)))
-        return amp ** q * _symdiff_measure(ind[0], h), 0.0
+        return amp ** q * float(_symdiff_measure(ind[0], h)), 0.0
     if f.dim_in == 1:
         return _shift_integral_1d(f, region, float(h[0]), q)
     return _shift_integral_mc(f, region, h, q, budget or QuadBudget(), stream)
@@ -460,28 +475,54 @@ def _has_jumps(f: Field) -> bool:
                for _, a in f.payload["pieces"])
 
 
-def pair_integral(f: Field, region: Optional[RegionSpec], weight: Callable,
+def _pair_integral_piecewise_1d(f: Field, region, weight: PiecewisePower,
+                                a: float, b: float, q: float) -> float:
+    """Exact 2 int_a^b w(t) F(t) dt.  F can change slope only where t is a
+    difference of two knots or region edges; between those breakpoints it is
+    linear, so each segment is F's end values against moments of w."""
+    pts = np.concatenate([knots_1d(f), np.asarray(_region_1d_edges(region), dtype=float)])
+    br = np.unique(np.abs(pts[:, None] - pts[None, :]))
+    ts = [a] + br[(br > a) & (br < b)].tolist() + [b]
+    fs = [_shift_integral_1d(f, region, t, q)[0] for t in ts]
+    total = 0.0
+    for t0, t1, f0, f1 in zip(ts[:-1], ts[1:], fs[:-1], fs[1:]):
+        slope = (f1 - f0) / (t1 - t0)
+        total += slope * weight.moment(t0, t1, 1.0)
+        # F(0) = 0, so a segment from t = 0 has no constant part; skipping
+        # it leaves the divergence of a t^-s weight, s >= 2, to moment(., ., 1)
+        const = f0 - slope * t0
+        if const != 0.0:
+            total += const * weight.moment(t0, t1, 0.0)
+    return 2.0 * total
+
+
+def pair_integral(f: Field, region: Optional[RegionSpec], weight: PiecewisePower,
                   window, q: float, budget: Optional[QuadBudget] = None,
-                  stream: int = 0, sphere_rule_name: Optional[str] = None,
-                  singular_exponent: Optional[float] = None) -> QuadResult:
+                  stream: int = 0) -> QuadResult:
     """integral over E x E of  weight(|x-y|) |u(x)-u(y)|^q  dy dx.
 
-    weight is a vectorized radial function; window = (a, b) limits |x - y|.
-    singular_exponent s (weight ~ t^-s near 0) enables the analytic
-    divergence check for fields with jumps.
-    """
+    window = (a, b) limits |x - y|.  With a = 0, the weight's piece starting
+    at 0, ~ t^-s, diverges on a field with jumps once s >= N+1."""
     budget = budget or QuadBudget()
     n = f.dim_in
     a, b = float(window[0]), float(window[1])
     if not (0.0 <= a < b) or not math.isfinite(b):
         raise InputError(f"bad pair-integral window [{a}, {b}]")
-    if singular_exponent is not None and a == 0.0 and _has_jumps(f) \
-            and singular_exponent >= n + 1.0:
+    core = [-power for lo, _, coef, power in weight.pieces if lo == 0.0 and coef != 0.0]
+    if a == 0.0 and core and core[0] >= n + 1.0 and _has_jumps(f):
         raise DivergenceError(
-            f"weight exponent {singular_exponent} >= N+1 diverges on a jump field")
-    kinks = _pair_kinks(f, b)
-    h_meas = sphere_measure(n)
+            f"weight exponent {core[0]} >= N+1 diverges on a jump field")
 
+    if n == 1 and f.kind == "piecewise":
+        try:
+            value = _pair_integral_piecewise_1d(f, region, weight, a, b, q)
+        except OverflowError:   # a moment of the weight beyond float range
+            value = math.inf
+        _guard(value)
+        return QuadResult(value, 0.0, 0)
+
+    kinks = _pair_kinks(f, b)
+    t0 = a if a > 0.0 else b * 1e-9
     if n == 1:
         quality = _quality_1d(f)
 
@@ -491,41 +532,25 @@ def pair_integral(f: Field, region: Optional[RegionSpec], weight: Callable,
                 out[i] = _shift_integral_1d(f, region, float(t), q,
                                             x_div=quality["x_div"],
                                             x_orders=quality["x_orders"])[0]
-            return 2.0 * out * np.asarray(weight(ts), dtype=float)
-        t0 = a if a > 0.0 else b * 1e-9
+            return 2.0 * out * weight(ts)
         value, err = _t_integral(tfunc, t0, b, kinks,
                                  n_panels=quality["t_panels"],
                                  order=quality["t_order"], truncated_at=a)
         _guard(value)
-        return QuadResult(value, err, 0, low_confidence=False)
+        return QuadResult(value, err, 0)
 
     ind = _field_is_indicator(f)
-    if ind is not None and ind[0].kind == "ball" and _region_inactive(f, region, b):
+    if ind is not None and ind[0].kind in ("ball", "box") \
+            and _region_inactive(f, region, b):
         amp = float(np.linalg.norm(np.asarray(ind[1], dtype=float))) ** q
+        nodes, wts = sphere_rule(n, default_sphere_rule(n))
 
         def tfunc(ts):
-            sym = np.array([_symdiff_measure(ind[0], np.array([t] + [0.0] * (n - 1)))
-                            for t in ts])
-            return ts ** (n - 1) * np.asarray(weight(ts), dtype=float) * h_meas * amp * sym
-        t0 = a if a > 0.0 else b * 1e-9
+            sym = _symdiff_measure(ind[0], ts[:, None, None] * nodes[None, :, :])
+            return ts ** (n - 1) * weight(ts) * amp * (sym @ wts)
         value, err = _t_integral(tfunc, t0, b, kinks, truncated_at=a)
         _guard(value)
-        return QuadResult(value, err, 0, low_confidence=False)
-
-    if ind is not None and ind[0].kind == "box" and _region_inactive(f, region, b):
-        amp = float(np.linalg.norm(np.asarray(ind[1], dtype=float))) ** q
-        nodes, wts = sphere_rule(n, sphere_rule_name or default_sphere_rule(n))
-
-        def tfunc(ts):
-            out = np.empty_like(ts)
-            for i, t in enumerate(ts):
-                sym = np.array([_symdiff_measure(ind[0], t * nd) for nd in nodes])
-                out[i] = float(wts @ sym) * amp
-            return ts ** (n - 1) * np.asarray(weight(ts), dtype=float) * out
-        t0 = a if a > 0.0 else b * 1e-9
-        value, err = _t_integral(tfunc, t0, b, kinks, n_panels=32, truncated_at=a)
-        _guard(value)
-        return QuadResult(value, err, 0, low_confidence=False)
+        return QuadResult(value, err, 0)
 
     return _pair_integral_mc(f, region, weight, (a, b), q, budget, stream)
 
@@ -543,8 +568,8 @@ def _unit_directions(rng, m: int, n: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _pair_integral_mc(f: Field, region, weight, window, q, budget: QuadBudget,
-                      stream: int) -> QuadResult:
+def _pair_integral_mc(f: Field, region, weight: PiecewisePower, window, q,
+                      budget: QuadBudget, stream: int) -> QuadResult:
     n = f.dim_in
     a, b = window
     t_lo = a if a > 0.0 else b * 1e-6
@@ -574,7 +599,7 @@ def _pair_integral_mc(f: Field, region, weight, window, q, budget: QuadBudget,
         if region is not None:
             vals = vals * region.contains(x) * region.contains(x + shift)
         # 1/p(t) = t * ln_ratio for the log-uniform radial draw
-        vals = vals * np.asarray(weight(t), dtype=float) * t ** (n - 1) \
+        vals = vals * weight(t) * t ** (n - 1) \
             * (t * ln_ratio) * h_meas * vol
         mean = float(np.mean(vals))
         se = float(np.std(vals)) / math.sqrt(per)
@@ -615,11 +640,6 @@ def double_integral_singular(f: Field, region: Optional[RegionSpec], s: float,
     """Estimate the double integral of |u(x)-u(y)|^q / |x-y|^s over E x E
     restricted to |x-y| inside the window ("full", ("ball", eps) or
     ("annulus", beta, gamma))."""
-    a, b = _window_bounds(window, region, f)
-
-    def weight(t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(-s * np.log(t))
-
-    return pair_integral(f, region, weight, (a, b), q, budget=budget,
-                         stream=stream, singular_exponent=s if a == 0.0 else None)
+    return pair_integral(f, region, PiecewisePower.power_law(s),
+                         _window_bounds(window, region, f), q, budget=budget,
+                         stream=stream)

@@ -19,13 +19,13 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import CapabilityError, InputError
 from .fields import (Field, RegionSpec, default_region, eval_field,
-                     jump_set_of, support_bbox)
+                     jump_set_of, support_bbox, unit_ball_volume)
 from .jumps import jump_variation
 from .kernels import RadialKernelFamily, kernel_profile, kernel_window
 from .mollifiers import MollifierSpec, mollify
-from .quadrature import (QuadBudget, QuadResult, integrate_sphere,
-                         default_sphere_rule, pair_integral, shift_integral,
-                         sphere_measure)
+from .quadrature import (PiecewisePower, QuadBudget, QuadResult,
+                         default_sphere_rule, integrate_sphere, pair_integral,
+                         shift_integral, sphere_measure)
 
 __all__ = [
     "FunctionalParams",
@@ -140,20 +140,13 @@ def gagliardo_seminorm_q(f: Field, params: FunctionalParams,
     Raises DivergenceError for piecewise-constant fields with jumps once
     N + rq >= N + 1, where the seminorm is infinite."""
     region = _resolve_region(f, params)
-    n = f.dim_in
-    s = n + params.rq
     tag = f"gagliardo_seminorm_q[f={f.name},q={params.q:g},rq={params.rq:g}]"
     bb = region.bbox()
     if bb is None:
         raise InputError("gagliardo seminorm needs a bounded region")
     diam = float(np.linalg.norm(bb[1] - bb[0]))
-
-    def weight(t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(-s * np.log(t))
-
-    qr = pair_integral(f, region, weight, (0.0, diam), params.q, budget=budget,
-                       stream=_stream_of(tag), singular_exponent=s)
+    qr = pair_integral(f, region, PiecewisePower.power_law(f.dim_in + params.rq),
+                       (0.0, diam), params.q, budget=budget, stream=_stream_of(tag))
     return _result(tag, qr)
 
 
@@ -203,21 +196,16 @@ def besov_seminorm_q(f: Field, params: FunctionalParams,
 def brq_double_integral(f: Field, params: FunctionalParams, eps: float,
                         budget: Optional[QuadBudget] = None) -> FunctionalValue:
     """int_E eps^-N int_{E cap B_eps(x)} |u(x)-u(y)|^q / |x-y|^{rq} dy dx
-    (no unit-ball volume factor)."""
+    (no unit-ball volume factor): L^N(B_1) times the trivial-kernel
+    besov_constant_at."""
     if eps <= 0.0:
         raise InputError("eps must be positive")
-    region = _resolve_region(f, params)
     n = f.dim_in
     tag = f"brq_double_integral[f={f.name},q={params.q:g},rq={params.rq:g},eps={eps:g}]"
-    scale = eps ** -n
-
-    def weight(t):
-        t = np.asarray(t, dtype=float)
-        return scale * np.exp(-params.rq * np.log(t))
-
-    qr = pair_integral(f, region, weight, (0.0, eps), params.q, budget=budget,
-                       stream=_stream_of(tag), singular_exponent=params.rq)
-    return _result(tag, qr)
+    bc = besov_constant_at(f, params, RadialKernelFamily("trivial", n), eps,
+                           budget=budget)
+    v = unit_ball_volume(n)
+    return FunctionalValue(v * bc.value, v * bc.error_estimate, tag)
 
 
 def directional_variation(f: Field, params: FunctionalParams, n_vec, eps: float,
@@ -254,20 +242,21 @@ def spherical_variation(f: Field, params: FunctionalParams, eps: float,
         h = sphere_measure(n)
         return FunctionalValue(h * dv.value, h * dv.error_estimate, tag)
 
+    # largest node error of each rule integrate_sphere applies, fine rule first
+    node_errs = []
+
     def g(nodes):
         out = np.empty(nodes.shape[0])
         errs = np.empty(nodes.shape[0])
         for i, nd in enumerate(nodes):
-            val, err = shift_integral(f, region, eps * nd, params.q,
-                                      budget=budget, stream=_stream_of(tag) + i)
-            out[i] = val
-            errs[i] = err
-        g.err = float(np.max(errs)) if len(errs) else 0.0
+            out[i], errs[i] = shift_integral(f, region, eps * nd, params.q,
+                                             budget=budget, stream=_stream_of(tag) + i)
+        node_errs.append(float(np.max(errs)))
         return out
 
     qr = integrate_sphere(g, n, rule)
     scale = eps ** -params.rq
-    err = (qr.error_estimate + sphere_measure(n) * getattr(g, "err", 0.0)) * scale
+    err = (qr.error_estimate + sphere_measure(n) * node_errs[0]) * scale
     return FunctionalValue(qr.value * scale, err, tag)
 
 
@@ -290,14 +279,9 @@ def besov_constant_at(f: Field, params: FunctionalParams, k: RadialKernelFamily,
     tag = (f"besov_constant_at[f={f.name},q={params.q:g},rq={params.rq:g},"
            f"kernel={k.label()},eps={float(eps_tag):g}]")
 
-    def weight(t):
-        t = np.asarray(t, dtype=float)
-        return kernel_profile(k, eps, t) * np.exp(-params.rq * np.log(t))
-
-    window = (lo, hi) if lo > 0.0 else (0.0, hi)
-    qr = pair_integral(f, region, weight, window, params.q, budget=budget,
-                       stream=_stream_of(tag),
-                       singular_exponent=params.rq if lo == 0.0 else None)
+    weight = kernel_profile(k, eps).times_power(-params.rq)
+    qr = pair_integral(f, region, weight, (lo, hi), params.q, budget=budget,
+                       stream=_stream_of(tag))
     return _result(tag, qr)
 
 
@@ -349,14 +333,10 @@ def gagliardo_region_integrals(f: Field, m: MollifierSpec,
         raise InputError("need 0 < beta < gamma")
     n = f.dim_in
     q, rq = params.q, params.rq
-    s = n + rq
+    weight = PiecewisePower.power_law(n + rq)
     u_eps = mollify(f, m, eps)
     lo, hi = support_bbox(u_eps)
     sep = 1.01 * float(np.linalg.norm(hi - lo))
-
-    def weight(t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(-s * np.log(t))
 
     def piece(a, b):
         if b <= a:

@@ -66,7 +66,7 @@ def test_criterion_1_kernel_audits():
     eps = math.exp(-5.0)
     closed = log_kernel_moment(eps, 0.5, 1.0, 2)
     lo, hi = kernel_window(k, eps)
-    val, _ = sciint.quad(lambda r: float(kernel_profile(k, eps, r)), lo, hi,
+    val, _ = sciint.quad(lambda r: float(kernel_profile(k, eps)(r)), lo, hi,
                          limit=400)
     quad = eps * sphere_measure(2) * val
     ok &= abs(closed - quad) <= 1e-8

@@ -7,16 +7,16 @@ from scipy import integrate as sciint
 from besovlab.errors import InputError
 from besovlab.kernels import (LOG_EPS_MAX, NegLogEps, RadialKernelFamily,
                               audit_rows, generic_moment, kernel_mass,
-                              kernel_piecewise_power, kernel_profile,
-                              kernel_window, log_kernel_moment, support_tail)
+                              kernel_profile, kernel_window,
+                              log_kernel_moment, support_tail)
 from besovlab.quadrature import radial_integral, sphere_measure
 
 
 def test_trivial_profile_values():
     k = RadialKernelFamily("trivial", 1)
     # 1/(eps * L^1(B_1)) = 1/(0.5 * 2)
-    assert kernel_profile(k, 0.5, 0.25) == pytest.approx(1.0, abs=1e-15)
-    assert kernel_profile(k, 0.5, 1.0) == 0.0
+    assert kernel_profile(k, 0.5)(0.25) == pytest.approx(1.0, abs=1e-15)
+    assert kernel_profile(k, 0.5)(1.0) == 0.0
 
 
 def test_logarithmic_support():
@@ -25,8 +25,8 @@ def test_logarithmic_support():
     lo, hi = kernel_window(k, eps)
     assert lo == pytest.approx(eps)
     assert hi == pytest.approx(10.0 ** -0.5)
-    assert kernel_profile(k, eps, hi * 1.001) == 0.0
-    assert kernel_profile(k, eps, (lo + hi) / 2.0) > 0.0
+    assert kernel_profile(k, eps)(hi * 1.001) == 0.0
+    assert kernel_profile(k, eps)((lo + hi) / 2.0) > 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -52,9 +52,10 @@ def test_kernel_mass_against_quadrature():
               RadialKernelFamily("sigma_approx", 2, sigma_ratio=0.5)):
         eps = 0.05
         lo, hi = kernel_window(k, eps)
-        val = radial_integral(lambda r: kernel_profile(k, eps, r), 2,
-                              (max(lo, 1e-12), hi))
-        assert abs(val - 1.0) <= 1e-9
+        prof = kernel_profile(k, eps)
+        val, _ = sciint.quad(lambda r: float(prof(r)) * r, max(lo, 1e-12), hi,
+                             limit=200)
+        assert abs(sphere_measure(2) * val - 1.0) <= 1e-9
 
 
 def test_support_tail_compact_support():
@@ -90,7 +91,7 @@ def test_log_moment_closed_form_vs_quadrature():
     eps, alpha = math.exp(-5.0), 1.0
     closed = log_kernel_moment(eps, 0.5, alpha, 2)
     lo, hi = kernel_window(k, eps)
-    val, _ = sciint.quad(lambda r: float(kernel_profile(k, eps, r))
+    val, _ = sciint.quad(lambda r: float(kernel_profile(k, eps)(r))
                          * r ** (2 - 1 - alpha), lo, hi, limit=400)
     quad = eps ** alpha * sphere_measure(2) * val
     assert abs(closed - quad) <= 1e-9
@@ -127,20 +128,20 @@ def test_sigma_rule_validity():
 def test_eps_range_validation():
     k = RadialKernelFamily("logarithmic", 1, omega=0.5)
     with pytest.raises(InputError):
-        kernel_profile(k, 0.5, 0.1)       # eps > 1/e
+        kernel_profile(k, 0.5)            # eps > 1/e
     with pytest.raises(InputError):
-        kernel_profile(k, 0.0, 0.1)
+        kernel_profile(k, 0.0)
     with pytest.raises(InputError):
-        kernel_profile(k, 1e-310, 0.1)    # below the denormal clamp
+        kernel_profile(k, 1e-310)         # below the denormal clamp
     with pytest.raises(InputError):
-        kernel_profile(RadialKernelFamily("trivial", 1), 0.1, -1.0)
+        kernel_profile(RadialKernelFamily("trivial", 1), 0.1)(-1.0)
 
 
 def test_profile_log_space_no_overflow():
     # N=3 near r = 1e-6 must not overflow the r^-N evaluation
     k = RadialKernelFamily("logarithmic", 3, omega=0.5)
     eps = 1e-7
-    val = kernel_profile(k, eps, 1e-6)
+    val = kernel_profile(k, eps)(1e-6)
     assert np.isfinite(val) and val > 0.0
 
 
@@ -152,9 +153,20 @@ def test_audit_rows_shape():
 
 
 def test_piecewise_power_profile_matches_direct():
+    # closed-form densities at eps = 0.1, N = 2
+    eps, sig = 0.1, 0.05
+    L = -math.log(eps)
+    direct = {
+        "trivial": lambda r: np.where(r < eps, 1.0 / (math.pi * eps ** 2), 0.0),
+        "logarithmic": lambda r: np.where((r >= eps) & (r < L ** -0.5),
+                                          r ** -2.0 / (2.0 * math.pi
+                                                       * (L - 0.5 * math.log(L))), 0.0),
+        "sigma_approx": lambda r: np.where(np.abs(r - eps) < sig,
+                                           1.0 / (r * 2.0 * sig * 2.0 * math.pi), 0.0),
+    }
+    rs = np.geomspace(1e-3, 0.6, 50)
     for k in (RadialKernelFamily("trivial", 2),
               RadialKernelFamily("logarithmic", 2, omega=0.5),
               RadialKernelFamily("sigma_approx", 2, sigma_ratio=0.5)):
-        prof = kernel_piecewise_power(k, 0.1)
-        rs = np.geomspace(1e-3, 0.6, 50)
-        assert np.allclose(prof(rs), kernel_profile(k, 0.1, rs), rtol=1e-12)
+        assert np.allclose(kernel_profile(k, eps)(rs), direct[k.kind](rs),
+                           rtol=1e-12, atol=0.0)

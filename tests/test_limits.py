@@ -190,3 +190,15 @@ def test_eta_continuity_bound(step, tent):
     g2 = epsilon_sweep(lambda e: gagliardo_constant_at(step, perturbed, params, e),
                        grid, model="affine-in-inverse-log")
     assert abs(g1.extrapolated.limit - g2.extrapolated.limit) <= bound
+
+
+def test_constant_tail_exact_rows_do_not_overflow():
+    # exact rows (error 0) of 8e8 used to overflow the inverse-variance sum
+    from besovlab.fields import make_field
+    from besovlab.seminorms import directional_variation
+    f = make_field("step_1d", amplitude=2e4)
+    params = FunctionalParams.jump_regime(2.0)
+    sweep = epsilon_sweep(lambda e: directional_variation(f, params, [1.0], e),
+                          EpsilonGrid(0.2, 0.5, 6))
+    assert all(r.error == 0.0 for r in sweep.rows)
+    assert sweep.extrapolated.limit == pytest.approx(8e8, rel=1e-12)

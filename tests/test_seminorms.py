@@ -7,7 +7,7 @@ from besovlab.errors import DivergenceError, InputError
 from besovlab.fields import Field, RegionSpec, make_field, scale_field
 from besovlab.kernels import RadialKernelFamily
 from besovlab.mollifiers import mollify
-from besovlab.quadrature import sphere_measure
+from besovlab.quadrature import shift_integral, sphere_measure
 from besovlab.seminorms import (FunctionalParams, besov_constant_at,
                                 besov_seminorm_q, brq_double_integral,
                                 directional_variation, gagliardo_constant_at,
@@ -354,3 +354,39 @@ def test_interpolation_strict_on_multi_jump_field():
     lhs, rhs = interpolation_check(two, 2.0, 3.0)
     assert lhs == pytest.approx(10.0, rel=1e-9)
     assert lhs < rhs
+
+
+def test_spherical_variation_reports_fine_rule_node_errors(monkeypatch, tent2):
+    # integrate_sphere evaluates the fine rule, then the coarse one; the node
+    # error the estimate carries must be the fine rule's
+    import besovlab.seminorms as sem
+    from besovlab.quadrature import QuadBudget
+    calls = []
+
+    def spy(*args, **kwargs):
+        out = shift_integral(*args, **kwargs)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(sem, "shift_integral", spy)
+    u = mollify(make_field("box_2d"), tent2, 0.1)
+    eps = 0.05
+    v = spherical_variation(u, P2, eps, rule="trapezoid-16",
+                            budget=QuadBudget(max_evaluations=4_000, rng_seed=7))
+    assert len(calls) == 16 + 8
+    fine, coarse = np.array(calls[:16]), np.array(calls[16:])
+    rule_err = abs(2.0 * math.pi * (fine[:, 0].mean() - coarse[:, 0].mean()))
+    expect = (rule_err + 2.0 * math.pi * fine[:, 1].max()) / eps
+    assert fine[:, 1].max() != coarse[:, 1].max()
+    assert v.error_estimate == pytest.approx(expect, rel=1e-12)
+
+
+def test_besov_constant_beyond_float_range_is_a_divergence(step):
+    # a kernel density or weight moment past float range must end in the
+    # overflow guard (a flagged sweep row), not a bare OverflowError
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+        besov_constant_at(make_field("ball_3d"), P2, RadialKernelFamily("trivial", 3),
+                          1e-151)
+    with pytest.raises(DivergenceError):
+        besov_constant_at(step, FunctionalParams.make(5.0, 0.9),
+                          RadialKernelFamily("logarithmic", 1, omega=0.5), 1e-100)
