@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.ndimage import map_coordinates
 
 from .errors import CapabilityError, InputError
 
@@ -281,25 +282,10 @@ def _as_points(f: Field, x) -> tuple[np.ndarray, bool]:
 
 def _grid_eval(spec: GridSpec, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Multilinear interpolation over cell centers with a zero ring outside."""
-    n = spec.dim
-    d = values.shape[-1]
     u = (x - np.asarray(spec.origin)) / np.asarray(spec.spacing) - 0.5
-    i0 = np.floor(u).astype(np.int64)
-    w = u - i0
-    out = np.zeros((x.shape[0], d))
-    extent = np.asarray(spec.extent)
-    for corner in range(1 << n):
-        bits = np.array([(corner >> k) & 1 for k in range(n)])
-        idx = i0 + bits
-        weight = np.ones(x.shape[0])
-        for k in range(n):
-            weight = weight * (w[:, k] if bits[k] else 1.0 - w[:, k])
-        inside = np.all((idx >= 0) & (idx < extent), axis=1)
-        if not np.any(inside):
-            continue
-        sel = tuple(idx[inside, k] for k in range(n))
-        out[inside] += weight[inside, None] * values[sel]
-    return out
+    return np.stack([map_coordinates(values[..., k], u.T, order=1,
+                                     mode="grid-constant", prefilter=False)
+                     for k in range(values.shape[-1])], axis=-1)
 
 
 def eval_field(f: Field, x) -> np.ndarray:

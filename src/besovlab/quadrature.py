@@ -229,11 +229,11 @@ def _gl(npts: int):
     return _GL_CACHE[npts]
 
 
-def _panel_nodes(edges: np.ndarray, npts: int):
-    """GL nodes/weights for every interval defined by consecutive edges."""
+def _panel_nodes(left: np.ndarray, right: np.ndarray, npts: int):
+    """GL nodes/weights for the panels [left_i, right_i], panel by panel."""
     x, w = _gl(npts)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (right + left)
+    half = 0.5 * (right - left)
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
@@ -327,58 +327,143 @@ def shift_integral(f: Field, region: Optional[RegionSpec], h, q: float,
     return _shift_integral_mc(f, region, h, q, budget or QuadBudget(), stream)
 
 
-def _merged_edges_1d(f: Field, region, t: float):
+def _edge_points_1d(f: Field, region) -> np.ndarray:
+    """The knots of a 1D field and the edges of its region."""
     ks = knots_1d(f)
-    base = [] if ks is None else list(ks)
-    edges = set(base) | {k - t for k in base} | set(_region_1d_edges(region)) \
-        | {e - t for e in _region_1d_edges(region)}
+    return np.concatenate([[] if ks is None else ks, _region_1d_edges(region)])
+
+
+def _merged_edges_1d(f: Field, region, ts: np.ndarray):
+    """Candidate x-edges of F(t)'s integrand, one sorted row per radius t.
+
+    A row holds the knots and region edges, as they are and shifted by -t,
+    and the ends lo, hi of the x-range; a candidate outside [lo, hi] reads
+    +inf and a value may repeat.  Returns (rows, lo, hi)."""
+    pts = _edge_points_1d(f, region)
     lo_s, hi_s = support_bbox(f)
-    lo = min(lo_s[0], lo_s[0] - t)
-    hi = max(hi_s[0], hi_s[0] - t)
+    lo = np.minimum(lo_s[0], lo_s[0] - ts)
+    hi = np.maximum(hi_s[0], hi_s[0] - ts)
     if region is not None and region.kind == "box":
-        lo = max(lo, region.lo[0] - abs(t))
-        hi = min(hi, region.hi[0] + abs(t))
-    edges |= {lo, hi}
-    edges = np.array(sorted(e for e in edges if lo <= e <= hi))
-    return edges, lo, hi
+        lo = np.maximum(lo, region.lo[0] - np.abs(ts))
+        hi = np.minimum(hi, region.hi[0] + np.abs(ts))
+    rows = np.concatenate([np.broadcast_to(pts, (len(ts), len(pts))),
+                           pts - ts[:, None], lo[:, None], hi[:, None]], axis=1)
+    rows[(rows < lo[:, None]) | (rows > hi[:, None])] = np.inf
+    rows.sort(axis=1)
+    return rows, lo, hi
 
 
 def _quality_1d(f: Field) -> dict:
     """Panel counts/orders per field cost class: closed-form fields get the
     dense settings, nested-quadrature fields the cheap ones."""
     if f.kind == "smooth" and f.payload.get("formula") == "callable_1d":
-        return {"t_panels": 28, "t_order": 8, "x_div": 40, "x_orders": (8, 4)}
+        return {"t_panels": 28, "t_order": 8, "x_div": 40, "x_order": 8}
     if f.kind == "grid":
-        return {"t_panels": 36, "t_order": 8, "x_div": 64, "x_orders": (6, 3)}
-    return {"t_panels": 48, "t_order": 12, "x_div": 64, "x_orders": (12, 6)}
+        return {"t_panels": 36, "t_order": 8, "x_div": 64, "x_order": 6}
+    return {"t_panels": 48, "t_order": 12, "x_div": 64, "x_order": 12}
 
 
-def _shift_integral_1d(f: Field, region, t: float, q: float,
-                       x_div: int = 64, x_orders=(12, 6)):
-    edges, lo, hi = _merged_edges_1d(f, region, t)
-    if hi <= lo or len(edges) < 2:
+def _shift_integral_1d(f: Field, region, t: float, q: float):
+    """F(t) with an error estimate: exact for piecewise-constant fields,
+    else panel Gauss-Legendre of orders 12 and 6 with the error their
+    difference."""
+    if f.kind != "piecewise":
+        vhi, vlo = _smooth_shift_integrals_1d(f, region, np.array([t]), q, 64, (12, 6))[0]
+        return float(vhi), abs(float(vhi) - float(vlo))
+    pts = _edge_points_1d(f, region)
+    if t != 0.0 and np.any(pts - t == pts):
+        # |t| is below half an ulp of an edge e, so e - t rounds to e and
+        # [e - t, e] would vanish.  Sum over pairs of the intervals I_i the
+        # edges cut the line into: the integrand is constant, c_ij, for
+        # x in I_i and x + t in I_j, over a length formed from differences
+        # of edges before t is added, so no edge - t is ever rounded
+        t = abs(t)
+        p = np.unique(pts)
+        a = np.concatenate([[-np.inf], p])
+        b = np.concatenate([p, [np.inf]])
+        pad = 1.0 + np.abs(p[[0, -1]])
+        mid = np.concatenate([[p[0] - pad[0]], 0.5 * (p[1:] + p[:-1]),
+                              [p[-1] + pad[1]]])[:, None]
+        u = eval_field(f, mid)
+        c = np.linalg.norm(u[None, :, :] - u[:, None, :], axis=-1) ** q
+        if region is not None:
+            inside = region.contains(mid)
+            c = c * inside[:, None] * inside[None, :]
+        length = np.minimum(np.minimum(b - a, (b - a)[:, None]),
+                            np.minimum(b[:, None] - a[None, :] + t,
+                                       b[None, :] - a[:, None] - t))
+        hit = c > 0.0
+        return float(np.sum(c[hit] * np.maximum(length[hit], 0.0))), 0.0
+    rows, lo, hi = _merged_edges_1d(f, region, np.array([t]))
+    edges = np.unique(rows[0][np.isfinite(rows[0])])
+    if hi[0] <= lo[0] or len(edges) < 2:
         return 0.0, 0.0
-    if f.kind == "piecewise":
-        # integrand is constant on every merged interval: exact
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        lens = np.diff(edges)
-        vals = _pair_values(f, region, mids, t, q)
-        return float(lens @ vals), 0.0
-    # piecewise-smooth: panel Gauss-Legendre with an embedded error estimate
-    pmax = (hi - lo) / x_div
-    refined = [edges[0]]
-    for a, b in zip(edges[:-1], edges[1:]):
-        k = max(1, int(math.ceil((b - a) / pmax)))
-        refined.extend(a + (b - a) * np.arange(1, k + 1) / k)
-    redges = np.array(refined)
-    nhi, whi = _panel_nodes(redges, x_orders[0])
-    nlo, wlo = _panel_nodes(redges, x_orders[1])
-    vhi = float(whi @ _pair_values(f, region, nhi, t, q))
-    vlo = float(wlo @ _pair_values(f, region, nlo, t, q))
-    return vhi, abs(vhi - vlo)
+    # integrand is constant on every merged interval: exact
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    lens = np.diff(edges)
+    vals = _pair_values(f, region, mids, t, q)
+    return float(lens @ vals), 0.0
 
 
-def _pair_values(f: Field, region, xs: np.ndarray, t: float, q: float):
+# x-nodes per field evaluation when shift integrals are batched over radii;
+# it bounds the size of the evaluation's temporaries
+_BLOCK_POINTS = 1 << 13
+
+
+def _smooth_shift_integrals_1d(f: Field, region, ts: np.ndarray, q: float,
+                               x_div: int, x_orders) -> np.ndarray:
+    """F(t) for each radius t in ts by panel Gauss-Legendre in x, once per
+    order in x_orders: an array of shape (len(ts), len(x_orders)).
+
+    Each merged interval is split into equal panels no longer than
+    (hi - lo) / x_div.  Consecutive radii share one field evaluation at x and
+    one at x + t per block of about _BLOCK_POINTS nodes, and each value is
+    still its own radius's weights @ integrand values."""
+    out = np.zeros((len(ts), len(x_orders)))
+    rows, lo, hi = _merged_edges_1d(f, region, ts)
+    # merged intervals in radius order, each split into k equal panels
+    row, col = np.nonzero((rows[:, 1:] > rows[:, :-1]) & np.isfinite(rows[:, 1:]))
+    left = rows[row, col]
+    width = rows[row, col + 1] - left
+    k = np.maximum(1, np.ceil(width / ((hi - lo) / x_div)[row])).astype(np.int64)
+    npan = np.bincount(row, weights=k, minlength=len(ts)).astype(np.int64)
+    npts = npan * sum(x_orders)
+    block = (np.cumsum(npts) - npts) // _BLOCK_POINTS
+    cuts = np.concatenate([[0], np.flatnonzero(np.diff(block)) + 1, [len(ts)]])
+    for r0, r1 in zip(cuts[:-1], cuts[1:]):
+        i0, i1 = np.searchsorted(row, [r0, r1])
+        if i0 == i1:
+            continue
+        # each panel's right end; a radius's first panel starts at its lo
+        kb = k[i0:i1]
+        iv = np.repeat(np.arange(i0, i1), kb)
+        j = np.arange(len(iv)) - np.repeat(np.cumsum(kb) - kb, kb) + 1
+        right = left[iv] + width[iv] * j / k[iv]
+        prow = row[iv]
+        pleft = np.concatenate([[0.0], right[:-1]])
+        first = np.concatenate([[True], prow[1:] != prow[:-1]])
+        pleft[first] = rows[prow[first], 0]
+        xs, shifts, weights = [], [], []
+        for order in x_orders:
+            nodes, w = _panel_nodes(pleft, right, order)
+            xs.append(nodes)
+            weights.append(w)
+            shifts.append(np.repeat(ts[prow], order))
+        vals = _pair_values(f, region, np.concatenate(xs),
+                            np.concatenate(shifts)[:, None], q)
+        p1 = np.cumsum(npan[r0:r1])
+        off = 0
+        for c, (order, w) in enumerate(zip(x_orders, weights)):
+            for r, e in zip(range(r0, r1), p1 * order):
+                s = e - npan[r] * order
+                out[r, c] = w[s:e] @ vals[off + s:off + e]
+            off += len(w)
+    return out
+
+
+def _pair_values(f: Field, region, xs: np.ndarray, t, q: float):
+    """|u(x+t)-u(x)|^q chi_E(x) chi_E(x+t) at the points xs; t is a scalar or
+    a column of one shift per point."""
     pts = xs[:, None]
     du = eval_field(f, pts + t) - eval_field(f, pts)
     vals = np.linalg.norm(du, axis=-1) ** q
@@ -441,8 +526,8 @@ def _t_integral(tfunc: Callable, a: float, b: float, kinks: Sequence[float] = ()
     inner = [k for k in kinks if a < k < b]
     if inner and len(inner) <= 64:
         edges = np.unique(np.concatenate([edges, np.asarray(inner, dtype=float)]))
-    nhi, whi = _panel_nodes(edges, order)
-    nlo, wlo = _panel_nodes(edges, max(order // 2, 2))
+    nhi, whi = _panel_nodes(edges[:-1], edges[1:], order)
+    nlo, wlo = _panel_nodes(edges[:-1], edges[1:], max(order // 2, 2))
     vhi = float(whi @ np.asarray(tfunc(nhi), dtype=float))
     vlo = float(wlo @ np.asarray(tfunc(nlo), dtype=float))
     err = abs(vhi - vlo)
@@ -480,7 +565,7 @@ def _pair_integral_piecewise_1d(f: Field, region, weight: PiecewisePower,
     """Exact 2 int_a^b w(t) F(t) dt.  F can change slope only where t is a
     difference of two knots or region edges; between those breakpoints it is
     linear, so each segment is F's end values against moments of w."""
-    pts = np.concatenate([knots_1d(f), np.asarray(_region_1d_edges(region), dtype=float)])
+    pts = _edge_points_1d(f, region)
     br = np.unique(np.abs(pts[:, None] - pts[None, :]))
     ts = [a] + br[(br > a) & (br < b)].tolist() + [b]
     fs = [_shift_integral_1d(f, region, t, q)[0] for t in ts]
@@ -527,12 +612,9 @@ def pair_integral(f: Field, region: Optional[RegionSpec], weight: PiecewisePower
         quality = _quality_1d(f)
 
         def tfunc(ts):
-            out = np.empty_like(ts)
-            for i, t in enumerate(ts):
-                out[i] = _shift_integral_1d(f, region, float(t), q,
-                                            x_div=quality["x_div"],
-                                            x_orders=quality["x_orders"])[0]
-            return 2.0 * out * weight(ts)
+            fs = _smooth_shift_integrals_1d(f, region, ts, q, quality["x_div"],
+                                            (quality["x_order"],))[:, 0]
+            return 2.0 * fs * weight(ts)
         value, err = _t_integral(tfunc, t0, b, kinks,
                                  n_panels=quality["t_panels"],
                                  order=quality["t_order"], truncated_at=a)
@@ -543,11 +625,18 @@ def pair_integral(f: Field, region: Optional[RegionSpec], weight: PiecewisePower
     if ind is not None and ind[0].kind in ("ball", "box") \
             and _region_inactive(f, region, b):
         amp = float(np.linalg.norm(np.asarray(ind[1], dtype=float))) ** q
-        nodes, wts = sphere_rule(n, default_sphere_rule(n))
+        if ind[0].kind == "ball":
+            # |B sym-diff (B - t n)| is the same for every direction n
+            def sphere_sum(ts):
+                return sphere_measure(n) * _symdiff_measure(ind[0], ts[:, None] * np.eye(n)[0])
+        else:
+            nodes, wts = sphere_rule(n, default_sphere_rule(n))
+
+            def sphere_sum(ts):
+                return _symdiff_measure(ind[0], ts[:, None, None] * nodes[None, :, :]) @ wts
 
         def tfunc(ts):
-            sym = _symdiff_measure(ind[0], ts[:, None, None] * nodes[None, :, :])
-            return ts ** (n - 1) * weight(ts) * amp * (sym @ wts)
+            return ts ** (n - 1) * weight(ts) * amp * sphere_sum(ts)
         value, err = _t_integral(tfunc, t0, b, kinks, truncated_at=a)
         _guard(value)
         return QuadResult(value, err, 0)

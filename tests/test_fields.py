@@ -150,6 +150,42 @@ def test_grid_extends_by_zero(step):
     assert eval_field(sg, -5.0)[0] == 0.0
 
 
+@pytest.mark.parametrize("extent,dim_out", [((7,), 1), ((6, 5), 1), ((6, 5), 3),
+                                              ((4, 5, 3), 2)])
+def test_grid_eval_matches_zero_padded_interpolator(extent, dim_out):
+    from scipy.interpolate import RegularGridInterpolator
+    rng = np.random.default_rng(len(extent) * 10 + dim_out)
+    n = len(extent)
+    origin = tuple(rng.uniform(-1.0, 1.0, n))
+    spacing = tuple(rng.uniform(0.1, 0.4, n))
+    g = GridSpec(origin=origin, spacing=spacing, extent=extent)
+    values = rng.standard_normal(extent + (dim_out,))
+    f = Field(n, dim_out, "grid", {"spec": g, "values": values}, support_radius=5.0)
+    # oracle: the grid with one explicit ring of zero-valued centers added
+    axes = [np.concatenate([[c[0] - s], c, [c[-1] + s]])
+            for c, s in zip(g.centers(), spacing)]
+    padded = np.pad(values, [(1, 1)] * n + [(0, 0)])
+    oracle = RegularGridInterpolator(axes, padded, method="linear",
+                                     bounds_error=False, fill_value=0.0)
+    lo = np.asarray(origin)
+    hi = lo + np.asarray(spacing) * np.asarray(extent)
+    cell = np.asarray(spacing)
+    inside = rng.uniform(lo + 0.5 * cell, hi - 0.5 * cell, (200, n))
+    # the zero ring: one coordinate between an outermost center and one
+    # spacing beyond it, where values fall linearly to zero
+    ring = rng.uniform(lo + 0.5 * cell, hi - 0.5 * cell, (400, n))
+    axis = rng.integers(0, n, 400)
+    depth = rng.uniform(0.0, 1.0, 400) * cell[axis]
+    upper = rng.random(400) < 0.5
+    ring[np.arange(400), axis] = np.where(upper, hi[axis] - 0.5 * cell[axis] + depth,
+                                          lo[axis] + 0.5 * cell[axis] - depth)
+    far = rng.uniform(lo - 10.0, hi + 10.0, (200, n))
+    for pts in (inside, ring, far):
+        np.testing.assert_allclose(eval_field(f, pts), oracle(pts), rtol=0, atol=1e-13)
+    assert np.all(eval_field(f, hi + 0.5 * cell + 1e-9) == 0.0)
+    assert np.all(eval_field(f, lo - 3.0) == 0.0)
+
+
 def test_grid_spec_validation():
     with pytest.raises(InputError):
         GridSpec(origin=(0.0,), spacing=(0.0,), extent=(4,))

@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy import integrate as sciint
 
+from besovlab import quadrature
 from besovlab.errors import CapabilityError, DivergenceError, InputError
-from besovlab.fields import Field, RegionSpec, make_field
-from besovlab.kernels import RadialKernelFamily, kernel_profile
-from besovlab.quadrature import (PiecewisePower, QuadBudget,
-                                 _symdiff_measure, _t_integral,
+from besovlab.fields import (Field, GridSpec, RegionSpec, eval_field, knots_1d,
+                             make_field, sample, support_bbox)
+from besovlab.kernels import RadialKernelFamily, kernel_profile, kernel_window
+from besovlab.mollifiers import make_mollifier, mollify
+from besovlab.quadrature import (PiecewisePower, QuadBudget, _merged_edges_1d,
+                                 _pair_kinks, _region_1d_edges, _shift_integral_1d,
+                                 _smooth_shift_integrals_1d, _symdiff_measure,
+                                 _t_integral, default_sphere_rule,
                                  double_integral_singular, integrate_sphere,
                                  pair_integral, radial_integral,
-                                 shift_integral, sphere_measure)
+                                 shift_integral, sphere_measure, sphere_rule)
 
 from oracles import mc_symdiff, riemann_pair_1d, riemann_shift_1d
 
@@ -327,3 +333,138 @@ def test_exact_1d_engine_divergent_core(field, s, b):
     f, region, _ = field
     with pytest.raises(DivergenceError):
         pair_integral(f, region, PiecewisePower.power_law(s), (0.0, b), 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the smooth 1D engine, batched over radii
+# ---------------------------------------------------------------------------
+
+def _loop_shift_integral(f, region, t, q, x_div, order):
+    """One radius at a time, as the engine did before it was batched: the
+    reference the batched engine must reproduce bit for bit."""
+    ks = knots_1d(f)
+    base = [] if ks is None else list(ks)
+    redges = _region_1d_edges(region)
+    edges = set(base) | {k - t for k in base} | set(redges) | {e - t for e in redges}
+    lo_s, hi_s = support_bbox(f)
+    lo = min(lo_s[0], lo_s[0] - t)
+    hi = max(hi_s[0], hi_s[0] - t)
+    if region is not None and region.kind == "box":
+        lo = max(lo, region.lo[0] - abs(t))
+        hi = min(hi, region.hi[0] + abs(t))
+    edges |= {lo, hi}
+    edges = np.array(sorted(e for e in edges if lo <= e <= hi))
+    if hi <= lo or len(edges) < 2:
+        return 0.0
+    pmax = (hi - lo) / x_div
+    refined = [edges[0]]
+    for a, b in zip(edges[:-1], edges[1:]):
+        k = max(1, int(math.ceil((b - a) / pmax)))
+        refined.extend(a + (b - a) * np.arange(1, k + 1) / k)
+    r = np.array(refined)
+    xg, wg = leggauss(order)
+    mid = 0.5 * (r[1:] + r[:-1])
+    half = 0.5 * (r[1:] - r[:-1])
+    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+    weights = (half[:, None] * wg[None, :]).ravel()
+    pts = nodes[:, None]
+    vals = np.linalg.norm(eval_field(f, pts + t) - eval_field(f, pts), axis=-1) ** q
+    if region is not None:
+        vals = vals * region.contains(pts) * region.contains(pts + t)
+    return float(weights @ vals)
+
+
+def _smooth_field(kind, eps):
+    step = make_field("two_steps_1d")
+    if kind == "tent":
+        return mollify(step, make_mollifier("tent"), eps)
+    if kind == "gauss":
+        return mollify(step, make_mollifier("truncated-gaussian"), eps)
+    if kind == "bump":
+        return make_field("gaussian_bump_1d", width=eps + 0.1)
+    return sample(step, GridSpec(origin=(-0.3,), spacing=(0.1,), extent=(27,)))
+
+
+@PROPERTY
+@given(kind=st.sampled_from(("tent", "gauss", "bump", "grid")), eps=st.floats(0.01, 0.3),
+       box=st.one_of(st.none(), st.tuples(st.floats(-1.0, 1.0), st.floats(0.2, 3.0))),
+       ts=st.lists(st.floats(0.001, 3.0) | st.floats(-3.0, -0.001), min_size=1, max_size=6),
+       q=st.floats(1.0, 3.0), x_div=st.sampled_from((40, 64)),
+       order=st.sampled_from((6, 8, 12)))
+def test_batched_smooth_engine_is_the_per_radius_rule(kind, eps, box, ts, q, x_div, order):
+    f = _smooth_field(kind, eps)
+    region = None if box is None else RegionSpec.interval(box[0], box[0] + box[1])
+    ts = np.array(ts)
+    got = _smooth_shift_integrals_1d(f, region, ts, q, x_div, (order,))[:, 0]
+    ref = [_loop_shift_integral(f, region, float(t), q, x_div, order) for t in ts]
+    assert got.tolist() == ref
+    both = _smooth_shift_integrals_1d(f, region, ts, q, 64, (12, 6))
+    for t, (vhi, vlo) in zip(ts, both):
+        assert _shift_integral_1d(f, region, float(t), q) == (vhi, abs(vhi - vlo))
+        assert vhi == _loop_shift_integral(f, region, float(t), q, 64, 12)
+
+
+@pytest.mark.parametrize("cap", [1, 10 ** 9])
+def test_batched_smooth_engine_block_cap(monkeypatch, cap):
+    f = _smooth_field("tent", 0.1)
+    ts = np.concatenate([np.geomspace(1e-4, 2.5, 40), -np.geomspace(1e-3, 1.0, 7)])
+    for region in (None, RegionSpec.interval(-0.5, 2.5)):
+        expect = _smooth_shift_integrals_1d(f, region, ts, 2.0, 64, (12, 6))
+        calls = []
+
+        def counting(field, x):
+            calls.append(len(x))
+            return eval_field(field, x)
+        monkeypatch.setattr(quadrature, "_BLOCK_POINTS", cap)
+        monkeypatch.setattr(quadrature, "eval_field", counting)
+        got = _smooth_shift_integrals_1d(f, region, ts, 2.0, 64, (12, 6))
+        monkeypatch.undo()
+        assert np.array_equal(got, expect)
+        # one evaluation at x and one at x + t per block
+        assert len(calls) == (2 * len(ts) if cap == 1 else 2)
+
+
+def test_batched_smooth_engine_empty_support():
+    # the region [0, 1] lies 2.9 below the support [3.9, 5.1]: the merged
+    # x-range is empty (hi <= lo) for 0 < t <= 1.45 and -2.9 <= t < 0
+    f = mollify(make_field("step_1d", a=4.0, b=5.0), make_mollifier("tent"), 0.1)
+    region = RegionSpec.interval(0.0, 1.0)
+    ts = np.array([0.5, 3.0, 4.5, -0.2])
+    _, lo, hi = _merged_edges_1d(f, region, ts)
+    assert (hi <= lo).tolist() == [True, False, False, True]
+    out = _smooth_shift_integrals_1d(f, region, ts, 2.0, 64, (12, 6))
+    assert np.array_equal(out, np.zeros((4, 2)))
+    assert _shift_integral_1d(f, region, 0.5, 2.0) == (0.0, 0.0)
+    empty = _smooth_shift_integrals_1d(f, region, np.array([0.5, 1.0]), 2.0, 64, (12,))
+    assert np.array_equal(empty, np.zeros((2, 1)))
+
+
+# ---------------------------------------------------------------------------
+# ball indicators: one symmetric difference per radius
+# ---------------------------------------------------------------------------
+
+def _sphere_rule_pair_integral(f, weight, a, b):
+    """The indicator pair integral with the symmetric difference at every
+    node of the default sphere rule, as for boxes."""
+    n = f.dim_in
+    ball = f.payload["pieces"][0][0]
+    nodes, wts = sphere_rule(n, default_sphere_rule(n))
+
+    def tfunc(ts):
+        sym = _symdiff_measure(ball, ts[:, None, None] * nodes[None, :, :])
+        return ts ** (n - 1) * weight(ts) * (sym @ wts)
+    return _t_integral(tfunc, a if a > 0.0 else b * 1e-9, b, _pair_kinks(f, b),
+                       truncated_at=a)[0]
+
+
+@pytest.mark.parametrize("name", ["disk_2d", "ball_3d"])
+@pytest.mark.parametrize("eps", [0.3, 0.05, 0.004])
+def test_ball_indicator_radial_branch_matches_sphere_rule(name, eps):
+    f = make_field(name)
+    n = f.dim_in
+    for k in (RadialKernelFamily("trivial", n), RadialKernelFamily("logarithmic", n, omega=0.5)):
+        weight = kernel_profile(k, eps).times_power(-1.0)
+        a, b = kernel_window(k, eps)
+        got = pair_integral(f, None, weight, (a, b), 2.0)
+        ref = _sphere_rule_pair_integral(f, weight, a, b)
+        assert got.value == pytest.approx(ref, rel=1e-12)

@@ -390,3 +390,36 @@ def test_besov_constant_beyond_float_range_is_a_divergence(step):
     with pytest.raises(DivergenceError):
         besov_constant_at(step, FunctionalParams.make(5.0, 0.9),
                           RadialKernelFamily("logarithmic", 1, omega=0.5), 1e-100)
+
+
+def test_sub_ulp_shift_keeps_the_far_jump(step):
+    # 1 - 1e-17 rounds to 1, so the interval [1 - t, 1] where the jump at 1
+    # counts vanished and the variation read 1
+    v = directional_variation(step, P2, [1.0], 1e-17)
+    assert v.value == pytest.approx(2.0, rel=1e-12)
+
+
+def test_sub_ulp_window_besov_constant(step):
+    v = besov_constant_at(step, P2, RadialKernelFamily("trivial", 1), 1e-200)
+    assert v.value == pytest.approx(2.0, rel=1e-12)
+    assert v.error_estimate == 0.0
+
+
+def test_sub_ulp_shift_at_every_scale():
+    # jumps at 0, 1e-20, 50 and 100 of size 1: F(t) = 4|t| for |t| <= 1e-20,
+    # though 100 - 1e-20 rounds to 100 as well
+    pieces = ((RegionSpec.interval(0.0, 1e-20), np.array([1.0])),
+              (RegionSpec.interval(50.0, 100.0), np.array([1.0])))
+    f = Field(1, 1, "piecewise", {"pieces": pieces}, support_radius=100.0)
+    for region in (None, RegionSpec.interval(-1.0, 200.0)):
+        for t in (1e-30, -5e-21, 1e-20):
+            val, err = shift_integral(f, region, [t], 2.0)
+            assert val / abs(t) == pytest.approx(4.0, rel=1e-12)
+            assert err == 0.0
+        # past the gap of 1e-20 the thin piece adds twice its length
+        val, _ = shift_integral(f, region, [3e-15], 2.0)
+        assert (val - 2e-20) / 3e-15 == pytest.approx(2.0, rel=1e-9)
+    # a region edge at 75 cuts the piece [50, 100]: its jump at 100 drops
+    # out, and x + t leaving the region adds none
+    cut = RegionSpec.interval(-1.0, 75.0)
+    assert shift_integral(f, cut, [1e-30], 2.0)[0] / 1e-30 == pytest.approx(3.0, rel=1e-12)
