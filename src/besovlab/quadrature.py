@@ -8,23 +8,34 @@ becomes
     S(t) = int_{S^{N-1}} F(t n) dH^{N-1}(n),
     F(h) = int chi_E(x) chi_E(x+h) |u(x+h)-u(x)|^q dx.
 
-The radial weight w is always a `PiecewisePower`.  For piecewise-constant 1D
-fields F is piecewise linear in t, so I is exact: F at its breakpoints times
-closed-form moments of w.  Other 1D fields and indicator fields in 2D/3D use
-closed-form or panel shift integrals plus panel Gauss-Legendre in t;
-otherwise the (x, t, n) triple is sampled with log-radial strata and a
-counter-based RNG stream per stratum, so parallel and serial runs reduce
-identically.
+The radial weight w is always a `PiecewisePower`.  `pair_integral` picks one
+engine from its inputs:
+
+- piecewise-constant 1D fields: F is piecewise linear in t, so I is exact,
+  F at its breakpoints times closed-form moments of w;
+- other 1D fields: panel Gauss-Legendre in x for F, batched over the radii
+  of a panel Gauss-Legendre rule in t;
+- ball and box indicators in 2D/3D: closed-form symmetric differences and
+  panel Gauss-Legendre in t;
+- grid fields in 2D/3D with q = 2, the weight t^-s from 0 with N < s < N+2,
+  a window (0, b) with b at least the support's diameter, and no region or
+  a box around the support: the lattice engine, exact for the multilinear
+  field up to its kernel table's tolerance (see its section);
+- everything else: stratified Monte Carlo over (x, t, n), with log-radial
+  strata and a counter-based RNG stream per stratum, so parallel and serial
+  runs reduce identically.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy import fft as sfft
 
 from .errors import CapabilityError, DivergenceError, InputError
 from .fields import Field, RegionSpec, eval_field, knots_1d, support_bbox
@@ -490,21 +501,30 @@ def _sample_box(f: Field, region, reach: float):
     return lo, hi
 
 
+_SHIFT_CHUNK = 200_000
+
+
 def _shift_integral_mc(f: Field, region, h: np.ndarray, q: float,
                        budget: QuadBudget, stream: int):
     lo, hi = _sample_box(f, region, float(np.linalg.norm(h)))
     if np.any(hi <= lo):
         return 0.0, 0.0
     vol = float(np.prod(hi - lo))
-    m = min(budget.max_evaluations, 200_000)
-    rng = _stream_rng(budget.rng_seed, stream, 0)
-    x = lo + (hi - lo) * rng.random((m, f.dim_in))
-    du = eval_field(f, x + h) - eval_field(f, x)
-    vals = np.linalg.norm(du, axis=-1) ** q
-    if region is not None:
-        vals = vals * region.contains(x) * region.contains(x + h)
+    # the whole budget, in chunks of at most _SHIFT_CHUNK points; chunk k
+    # draws from stratum k of the stream
+    chunks = []
+    for k, start in enumerate(range(0, budget.max_evaluations, _SHIFT_CHUNK)):
+        m = min(_SHIFT_CHUNK, budget.max_evaluations - start)
+        rng = _stream_rng(budget.rng_seed, stream, k)
+        x = lo + (hi - lo) * rng.random((m, f.dim_in))
+        du = eval_field(f, x + h) - eval_field(f, x)
+        vals = np.linalg.norm(du, axis=-1) ** q
+        if region is not None:
+            vals = vals * region.contains(x) * region.contains(x + h)
+        chunks.append(vals)
+    vals = np.concatenate(chunks)
     value = vol * float(np.mean(vals))
-    err = 2.0 * vol * float(np.std(vals)) / math.sqrt(m)
+    err = 2.0 * vol * float(np.std(vals)) / math.sqrt(len(vals))
     return value, err
 
 
@@ -598,6 +618,10 @@ def pair_integral(f: Field, region: Optional[RegionSpec], weight: PiecewisePower
         raise DivergenceError(
             f"weight exponent {core[0]} >= N+1 diverges on a jump field")
 
+    s = _lattice_form(f, region, weight, a, b, q)
+    if s is not None:
+        return _pair_integral_lattice(f, region, weight.pieces[0][2], s, b, budget)
+
     if n == 1 and f.kind == "piecewise":
         try:
             value = _pair_integral_piecewise_1d(f, region, weight, a, b, q)
@@ -657,6 +681,18 @@ def _unit_directions(rng, m: int, n: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
+def _clipped_core(lowest) -> float:
+    """Mass of the unsampled core (0, t_lo) from the two lowest strata.  The
+    strata have equal widths in ln t, so a power law in t makes their masses
+    a geometric sequence, ratio r = I_1 / I_0, and the strata below t_lo
+    would hold I_0 / (r - 1).  When r <= 1 the core need not converge: inf."""
+    if lowest[0] == 0.0:
+        return 0.0
+    if len(lowest) < 2 or not lowest[1] > lowest[0] > 0.0:
+        return math.inf
+    return lowest[0] / (lowest[1] / lowest[0] - 1.0)
+
+
 def _pair_integral_mc(f: Field, region, weight: PiecewisePower, window, q,
                       budget: QuadBudget, stream: int) -> QuadResult:
     n = f.dim_in
@@ -675,6 +711,7 @@ def _pair_integral_mc(f: Field, region, weight: PiecewisePower, window, q,
     total = 0.0
     var_sum = 0.0
     evals = 0
+    lowest = []
     for i in range(n_strata):
         lo_t, hi_t = float(edges[i]), float(edges[i + 1])
         ln_ratio = math.log(hi_t / lo_t)
@@ -695,10 +732,417 @@ def _pair_integral_mc(f: Field, region, weight: PiecewisePower, window, q,
         total += mean
         var_sum += se * se
         evals += per
+        if i < 2:
+            lowest.append(mean)
         _guard(total)
     err = 2.0 * math.sqrt(var_sum)
-    low = err > budget.target_rel_error * max(abs(total), 1e-300)
+    if a == 0.0:
+        err += _clipped_core(lowest)
+    low = not err <= budget.target_rel_error * max(abs(total), 1e-300)
     return QuadResult(total, err, evals, low_confidence=low)
+
+
+# ---------------------------------------------------------------------------
+# The q = 2 lattice engine for grid fields
+# ---------------------------------------------------------------------------
+#
+# A grid field with spacing h is u = sum_k c_k Lam(x/h - k) over its cell
+# centers, Lam the tensor hat, so its autocorrelation is
+# A(z) = int u(x).u(x+z) dx = h^N sum_m R(m) B(z/h - m) with
+# R(m) = sum_k c_k.c_(k+m) and B = Lam * Lam the tensor centered cubic
+# B-spline.  For q = 2, the weight t^-s with N < s < N+2, a window (0, b)
+# with b at least the support's diameter and E a box around the support,
+#
+#   I = 2 h^(2N-s) sum_m R(m) K(m) - 2 A(0) |S^(N-1)| b^(N-s) / (s-N)
+#       - 2 int |u|^2 Phi_E,
+#   K(m) = p.v. int [B(-m) - B(y-m)] |y|^-s dy,
+#   Phi_E(x) = int_(S^(N-1)) [rho_E(x,n)^(N-s) - b^(N-s)]_+ / (s-N) dn,
+#
+# rho_E(x, n) the distance from x to the edge of E along n.  K depends on
+# (N, s) only: its entries with |m|_inf <= _KERNEL_NEAR are a cached table,
+# the rest an asymptotic series in |m|^-2.
+
+_KERNEL_NEAR = 32
+_KERNEL_CACHE: dict = {}
+# lattice nodes per eval_field call, frequency columns per axis-0 transform
+# and lag rows per kernel dot; they bound the engine's temporaries
+_LATTICE_EVAL_POINTS = 1 << 16
+_LATTICE_COLS = 64
+_LATTICE_ROWS = 64
+# Chebyshev degree per axis of the Phi_E interpolant, Gauss-Legendre order of
+# its face integrals (the error is the difference from half the order)
+_PHI_DEGREE = {2: 24, 3: 12}
+_PHI_ORDER = {2: 24, 3: 16}
+
+# b(x - k) for x near 0 is one cubic on each side, so for large tau
+# beta(k, tau) = int b(x - k) exp(-tau x^2) dx = sum_j _BETA_TAIL[k, j]
+# tau^-(j+1)/2 up to O(exp(-tau)); rows k = 0, 1, 2, zero for k >= 3
+_SQRT_PI = math.sqrt(math.pi)
+_BETA_TAIL = np.array([[2.0 * _SQRT_PI / 3.0, 0.0, -_SQRT_PI / 2.0, 0.5],
+                       [_SQRT_PI / 6.0, 0.0, _SQRT_PI / 4.0, -1.0 / 3.0],
+                       [0.0, 0.0, 0.0, 1.0 / 12.0]])
+
+
+def _bspline(y):
+    """The centered cubic B-spline hat * hat, supported on [-2, 2]."""
+    y = np.minimum(np.abs(y), 2.0)
+    return np.where(y < 1.0, 2.0 / 3.0 - y * y + 0.5 * y ** 3, (2.0 - y) ** 3 / 6.0)
+
+
+def _kernel_values(n: int, s: float, ms: np.ndarray, order: int) -> np.ndarray:
+    """K(m) for the rows of ms (nonnegative integers), from
+    |y|^-s = int_0^inf tau^(s/2-1) exp(-tau |y|^2) dtau / Gamma(s/2): the
+    Gaussian factorizes over axes, so K(m) = int_0^inf tau^(s/2-1)
+    [B(-m) (pi/tau)^(N/2) - prod_i beta(m_i, tau)] dtau / Gamma(s/2).
+
+    Gauss-Legendre of the given order on unit panels in ln(tau) over
+    [tau_lo, tau_hi]; the two ends are closed forms, the upper one from the
+    _BETA_TAIL expansion, the lower one from beta = 1 - tau (k^2 + 1/3)."""
+    tau_lo, tau_hi = 1e-12, 36.0
+    u_lo, u_hi = math.log(tau_lo), math.log(tau_hi)
+    edges = np.linspace(u_lo, u_hi, int(math.ceil(u_hi - u_lo)) + 1)
+    u, wu = _panel_nodes(edges[:-1], edges[1:], order)
+    tau = np.exp(u)
+    # beta(k, tau) by Gauss-Legendre on the four unit pieces of b
+    gx, gw = _gl(32)
+    y = np.concatenate([j + 0.5 + 0.5 * gx for j in range(-2, 2)])
+    wy = np.tile(0.5 * gw, 4) * _bspline(y)
+    k = np.arange(int(ms.max()) + 1)
+    beta = np.stack([wy @ np.exp(-np.outer((y + kk) ** 2, tau)) for kk in k])
+    bm = np.prod(_bspline(ms), axis=1)
+    out = np.empty(len(ms))
+    for i0 in range(0, len(ms), 2048):
+        sl = slice(i0, i0 + 2048)
+        d = bm[sl, None] * (math.pi / tau) ** (n / 2.0) - np.prod(beta[ms[sl]], axis=1)
+        out[sl] = d @ (wu * tau ** (s / 2.0))
+    m2 = np.sum(ms.astype(float) ** 2, axis=1)
+    out += bm * math.pi ** (n / 2.0) * tau_lo ** ((s - n) / 2.0) / ((s - n) / 2.0) \
+        - tau_lo ** (s / 2.0) / (s / 2.0) + (m2 + n / 3.0) * tau_lo ** (s / 2.0 + 1.0) / (s / 2.0 + 1.0)
+    tail = np.where(ms[:, :, None] <= 2, _BETA_TAIL[np.minimum(ms, 2)], 0.0)
+    for js in itertools.product(range(4), repeat=n):
+        j = sum(js)
+        if j >= 2:  # j = 0 cancels B(-m) (pi/tau)^(N/2); j = 1 has coefficient 0
+            c = np.prod([tail[:, i, ji] for i, ji in enumerate(js)], axis=0)
+            out -= c * tau_hi ** ((s - n - j) / 2.0) / ((n + j - s) / 2.0)
+    return out / math.gamma(s / 2.0)
+
+
+def _kernel_far(m2: np.ndarray, m4: np.ndarray, n: int, s: float) -> np.ndarray:
+    """K(m) = -E|m + Y|^-s for B-distributed Y, to O(|m|^-(s+6)): the
+    Taylor series in Y with Var Y_i = 1/3 and fourth cumulant -1/30.
+    m2 = |m|^2 and m4 = sum_i m_i^4."""
+    p = -s
+    v, k4 = 1.0 / 3.0, -1.0 / 30.0
+    a2 = 0.5 * v * p * (p + n - 2.0)
+    a4 = (3.0 * v * v * p * (p + n - 2.0) * (p - 2.0) * (p + n - 4.0)
+          + k4 * (3.0 * n * p * (p - 2.0) + 6.0 * p * (p - 2.0) * (p - 4.0))) / 24.0
+    a8 = k4 * p * (p - 2.0) * (p - 4.0) * (p - 6.0) / 24.0
+    inv = 1.0 / m2
+    return -(m2 ** (0.5 * p)) * (1.0 + inv * (a2 + inv * (a4 + a8 * m4 * inv * inv)))
+
+
+def _kernel_table(n: int, s: float):
+    """(table, near_err, far_rel): K(m) for 0 <= m_i <= _KERNEL_NEAR (K is
+    even in every coordinate and symmetric under their permutations), the
+    table's absolute error bound (the order-10 rule against order 5), and a
+    relative error bound for _kernel_far beyond the table (twice its largest
+    relative miss on the table's outer shell)."""
+    key = (n, float(s))
+    if key not in _KERNEL_CACHE:
+        m = _KERNEL_NEAR
+        ms = np.array([c for c in itertools.combinations_with_replacement(range(m + 1), n)])
+        hi = _kernel_values(n, s, ms, 10)
+        lo = _kernel_values(n, s, ms, 5)
+        table = np.empty((m + 1,) * n)
+        for perm in itertools.permutations(range(n)):
+            table[tuple(ms[:, perm].T)] = hi
+        shell = ms[:, -1] == m
+        msf = ms[shell].astype(float)
+        far = _kernel_far(np.sum(msf ** 2, axis=1), np.sum(msf ** 4, axis=1), n, s)
+        far_rel = 2.0 * float(np.max(np.abs(far - hi[shell]) / np.abs(hi[shell])))
+        _KERNEL_CACHE[key] = (table, float(np.max(np.abs(hi - lo))), far_rel)
+    return _KERNEL_CACHE[key]
+
+
+def _lattice_form(f: Field, region, weight: PiecewisePower, a: float, b: float,
+                  q: float):
+    """The weight exponent s when the lattice engine serves these inputs,
+    else None."""
+    n = f.dim_in
+    if f.kind != "grid" or n not in (2, 3) or q != 2.0 or a != 0.0:
+        return None
+    if len(weight.pieces) != 1:
+        return None
+    lo_p, hi_p, _, power = weight.pieces[0]
+    s = -power
+    if lo_p != 0.0 or hi_p != math.inf or not (n < s < n + 2.0):
+        return None
+    spec = f.payload["spec"]
+    if len(set(spec.spacing)) != 1:
+        return None
+    lo, hi = _grid_support(spec)
+    if b < float(np.linalg.norm(hi - lo)):
+        return None
+    if region is not None and not (region.kind == "box"
+                                   and np.all(np.asarray(region.lo) < lo)
+                                   and np.all(hi < np.asarray(region.hi))):
+        return None
+    return s
+
+
+def _grid_support(spec) -> tuple:
+    """The box outside which a grid field vanishes: the hats of the edge
+    cells reach half a cell past the grid."""
+    h = np.asarray(spec.spacing)
+    lo = np.asarray(spec.origin) - 0.5 * h
+    return lo, lo + h * (np.asarray(spec.extent) + 1.0)
+
+
+def _node_rows(f: Field):
+    """The field's values c at its cell centers, read through eval_field a
+    block of axis-0 rows at a time: yields (r0, block), the block of shape
+    (dim_out, rows) + extent[1:]."""
+    spec = f.payload["spec"]
+    axes = spec.centers()
+    ext = tuple(spec.extent)
+    rows = max(1, _LATTICE_EVAL_POINTS // math.prod(ext[1:]))
+    for r0 in range(0, ext[0], rows):
+        mesh = np.meshgrid(axes[0][r0:r0 + rows], *axes[1:], indexing="ij")
+        pts = np.stack([g.ravel() for g in mesh], axis=-1)
+        yield r0, np.moveaxis(eval_field(f, pts), -1, 0).reshape(
+            (f.dim_out,) + mesh[0].shape)
+
+
+def _lattice_sums(spec: np.ndarray, length, s: float):
+    """Sums over the lags m of R(m) K(m), |R(m) K(m)|, |K(m)|, and of |R(m)|
+    over the table's lags; and R at the lags with |m|_inf <= 1, as
+    {m: R(m)} for m_0 in (0, 1).
+
+    R comes from a blocked transform of the row spectra: per block of
+    frequency columns an fft along axis 0, |.|^2 summed over components and
+    its inverse, keeping the lags m_0 = 0 .. n_0 - 1 in place; the irfft of a
+    block of rows is dotted with K, rows m_0 > 0 counted twice since
+    R(-m) = R(m)."""
+    n, near = len(length), _KERNEL_NEAR
+    table, _, _ = _kernel_table(n, s)
+    n0 = spec.shape[1]
+    trail = tuple(range(1, n))
+    fshape = tuple(length[1:-1]) + (length[-1] // 2 + 1,)
+    for j0 in range(0, spec.shape[2], _LATTICE_COLS):
+        cols = slice(j0, j0 + _LATTICE_COLS)
+        power = np.sum(np.abs(sfft.fft(spec[:, :, cols], n=length[0], axis=1)) ** 2, axis=0)
+        spec[0, :, cols] = sfft.ifft(power, axis=0)[:n0]
+    spec = spec[0]
+    # lags on the torus of the trailing axes, and the table's part of it
+    lags = [(np.arange(ell) + ell // 2) % ell - ell // 2 for ell in length[1:]]
+    grid = np.meshgrid(*lags, indexing="ij")
+    t2 = sum(g.astype(float) ** 2 for g in grid)
+    t4 = sum(g.astype(float) ** 4 for g in grid)
+    sel = [np.flatnonzero(np.abs(g) <= near) for g in lags]
+    idx = np.ix_(*sel)
+    tab = table[(slice(None),) + np.ix_(*[np.abs(g[k]) for g, k in zip(lags, sel)])]
+    axes_t = tuple(range(1, n))
+    sums = np.zeros(4)
+    for r0 in range(0, n0, _LATTICE_ROWS):
+        r = np.arange(r0, min(r0 + _LATTICE_ROWS, n0), dtype=float)
+        rr = r.reshape((-1,) + (1,) * (n - 1))
+        rows = sfft.irfftn(spec[r0:r0 + len(r)].reshape((len(r),) + fshape),
+                           s=length[1:], axes=trail)
+        if r0 == 0:
+            unit = {m: float(rows[(m[0],) + tuple(mi % ell for mi, ell in zip(m[1:], length[1:]))])
+                    for m in itertools.product((0, 1), *[(-1, 0, 1)] * (n - 1))}
+        k = _kernel_far(np.maximum(rr ** 2 + t2, 1.0), rr ** 4 + t4, n, s)
+        kn = int(np.clip(near + 1 - r0, 0, len(r)))
+        if kn:
+            k[(slice(0, kn),) + idx] = tab[r0:r0 + kn]
+        wrow = np.where(r > 0, 2.0, 1.0)
+        rk = rows * k
+        sums[0] += wrow @ np.sum(rk, axis=axes_t)
+        sums[1] += wrow @ np.sum(np.abs(rk), axis=axes_t)
+        sums[2] += wrow @ np.sum(np.abs(k), axis=axes_t)
+        if kn:
+            sums[3] += wrow[:kn] @ np.sum(np.abs(rows[(slice(0, kn),) + idx]), axis=axes_t)
+    return sums, unit
+
+
+def _lobatto(degree: int) -> np.ndarray:
+    return np.cos(math.pi * np.arange(degree + 1) / degree)
+
+
+def _cheb_interp(degree: int, t: np.ndarray) -> np.ndarray:
+    """Barycentric interpolation matrix from the Chebyshev-Lobatto nodes of
+    the given degree on [-1, 1] to the points t."""
+    nodes = _lobatto(degree)
+    w = (-1.0) ** np.arange(degree + 1)
+    w[[0, -1]] *= 0.5
+    diff = t[:, None] - nodes[None, :]
+    hit = diff == 0.0
+    diff[hit] = 1.0
+    mat = w / diff
+    mat /= mat.sum(axis=1, keepdims=True)
+    rows = hit.any(axis=1)
+    mat[rows] = hit[rows]
+    return mat
+
+
+def _along(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
+    """mat applied along one axis of arr."""
+    return np.moveaxis(np.moveaxis(arr, axis, -1) @ mat.T, -1, axis)
+
+
+def _box_phi(x: np.ndarray, lo, hi, s: float, b: float, order: int) -> np.ndarray:
+    """Phi_E at the points x (P, N) inside the box E = [lo, hi], as a sum over
+    the faces: int_face d G(r) r^-N dA with d the distance to the face, r to
+    the point of the face and G(r) = [r^(N-s) - b^(N-s)]_+ / (s-N).  Each
+    face splits at the foot of x into one part per quadrant, and each
+    in-face offset is d sinh(v), so the integrand is smooth in v; past
+    cosh(v) = b / d, G vanishes."""
+    n = x.shape[1]
+    gx, gw = _gl(order)
+    col = (-1,) + (1,) * (n - 1)
+    total = np.zeros(len(x))
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        for d in (hi[i] - x[:, i], x[:, i] - lo[i]):
+            vcap = np.arccosh(np.maximum(b / d, 1.0))
+            for sides in itertools.product((0, 1), repeat=n - 1):
+                weight, sinh2, cosh = np.ones((len(x),) + col[1:]), 0.0, 1.0
+                for axis, (j, side) in enumerate(zip(others, sides)):
+                    ell = hi[j] - x[:, j] if side else x[:, j] - lo[j]
+                    vmax = np.minimum(np.arcsinh(ell / d), vcap)[:, None]
+                    shape = [len(x)] + [1] * (n - 1)
+                    shape[axis + 1] = order
+                    v = (0.5 * vmax * (1.0 + gx)).reshape(shape)
+                    weight = weight * (0.5 * vmax * gw).reshape(shape)
+                    sinh2 = sinh2 + np.sinh(v) ** 2
+                    cosh = cosh * np.cosh(v)
+                dd = d.reshape(col)
+                r = dd * np.sqrt(1.0 + sinh2)
+                g = np.maximum(r ** (n - s) - b ** (n - s), 0.0) / (s - n)
+                total += np.sum(weight * g * dd ** n * cosh / r ** n,
+                                axis=tuple(range(1, n)))
+    return total
+
+
+def _region_weights(spec, region: RegionSpec, s: float, b: float):
+    """Phi_E as (phi, moments, err_phi): phi its values at the tensor
+    Chebyshev-Lobatto nodes of the support box, so its interpolant is
+    sum_a phi_a prod_i l_a_i(x_i); moments[i][d][k, a] =
+    int lam_k lam_(k+d) l_a / int lam_k lam_(k+d) over axis i, for the 1D
+    hats lam of cells k and k + d, d in (-1, 0, 1); err_phi bounds the
+    interpolant's and the face rule's error."""
+    lo_s, hi_s = _grid_support(spec)
+    n, h = len(lo_s), float(spec.spacing[0])
+    degree, order = _PHI_DEGREE[n], _PHI_ORDER[n]
+    mid, half = 0.5 * (hi_s + lo_s), 0.5 * (hi_s - lo_s)
+    t = _lobatto(degree)
+    nodes = np.stack([g.ravel() for g in np.meshgrid(
+        *[mid[i] + half[i] * t for i in range(n)], indexing="ij")], axis=-1)
+    rlo, rhi = np.asarray(region.lo, dtype=float), np.asarray(region.hi, dtype=float)
+    phi = _box_phi(nodes, rlo, rhi, s, b, order).reshape((degree + 1,) * n)
+    phi_lo = _box_phi(nodes, rlo, rhi, s, b, order // 2).reshape(phi.shape)
+    coarse = phi[(slice(None, None, 2),) * n]
+    half_interp = _cheb_interp(degree // 2, t)
+    for axis in range(n):
+        coarse = _along(half_interp, coarse, axis)
+    err_phi = float(np.max(np.abs(phi - phi_lo)) + np.max(np.abs(phi - coarse)))
+    # lam_k lam_(k+d) is a quadratic on each cell between centers and l_a
+    # has degree `degree`: Gauss-Legendre of this order is exact
+    gx, gw = _gl(degree // 2 + 2)
+    u, wu = 0.5 * (1.0 + gx), 0.5 * gw
+    pieces = {-1: [(-1.0, 6.0 * u * (1.0 - u))], 1: [(1.0, 6.0 * u * (1.0 - u))],
+              0: [(1.0, 1.5 * (1.0 - u) ** 2), (-1.0, 1.5 * (1.0 - u) ** 2)]}
+    moments = []
+    for i in range(n):
+        centers = lo_s[i] + h * (np.arange(spec.extent[i]) + 1.0)
+        per = {}
+        for d, parts in pieces.items():
+            per[d] = sum(np.einsum("j,kja->ka", wu * shape, _cheb_interp(
+                degree, ((centers[:, None] + sign * h * u - mid[i]) / half[i]).ravel()
+            ).reshape(len(centers), len(u), -1)) for sign, shape in parts)
+        moments.append(per)
+    return phi, moments, err_phi
+
+
+def _half_lags(n: int):
+    """The lags d in {-1, 0, 1}^N whose first nonzero entry is positive, and
+    d = 0: one of each pair d, -d."""
+    return [d for d in itertools.product((0, 1, -1), repeat=n)
+            if next((x for x in d if x), 1) > 0]
+
+
+def _j_block(c: np.ndarray, r0: int, new: int, phi: np.ndarray, moments) -> float:
+    """This block's share of int |u|^2 Phi / h^N = sum_(k,j) B(k-j) c_k.c_j
+    (int Lam_k Lam_j Phi / int Lam_k Lam_j), Phi the interpolant of Phi_E.
+    c holds the cell values of axis-0 rows r0 - new onward, where the first
+    `new` rows belong to the previous block: a pair of cells counts in the
+    block of its later row."""
+    n = c.ndim - 1
+    total = 0.0
+    for d in _half_lags(n):
+        first = new if d[0] == 0 else 0
+        rows = c.shape[1] - first - d[0]
+        if rows <= 0:
+            continue
+        k_sl = [slice(first, first + rows)] + [slice(max(0, -x), e - max(0, x))
+                                               for x, e in zip(d[1:], c.shape[2:])]
+        j_sl = [slice(k.start + x, k.stop + x) for k, x in zip(k_sl, d)]
+        prod = np.sum(c[(slice(None),) + tuple(k_sl)] * c[(slice(None),) + tuple(j_sl)], axis=0)
+        start = r0 - new + first
+        mats = [moments[0][d[0]][start:start + rows]] + \
+            [moments[i][x][k_sl[i]] for i, x in enumerate(d) if i > 0]
+        w = phi
+        for axis, m in enumerate(mats):
+            w = _along(m, w, axis)
+        weight = float(np.prod(_bspline(np.array(d, dtype=float))))
+        total += (1.0 if not any(d) else 2.0) * weight * float(np.sum(w * prod))
+    return total
+
+
+def _pair_integral_lattice(f: Field, region, coef: float, s: float, b: float,
+                           budget: QuadBudget) -> QuadResult:
+    """The q = 2 lattice engine: the integral of the multilinear grid field
+    itself, with an error bound from the kernel table, roundoff and the
+    Phi_E term; see the section comment.  The cell values are read, weighted
+    by Phi_E and transformed a block of rows at a time, so no full copy of
+    them is held."""
+    n = f.dim_in
+    grid = f.payload["spec"]
+    h = float(grid.spacing[0])
+    ext = tuple(grid.extent)
+    length = [sfft.next_fast_len(2 * e - 1, real=True) for e in ext]
+    spec = np.empty((f.dim_out, ext[0], math.prod(length[1:-1]) * (length[-1] // 2 + 1)),
+                    dtype=complex)
+    j_term = err_phi = 0.0
+    if region is not None:
+        phi, moments, err_phi = _region_weights(grid, region, s, b)
+    for r0, block in _node_rows(f):
+        r1 = r0 + block.shape[1]
+        spec[:, r0:r1] = sfft.rfftn(block, s=length[1:], axes=tuple(range(2, n + 1))
+                                    ).reshape(f.dim_out, r1 - r0, -1)
+        if region is not None:
+            # the previous block's last row pairs with this block's first
+            rows = block if r0 == 0 else np.concatenate([last, block], axis=1)
+            j_term += h ** n * _j_block(rows, r0, min(r0, 1), phi, moments)
+            last = block[:, -1:]
+    sums, unit = _lattice_sums(spec, length, s)
+    del spec
+    _, near_err, far_rel = _kernel_table(n, s)
+    # A(0) = h^N sum_m R(m) B(m), over |m|_inf <= 1; rows m_0 = 1 stand for -1
+    a_zero = h ** n * sum((1.0 + m[0]) * value * float(np.prod(_bspline(np.array(m))))
+                          for m, value in unit.items())
+    r_zero = unit[(0,) * n]
+    scale = 2.0 * h ** (2 * n - s)
+    tail = 2.0 * a_zero * sphere_measure(n) * b ** (n - s) / (s - n)
+    eps = np.finfo(float).eps
+    roundoff = 8.0 * eps * math.log2(math.prod(length)) * r_zero * sums[2]
+    value = coef * (scale * sums[0] - tail - 2.0 * j_term)
+    err = abs(coef) * (scale * (far_rel * sums[1] + near_err * sums[3] + roundoff)
+                       + 2.0 * err_phi * a_zero
+                       + 8.0 * eps * (scale * sums[1] + tail + 2.0 * abs(j_term)))
+    _guard(value)
+    low = not err <= budget.target_rel_error * max(abs(value), 1e-300)
+    return QuadResult(value, err, math.prod(ext), low_confidence=low)
 
 
 # ---------------------------------------------------------------------------

@@ -98,3 +98,161 @@ def direct_convolution_1d(f, pdf, halfwidth, eps, x, n=20_001):
     vals = eval_field(f, (x - eps * zm)[:, None])
     w = np.asarray(pdf(zm), dtype=float)
     return float(np.sum(w[:, None] * vals, axis=0)[0] * dz)
+
+
+# ---------------------------------------------------------------------------
+# Fourier oracle for q = 2 seminorms of grid fields on R^N
+# ---------------------------------------------------------------------------
+
+# the cubic B-spline hat * hat and its second derivative at the integers
+_BSPLINE_AT = {0: 2.0 / 3.0, 1: 1.0 / 6.0}
+_BSPLINE2_AT = {0: -2.0, 1: 1.0}
+
+
+def _direct_autocorrelation(c):
+    """R(m) = sum_k c_k . c_(k+m) by direct summation over k; the array is
+    indexed by m + extent - 1, and the lags per axis are returned with it."""
+    ext = c.shape[:-1]
+    out = np.zeros(tuple(2 * e - 1 for e in ext))
+    for m in np.ndindex(*out.shape):
+        lag = [mi - e + 1 for mi, e in zip(m, ext)]
+        a = tuple(slice(max(0, -g), e - max(0, g)) for g, e in zip(lag, ext))
+        b = tuple(slice(max(0, g), e - max(0, -g)) for g, e in zip(lag, ext))
+        out[m] = float(np.sum(c[a] * c[b]))
+    return out, [np.arange(2 * e - 1) - e + 1 for e in ext]
+
+
+def _sinc4(eta):
+    x = 0.5 * np.asarray(eta, dtype=float)
+    safe = np.where(x == 0.0, 1.0, x)
+    return np.where(x == 0.0, 1.0, (np.sin(safe) / safe) ** 4)
+
+
+def _legendre_panels(edges, order):
+    x, w = np.polynomial.legendre.leggauss(order)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
+def _cos_tail(a, j, x0):
+    """int_x0^inf eta^a cos(j eta) d eta, a < -1."""
+    if j == 0:
+        return x0 ** (a + 1.0) / (-a - 1.0)
+    return sciint.quad(lambda e: e ** a, x0, np.inf, weight="cos", wvar=abs(j))[0]
+
+
+def fourier_seminorm(values, h, s, cube=128.0):
+    """([u]^2, ||u||^2) for the grid field u = sum_k c_k Lam(x/h - k) on R^N,
+    where [u]^2 = int int |u(x)-u(y)|^2 |x-y|^-(N+2s) dx dy, 0 < s < 1.
+
+    Di Nezza-Palatucci-Valdinoci (2012), Prop. 3.4: [u]^2 =
+    2 C (2 pi)^-N int |xi|^2s |u^(xi)|^2 d xi with C = int (1 - cos z_1)
+    |z|^-(N+2s) dz = pi^(N/2) Gamma(1-s) / (s 4^s Gamma(N/2 + s)), and in
+    closed form u^(xi) = h^N prod_i sinc^2(h xi_i / 2) sum_k c_k e^(-i h xi.k).
+    With eta = h xi the integrand is |eta|^2s prod_i sinc^4(eta_i/2) |P(eta)|^2,
+    |P|^2 = sum_m R(m) cos(eta.m).  Over the cube |eta_i| <= cube,
+    |eta|^2s = s/Gamma(1-s) int_0^inf (1 - e^(-t|eta|^2)) t^(-1-s) dt splits
+    the integral into 1D Gauss-Legendre integrals per axis; outside it, the
+    slabs |eta_i| > cube are integrated to first order in |eta_perp|^2/eta_i^2
+    with int sinc^4(eta/2) cos(k eta) = 2 pi b(k) and int eta^2 sinc^4(eta/2)
+    cos(k eta) = -2 pi b''(k), b the cubic B-spline hat * hat."""
+    c = np.asarray(values, dtype=float)
+    n = c.ndim - 1
+    r, lags = _direct_autocorrelation(c)
+    absm = [np.abs(g).ravel() for g in np.meshgrid(*lags, indexing="ij")]
+    rr = r.ravel()
+    kmax = max(len(g) for g in lags)
+    # even integrands on [0, cube]: panels graded toward 0, then of a width
+    # that resolves cos(k eta) for every lag k
+    width = min(0.5, 2.0 / (kmax + 2))
+    edges = np.concatenate([[0.0], width * 2.0 ** -np.arange(24, 0, -1.0),
+                            np.arange(width, cube + 0.5 * width, width)])
+    eta, w = _legendre_panels(edges, 10)
+    w = 2.0 * w
+    base = _sinc4(eta)[None, :] * np.cos(np.outer(np.arange(kmax), eta))
+    full = base @ w
+    slope = base @ (w * eta ** 2)
+    t_lo, t_hi = 1e-12, 1e6
+    v, wv = _legendre_panels(np.linspace(math.log(t_lo), math.log(t_hi), 42), 10)
+    t = np.exp(v)
+    # delta_k(t) = int (1 - e^(-t eta^2)) sinc^4(eta/2) cos(k eta)
+    delta = np.concatenate([base @ (w[:, None] * -np.expm1(-np.outer(eta ** 2, t[i:i + 32])))
+                            for i in range(0, len(t), 32)], axis=1)
+    # D(t) = sum_m R(m) [prod_i full - prod_i (full - delta)], telescoped
+    d_t = np.zeros(len(t))
+    d_slope = 0.0
+    for i in range(n):
+        left = np.ones((len(rr), len(t)))
+        for j in range(i):
+            left = left * (full[absm[j]][:, None] - delta[absm[j]])
+        right = np.prod([full[absm[j]] for j in range(i + 1, n)], axis=0) \
+            if i + 1 < n else np.ones(len(rr))
+        d_t += (rr * right) @ (left * delta[absm[i]])
+        others = np.prod([full[absm[j]] for j in range(n) if j != i], axis=0)
+        d_slope += float(np.sum(rr * others * slope[absm[i]]))
+    f_cube = float(np.sum(rr * np.prod([full[m] for m in absm], axis=0)))
+    inner = float(np.sum(wv * t ** -s * d_t)) + d_slope * t_lo ** (1.0 - s) / (1.0 - s) \
+        + f_cube * t_hi ** -s / s \
+        - float(np.sum(rr)) * math.pi ** (n / 2) * t_hi ** (-s - n / 2) / (s + n / 2)
+    total = s / math.gamma(1.0 - s) * inner
+    bval = [np.array([2.0 * math.pi * _BSPLINE_AT.get(int(k), 0.0) for k in m]) for m in absm]
+    b2val = [np.array([-2.0 * math.pi * _BSPLINE2_AT.get(int(k), 0.0) for k in m]) for m in absm]
+    for i in range(n):
+        rest = [j for j in range(n) if j != i]
+        q0 = np.prod([bval[j] for j in rest], axis=0)
+        q2 = sum(b2val[j] * np.prod([bval[l] for l in rest if l != j], axis=0)
+                 for j in rest)
+        for k in range(kmax):
+            sel = absm[i] == k
+            c0, c2 = float(np.sum(rr[sel] * q0[sel])), float(np.sum(rr[sel] * q2[sel]))
+            # sin^4(eta/2) cos(k eta) as a sum of cosines
+            terms = {}
+            for j, coef in ((k, 3 / 8), (k - 1, -1 / 4), (k + 1, -1 / 4),
+                            (k - 2, 1 / 16), (k + 2, 1 / 16)):
+                terms[abs(j)] = terms.get(abs(j), 0.0) + coef
+            for j, coef in terms.items():
+                total += 32.0 * coef * (c0 * _cos_tail(2 * s - 4, j, cube)
+                                        + s * c2 * _cos_tail(2 * s - 6, j, cube))
+    const = math.pi ** (n / 2) * math.gamma(1 - s) / (s * 4 ** s * math.gamma(n / 2 + s))
+    semi = 2.0 * const * (2.0 * math.pi) ** -n * h ** (n - 2 * s) * total
+    l2 = h ** n * float(np.sum(rr * np.prod([bv / (2.0 * math.pi) for bv in bval], axis=0)))
+    return semi, l2
+
+
+def box_escape_2d(x, lo, hi, sigma, b):
+    """Phi_E(x) = int_0^(2 pi) [rho^(2-sigma) - b^(2-sigma)]_+ / (sigma-2)
+    d theta for the box E = [lo, hi] in 2D, rho the distance from x to the
+    box's edge along (cos theta, sin theta), by scipy quad with the corner
+    directions as breakpoints."""
+    x, lo, hi = (np.asarray(v, dtype=float) for v in (x, lo, hi))
+
+    def g(theta):
+        d = np.array([math.cos(theta), math.sin(theta)])
+        with np.errstate(divide="ignore"):
+            dist = np.where(d > 0, (hi - x) / d, np.where(d < 0, (lo - x) / d, np.inf))
+        rho = float(np.min(dist))
+        return max(rho ** (2.0 - sigma) - b ** (2.0 - sigma), 0.0) / (sigma - 2.0)
+    corners = sorted(math.atan2(cy - x[1], cx - x[0]) % (2.0 * math.pi)
+                     for cx in (lo[0], hi[0]) for cy in (lo[1], hi[1]))
+    return sciint.quad(g, 0.0, 2.0 * math.pi, points=corners, limit=200,
+                       epsabs=1e-13, epsrel=1e-12)[0]
+
+
+def grid_weighted_l2_2d(f, weight, order=4):
+    """int |u|^2 weight(x) dx for a 2D grid field: Gauss-Legendre of the
+    given order on every cell between adjacent centers, the zero ring
+    included, where u is bilinear."""
+    spec = f.payload["spec"]
+    x, w = np.polynomial.legendre.leggauss(order)
+    total = 0.0
+    axes = [np.asarray(spec.origin[i]) + (np.arange(-1, spec.extent[i] + 1) + 0.5)
+            * spec.spacing[i] for i in range(2)]
+    for x0, x1 in zip(axes[0][:-1], axes[0][1:]):
+        for y0, y1 in zip(axes[1][:-1], axes[1][1:]):
+            px = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * x
+            py = 0.5 * (y0 + y1) + 0.5 * (y1 - y0) * x
+            pts = np.stack(np.meshgrid(px, py, indexing="ij"), axis=-1).reshape(-1, 2)
+            u2 = np.sum(eval_field(f, pts) ** 2, axis=-1)
+            wt = np.outer(w, w).ravel() * 0.25 * (x1 - x0) * (y1 - y0)
+            total += float(np.sum(wt * u2 * np.array([weight(p) for p in pts])))
+    return total

@@ -468,3 +468,46 @@ def test_ball_indicator_radial_branch_matches_sphere_rule(name, eps):
         got = pair_integral(f, None, weight, (a, b), 2.0)
         ref = _sphere_rule_pair_integral(f, weight, a, b)
         assert got.value == pytest.approx(ref, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo: the clipped core and the shift-integral budget
+# ---------------------------------------------------------------------------
+
+def test_mc_clipped_core_joins_the_error(disk, tent2):
+    # q = 1.5 on a Lipschitz field: near t = 0 the integrand goes like
+    # t^(N + q - s - 1), so with s = N + q - 0.15 the core below b * 1e-6
+    # holds about (1e-6)^0.15 = 13% of the integral
+    from besovlab.quadrature import _pair_integral_mc
+    u = mollify(disk, tent2, math.exp(-2))
+    b, q = 1.0, 1.5
+    budget = QuadBudget(max_evaluations=1_500_000, rng_seed=5)
+    weight = PiecewisePower.power_law(2.0 + q - 0.15)
+    full = _pair_integral_mc(u, None, weight, (0.0, b), q, budget, stream=3)
+    # the six decades of the core below b * 1e-6, sampled on their own
+    core = _pair_integral_mc(u, None, weight, (b * 1e-12, b * 1e-6), q, budget, stream=4)
+    assert core.value > 0.05 * full.value
+    assert full.error_estimate >= 0.5 * core.value and full.low_confidence
+    # with s >= N + q the core diverges; no finite error covers it
+    div = _pair_integral_mc(u, None, PiecewisePower.power_law(2.0 + 1.9), (0.0, b), q,
+                            budget, stream=3)
+    assert div.error_estimate == math.inf and div.low_confidence
+
+
+def test_shift_mc_uses_the_whole_budget(disk, tent2):
+    from besovlab.quadrature import _shift_integral_mc, _stream_rng
+    u = mollify(disk, tent2, math.exp(-2))
+    h = np.array([0.05, 0.02])
+    errs = []
+    for cap in (200_000, 800_000):
+        budget = QuadBudget(max_evaluations=cap, rng_seed=3)
+        errs.append(_shift_integral_mc(u, None, h, 2.0, budget, stream=9)[1])
+    assert errs[1] == pytest.approx(0.5 * errs[0], rel=0.1)
+    # a budget of at most 200k samples is one chunk, drawn from stratum 0
+    lo, hi = quadrature._sample_box(u, None, float(np.linalg.norm(h)))
+    x = lo + (hi - lo) * _stream_rng(3, 9, 0).random((70_000, 2))
+    vals = np.linalg.norm(eval_field(u, x + h) - eval_field(u, x), axis=-1) ** 2.0
+    vol = float(np.prod(hi - lo))
+    assert _shift_integral_mc(u, None, h, 2.0, QuadBudget(max_evaluations=70_000, rng_seed=3),
+                              stream=9) == (vol * float(np.mean(vals)),
+                                            2.0 * vol * float(np.std(vals)) / math.sqrt(70_000))
