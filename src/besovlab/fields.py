@@ -8,12 +8,12 @@ smooth closed forms, and grid samples that extend by zero outside the grid.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .errors import CapabilityError, InputError
 
@@ -200,6 +200,11 @@ class RegionSpec:
 # Grids
 # ---------------------------------------------------------------------------
 
+# cell centers per eval_field call when a grid is sampled a block of rows at
+# a time; it bounds the temporaries of sampling
+_SAMPLE_POINTS = 1 << 16
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Regular grid: cells per axis, samples live at cell centers."""
@@ -222,11 +227,6 @@ class GridSpec:
         """1D arrays of cell-center coordinates per axis."""
         return [np.asarray(self.origin[k]) + (np.arange(self.extent[k]) + 0.5) * self.spacing[k]
                 for k in range(self.dim)]
-
-    def center_points(self) -> np.ndarray:
-        axes = self.centers()
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +281,33 @@ def _as_points(f: Field, x) -> tuple[np.ndarray, bool]:
 
 
 def _grid_eval(spec: GridSpec, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation over cell centers with a zero ring outside."""
+    """Multilinear interpolation over cell centers with a zero ring outside.
+
+    Per axis, a point lies between the cells i and i + 1, i = floor(u); a
+    cell outside the grid keeps a clipped index and weight 0, so the value
+    falls linearly to zero over the ring one cell wide around the grid."""
+    ext = values.shape[:-1]
     u = (x - np.asarray(spec.origin)) / np.asarray(spec.spacing) - 0.5
-    return np.stack([map_coordinates(values[..., k], u.T, order=1,
-                                     mode="grid-constant", prefilter=False)
-                     for k in range(values.shape[-1])], axis=-1)
+    lo = np.floor(u)
+    frac = u - lo
+    stride = 1
+    axes = []           # per axis, the two neighbouring cells as (flat index, weight)
+    for k in reversed(range(len(ext))):
+        pair = []
+        for i, w in ((lo[:, k], 1.0 - frac[:, k]), (lo[:, k] + 1.0, frac[:, k])):
+            inside = (i >= 0.0) & (i <= ext[k] - 1.0)
+            index = np.clip(i, 0.0, ext[k] - 1.0).astype(np.intp) * stride
+            pair.append((index, np.where(inside, w, 0.0)))
+        axes.insert(0, pair)
+        stride *= ext[k]
+    flat = values.reshape(-1, values.shape[-1])
+    out = 0.0
+    for corner in itertools.product(*axes):
+        index, weight = corner[0]
+        for i, w in corner[1:]:
+            index, weight = index + i, weight * w
+        out = out + weight[:, None] * flat.take(index, axis=0)
+    return out
 
 
 def eval_field(f: Field, x) -> np.ndarray:
@@ -504,12 +526,27 @@ def truncate(f: Field, l: float) -> Field:
     return truncate(sampled, l)
 
 
-def sample(f: Field, g: GridSpec) -> Field:
-    """Sample a field at cell centers onto a grid field."""
+def sample_rows(f: Field, g: GridSpec):
+    """The field at the grid's cell centers, read through eval_field a block
+    of axis-0 rows (about _SAMPLE_POINTS points) at a time: yields
+    (r0, values), values of shape (rows,) + extent[1:] + (dim_out,)."""
     if g.dim != f.dim_in:
         raise InputError("grid dimension does not match field")
-    pts = g.center_points()
-    vals = eval_field(f, pts).reshape(tuple(g.extent) + (f.dim_out,))
+    axes = g.centers()
+    ext = tuple(g.extent)
+    rows = max(1, _SAMPLE_POINTS // math.prod(ext[1:]))
+    for r0 in range(0, ext[0], rows):
+        mesh = np.meshgrid(axes[0][r0:r0 + rows], *axes[1:], indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        yield r0, eval_field(f, pts).reshape(mesh[0].shape + (f.dim_out,))
+
+
+def sample(f: Field, g: GridSpec) -> Field:
+    """Sample a field at cell centers onto a grid field, a block of rows at a
+    time, so no array of all the centers is built."""
+    vals = np.empty(tuple(g.extent) + (f.dim_out,))
+    for r0, block in sample_rows(f, g):
+        vals[r0:r0 + block.shape[0]] = block
     payload = {"spec": g, "values": vals, "source": f.name}
     return Field(dim_in=f.dim_in, dim_out=f.dim_out, kind="grid", payload=payload,
                  support_radius=f.support_radius, name=f"{f.name}|grid")

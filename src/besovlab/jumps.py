@@ -1,8 +1,9 @@
 """Exact jump-side functionals and the dimensional constants of the limits.
 
 Everything here is closed form: patch measures come from the geometry
-whitelist, sphere moments from Gamma-function formulas, and the only
-quadrature is the independent cross-check residual for the first moment.
+whitelist, sphere moments from Wallis products and Gamma-function formulas,
+and the only quadrature is the independent cross-check residual for the
+first moment.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate as _sciint
-from scipy.special import gamma
+import scipy  # its submodules load on first use, on the paths that need them
 
 from .errors import CapabilityError, InputError
 from .fields import JumpPatch, JumpSetSpec, RegionSpec
@@ -35,7 +35,14 @@ def sphere_moment(n: int, q: float) -> float:
     if n == 1:
         return 2.0
     if n == 2:
-        return 2.0 * math.sqrt(math.pi) * gamma((q + 1.0) / 2.0) / gamma((q + 2.0) / 2.0)
+        if float(q).is_integer():
+            # Wallis: M(q) = M(q - 2) (q - 1) / q, exact to rounding where a
+            # Gamma ratio is not (math.gamma(1.5) is 1 ulp off)
+            m = 2.0 * math.pi if q % 2 == 0 else 4.0
+            for k in range(int(q) % 2 + 2, int(q) + 1, 2):
+                m *= (k - 1.0) / k
+            return m
+        return 2.0 * math.sqrt(math.pi) * math.gamma((q + 1.0) / 2.0) / math.gamma((q + 2.0) / 2.0)
     if n == 3:
         return 4.0 * math.pi / (q + 1.0)
     raise CapabilityError(f"unsupported dimension {n}")
@@ -69,13 +76,13 @@ class ConstantsTable:
 def _flat_moment_integral(n: int) -> float:
     """int over R^{N-1} of 2 (1 + |v|^2)^{-(N+1)/2} dv by direct quadrature."""
     if n == 2:
-        val, _ = _sciint.quad(lambda v: 2.0 * (1.0 + v * v) ** -1.5,
-                              -math.inf, math.inf, limit=400)
+        val, _ = scipy.integrate.quad(lambda v: 2.0 * (1.0 + v * v) ** -1.5,
+                                      -math.inf, math.inf, limit=400)
         return float(val)
     if n == 3:
-        val, _ = _sciint.dblquad(lambda y, x: 2.0 * (1.0 + x * x + y * y) ** -2.0,
-                                 -math.inf, math.inf, -math.inf, math.inf,
-                                 epsabs=1e-10, epsrel=1e-10)
+        val, _ = scipy.integrate.dblquad(lambda y, x: 2.0 * (1.0 + x * x + y * y) ** -2.0,
+                                         -math.inf, math.inf, -math.inf, math.inf,
+                                         epsabs=1e-10, epsrel=1e-10)
         return float(val)
     raise CapabilityError("flat moment cross-check defined for N = 2, 3")
 

@@ -4,24 +4,24 @@ Shipped kinds: "tent", "truncated-gaussian" (cut at 6 sigma, renormalized to
 unit mass), "smooth-bump", "signed-test" (derivative of the bump, zero total
 mass), and "mix" (an affine combination, used to perturb a mollifier).  All
 kinds carry closed-form or precomputed CDFs in 1D, so mollifying a 1D step
-field stays a closed-form expression; everything else goes through direct
-grid convolution at resolution eps/8.
+field stays a closed-form expression; everything else is sampled at
+resolution eps/8 and convolved with the mollifier's taps through a
+zero-padded FFT.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate as _sciint
-from scipy import ndimage as _ndi
-from scipy.special import erf
+import scipy  # its submodules load on first use, on the paths that need them
 
 from .errors import CapabilityError, InputError, ResolutionError
 from .fields import Field, GridSpec, eval_field, sample, support_bbox
-from .quadrature import sphere_measure
+from .quadrature import _fast_len, sphere_measure
 
 __all__ = ["MollifierSpec", "make_mollifier", "mollify", "mollifier_bound_check"]
 
@@ -48,13 +48,13 @@ class MollifierSpec:
 
     def _radial_moment(self, g: Callable, w: Callable) -> float:
         if self.dim == 1:
-            val, _ = _sciint.quad(lambda v: g(abs(v)) * w(abs(v)),
-                                  -self.halfwidth, self.halfwidth,
-                                  points=[0.0], limit=200)
+            val, _ = scipy.integrate.quad(lambda v: g(abs(v)) * w(abs(v)),
+                                          -self.halfwidth, self.halfwidth,
+                                          points=[0.0], limit=200)
             return float(val)
         h = sphere_measure(self.dim)
-        val, _ = _sciint.quad(lambda r: g(r) * w(r) * r ** (self.dim - 1),
-                              0.0, self.halfwidth, limit=200)
+        val, _ = scipy.integrate.quad(lambda r: g(r) * w(r) * r ** (self.dim - 1),
+                                      0.0, self.halfwidth, limit=200)
         return float(h * val)
 
 
@@ -75,7 +75,7 @@ def _tent_cdf(w):
 
 
 _GAUSS_CUT = 6.0
-_GAUSS_Z = float(erf(_GAUSS_CUT / math.sqrt(2.0)))
+_GAUSS_Z = math.erf(_GAUSS_CUT / math.sqrt(2.0))
 
 
 def _gauss_pdf(v):
@@ -86,6 +86,7 @@ def _gauss_pdf(v):
 
 def _gauss_cdf(w):
     w = np.clip(np.asarray(w, dtype=float), -_GAUSS_CUT, _GAUSS_CUT)
+    erf = scipy.special.erf
     return (erf(w / math.sqrt(2.0)) - erf(-_GAUSS_CUT / math.sqrt(2.0))) / (2.0 * _GAUSS_Z)
 
 
@@ -97,11 +98,14 @@ def _bump_raw(v):
     return out
 
 
-_BUMP_NORM = 1.0 / _sciint.quad(lambda v: float(_bump_raw(v)), -1.0, 1.0, limit=200)[0]
+@functools.cache
+def _bump_norm() -> float:
+    """1 / int exp(-1/(1-v^2)) dv, by quadrature on first use."""
+    return 1.0 / scipy.integrate.quad(lambda v: float(_bump_raw(v)), -1.0, 1.0, limit=200)[0]
 
 
 def _bump_pdf(v):
-    return _BUMP_NORM * _bump_raw(v)
+    return _bump_norm() * _bump_raw(v)
 
 
 def _bump_grad(v):
@@ -109,7 +113,7 @@ def _bump_grad(v):
     out = np.zeros_like(v)
     inside = np.abs(v) < 1.0
     vi = v[inside]
-    out[inside] = _BUMP_NORM * np.exp(-1.0 / (1.0 - vi ** 2)) \
+    out[inside] = _bump_norm() * np.exp(-1.0 / (1.0 - vi ** 2)) \
         * (-2.0 * vi) / (1.0 - vi ** 2) ** 2
     return out
 
@@ -138,10 +142,10 @@ def make_mollifier(kind: str, dim: int = 1, **params) -> MollifierSpec:
             return MollifierSpec("tent", 1, 1.0, 1.0, 1.0, 2.0,
                                  pdf=_tent_pdf, grad_abs=lambda v: 1.0 * (np.asarray(v) < 1.0),
                                  cdf=_tent_cdf)
-        # radial tent c (1 - r)+ normalized to unit mass
+        # radial tent c (1 - r)+ normalized to unit mass:
+        # int_0^1 (1 - r) r^(N-1) dr = 1 / (N (N + 1))
         h = sphere_measure(dim)
-        mass_raw = h * _sciint.quad(lambda r: (1.0 - r) * r ** (dim - 1), 0.0, 1.0)[0]
-        c = 1.0 / mass_raw
+        c = dim * (dim + 1.0) / h
         return MollifierSpec("tent", dim, 1.0, 1.0, 1.0, c * h / dim,
                              pdf=lambda r: c * np.maximum(0.0, 1.0 - np.asarray(r, dtype=float)),
                              grad_abs=lambda r: c * (np.asarray(r) < 1.0))
@@ -166,8 +170,8 @@ def make_mollifier(kind: str, dim: int = 1, **params) -> MollifierSpec:
         if dim != 1:
             raise CapabilityError("the signed-test mollifier is shipped in 1D only")
         abs_mass = 2.0 * float(_bump_pdf(0.0))
-        grad_mass, _ = _sciint.quad(lambda v: abs(_d_bump_grad(v)), -1.0, 1.0,
-                                    points=[0.0], limit=200)
+        grad_mass, _ = scipy.integrate.quad(lambda v: abs(_d_bump_grad(v)), -1.0, 1.0,
+                                            points=[0.0], limit=200)
         return MollifierSpec("signed-test", 1, 1.0, 0.0, abs_mass, float(grad_mass),
                              pdf=_bump_grad, grad_abs=lambda v: np.abs(_d_bump_grad(v)),
                              cdf=_bump_pdf)
@@ -185,10 +189,10 @@ def make_mollifier(kind: str, dim: int = 1, **params) -> MollifierSpec:
             # only valid when components carry signed gradients; used via abs
             return sum(w * _signed_grad(c)(v) for w, c in comps)
 
-        abs_mass, _ = _sciint.quad(lambda v: abs(float(pdf(v))), -hw, hw,
-                                   points=[0.0], limit=400)
-        grad_mass, _ = _sciint.quad(lambda v: abs(float(grad_signed(v))), -hw, hw,
-                                    points=[-1.0, 0.0, 1.0], limit=400)
+        abs_mass, _ = scipy.integrate.quad(lambda v: abs(float(pdf(v))), -hw, hw,
+                                           points=[0.0], limit=400)
+        grad_mass, _ = scipy.integrate.quad(lambda v: abs(float(grad_signed(v))), -hw, hw,
+                                            points=[-1.0, 0.0, 1.0], limit=400)
         cdf = None
         if all(c.cdf is not None for _, c in comps):
             def cdf(w, _comps=tuple(comps)):
@@ -207,7 +211,7 @@ def _d_bump_grad(v):
     s = 1.0 - v * v
     e = math.exp(-1.0 / s)
     # d/dv [ -2v / s^2 * e ] = e * ( (-2/s^2 - 8v^2/s^3) + (4 v^2 / s^4) )
-    return _BUMP_NORM * e * (-2.0 / s ** 2 - 8.0 * v * v / s ** 3 + 4.0 * v * v / s ** 4)
+    return _bump_norm() * e * (-2.0 / s ** 2 - 8.0 * v * v / s ** 3 + 4.0 * v * v / s ** 4)
 
 
 def _signed_grad(m: MollifierSpec) -> Callable:
@@ -239,7 +243,8 @@ def _steps_of_1d_piecewise(f: Field):
 
 def mollify(f: Field, m: MollifierSpec, eps: float) -> Field:
     """u_eps = u * eta_(eps); closed form for 1D step sums, grid convolution
-    (direct summation, zero padding) otherwise."""
+    (the linear convolution of the sampled field with the taps, through a
+    zero-padded FFT) otherwise."""
     if eps <= 0.0:
         raise InputError("mollification scale must be positive")
     if m.dim != f.dim_in:
@@ -306,9 +311,17 @@ def _mollify_grid(f: Field, m: MollifierSpec, eps: float) -> Field:
             f"mollification at eps={eps:g} needs a {extent} grid "
             f"({cells:.2e} cells) at resolution eps/8; raise eps or shrink the sweep")
     spec = GridSpec(origin=tuple(lo), spacing=(h,) * n, extent=extent)
-    base = sample(f, spec)
-    values = base.payload["values"]
+    values = sample(f, spec).payload["values"]
+    payload = {"spec": spec, "values": _convolve(values, _taps(m, eps, h, n)),
+               "source": f.name}
+    rad = f.support_radius + eps * m.halfwidth
+    return Field(n, f.dim_out, "grid", payload, support_radius=rad,
+                 name=f"{f.name}*[{m.kind}@{eps:g}]")
 
+
+def _taps(m: MollifierSpec, eps: float, h: float, n: int) -> np.ndarray:
+    """eta_eps at the offsets of a grid of spacing h times the cell volume,
+    rescaled to the mollifier's total mass when that is nonzero."""
     reach = int(math.ceil(eps * m.halfwidth / h))
     axes = [np.arange(-reach, reach + 1) * h for _ in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -319,13 +332,24 @@ def _mollify_grid(f: Field, m: MollifierSpec, eps: float) -> Field:
         taps = m.pdf(radii / eps) / eps ** n * h ** n
     if m.total != 0.0:
         taps = taps * (m.total / taps.sum())
+    return taps
+
+
+def _convolve(values: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Each component of values (shape extent + (dim_out,)) convolved with
+    the odd-sized taps, zero outside the grid, cut back to the grid: the
+    linear convolution through rfftn/irfftn at a 5-smooth length."""
+    ext = values.shape[:-1]
+    reach = [t // 2 for t in taps.shape]
+    length = [_fast_len(e + t - 1) for e, t in zip(ext, taps.shape)]
+    axes = tuple(range(len(ext)))
+    kernel = np.fft.rfftn(taps, s=length, axes=axes)
+    keep = tuple(slice(r, r + e) for r, e in zip(reach, ext))
     out = np.empty_like(values)
-    for di in range(f.dim_out):
-        out[..., di] = _ndi.convolve(values[..., di], taps, mode="constant", cval=0.0)
-    payload = {"spec": spec, "values": out, "source": f.name}
-    rad = f.support_radius + eps * m.halfwidth
-    return Field(n, f.dim_out, "grid", payload, support_radius=rad,
-                 name=f"{f.name}*[{m.kind}@{eps:g}]")
+    for di in range(values.shape[-1]):
+        spectrum = np.fft.rfftn(values[..., di], s=length, axes=axes) * kernel
+        out[..., di] = np.fft.irfftn(spectrum, s=length, axes=axes)[keep]
+    return out
 
 
 def mollifier_bound_check(f: Field, m: MollifierSpec, eps: float, r: float,

@@ -35,10 +35,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import fft as sfft
 
 from .errors import CapabilityError, DivergenceError, InputError
-from .fields import Field, RegionSpec, eval_field, knots_1d, support_bbox
+from .fields import Field, RegionSpec, eval_field, knots_1d, sample_rows, support_bbox
 
 __all__ = [
     "QuadBudget",
@@ -764,9 +763,8 @@ def _pair_integral_mc(f: Field, region, weight: PiecewisePower, window, q,
 
 _KERNEL_NEAR = 32
 _KERNEL_CACHE: dict = {}
-# lattice nodes per eval_field call, frequency columns per axis-0 transform
-# and lag rows per kernel dot; they bound the engine's temporaries
-_LATTICE_EVAL_POINTS = 1 << 16
+# frequency columns per axis-0 transform and lag rows per kernel dot; they
+# bound the engine's temporaries
 _LATTICE_COLS = 64
 _LATTICE_ROWS = 64
 # Chebyshev degree per axis of the Phi_E interpolant, Gauss-Legendre order of
@@ -898,19 +896,20 @@ def _grid_support(spec) -> tuple:
     return lo, lo + h * (np.asarray(spec.extent) + 1.0)
 
 
-def _node_rows(f: Field):
-    """The field's values c at its cell centers, read through eval_field a
-    block of axis-0 rows at a time: yields (r0, block), the block of shape
-    (dim_out, rows) + extent[1:]."""
-    spec = f.payload["spec"]
-    axes = spec.centers()
-    ext = tuple(spec.extent)
-    rows = max(1, _LATTICE_EVAL_POINTS // math.prod(ext[1:]))
-    for r0 in range(0, ext[0], rows):
-        mesh = np.meshgrid(axes[0][r0:r0 + rows], *axes[1:], indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=-1)
-        yield r0, np.moveaxis(eval_field(f, pts), -1, 0).reshape(
-            (f.dim_out,) + mesh[0].shape)
+def _fast_len(n: int) -> int:
+    """The smallest 5-smooth integer >= n: a length the FFT handles fast."""
+    best = 1 << (n - 1).bit_length()
+    p35 = 1
+    while p35 < best:
+        m = p35
+        while m < best:
+            p = m
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            m *= 3
+        p35 *= 5
+    return best
 
 
 def _lattice_sums(spec: np.ndarray, length, s: float):
@@ -930,8 +929,8 @@ def _lattice_sums(spec: np.ndarray, length, s: float):
     fshape = tuple(length[1:-1]) + (length[-1] // 2 + 1,)
     for j0 in range(0, spec.shape[2], _LATTICE_COLS):
         cols = slice(j0, j0 + _LATTICE_COLS)
-        power = np.sum(np.abs(sfft.fft(spec[:, :, cols], n=length[0], axis=1)) ** 2, axis=0)
-        spec[0, :, cols] = sfft.ifft(power, axis=0)[:n0]
+        power = np.sum(np.abs(np.fft.fft(spec[:, :, cols], n=length[0], axis=1)) ** 2, axis=0)
+        spec[0, :, cols] = np.fft.ifft(power, axis=0)[:n0]
     spec = spec[0]
     # lags on the torus of the trailing axes, and the table's part of it
     lags = [(np.arange(ell) + ell // 2) % ell - ell // 2 for ell in length[1:]]
@@ -946,8 +945,8 @@ def _lattice_sums(spec: np.ndarray, length, s: float):
     for r0 in range(0, n0, _LATTICE_ROWS):
         r = np.arange(r0, min(r0 + _LATTICE_ROWS, n0), dtype=float)
         rr = r.reshape((-1,) + (1,) * (n - 1))
-        rows = sfft.irfftn(spec[r0:r0 + len(r)].reshape((len(r),) + fshape),
-                           s=length[1:], axes=trail)
+        rows = np.fft.irfftn(spec[r0:r0 + len(r)].reshape((len(r),) + fshape),
+                             s=length[1:], axes=trail)
         if r0 == 0:
             unit = {m: float(rows[(m[0],) + tuple(mi % ell for mi, ell in zip(m[1:], length[1:]))])
                     for m in itertools.product((0, 1), *[(-1, 0, 1)] * (n - 1))}
@@ -1110,16 +1109,17 @@ def _pair_integral_lattice(f: Field, region, coef: float, s: float, b: float,
     grid = f.payload["spec"]
     h = float(grid.spacing[0])
     ext = tuple(grid.extent)
-    length = [sfft.next_fast_len(2 * e - 1, real=True) for e in ext]
+    length = [_fast_len(2 * e - 1) for e in ext]
     spec = np.empty((f.dim_out, ext[0], math.prod(length[1:-1]) * (length[-1] // 2 + 1)),
                     dtype=complex)
     j_term = err_phi = 0.0
     if region is not None:
         phi, moments, err_phi = _region_weights(grid, region, s, b)
-    for r0, block in _node_rows(f):
+    for r0, block in sample_rows(f, grid):
+        block = np.moveaxis(block, -1, 0)
         r1 = r0 + block.shape[1]
-        spec[:, r0:r1] = sfft.rfftn(block, s=length[1:], axes=tuple(range(2, n + 1))
-                                    ).reshape(f.dim_out, r1 - r0, -1)
+        spec[:, r0:r1] = np.fft.rfftn(block, s=length[1:], axes=tuple(range(2, n + 1))
+                                      ).reshape(f.dim_out, r1 - r0, -1)
         if region is not None:
             # the previous block's last row pairs with this block's first
             rows = block if r0 == 0 else np.concatenate([last, block], axis=1)

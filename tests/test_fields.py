@@ -136,6 +136,21 @@ def test_sample_constant_and_indicator(step):
     assert ss.payload["source"] == step.name
 
 
+@pytest.mark.parametrize("name,extent", [("disk_2d", (300, 250)), ("ball_3d", (50, 40, 41))])
+def test_sample_in_row_blocks_matches_pointwise_eval(name, extent):
+    # more than one block of rows: the values are those of one eval_field
+    # call over every cell center, bit for bit
+    f = make_field(name)
+    n = len(extent)
+    g = GridSpec(origin=(-0.6,) * n, spacing=tuple(1.2 / e for e in extent), extent=extent)
+    mesh = np.meshgrid(*g.centers(), indexing="ij")
+    whole = eval_field(f, np.stack([m.ravel() for m in mesh], axis=-1))
+    values = sample(f, g).payload["values"]
+    assert values.shape == extent + (1,)
+    assert np.array_equal(values, whole.reshape(values.shape))
+    assert 0.0 < values.mean() < 1.0
+
+
 def test_sample_exact_at_nodes(bump):
     g = GridSpec(origin=(-2.0,), spacing=(0.125,), extent=(64,))
     sb = sample(bump, g)

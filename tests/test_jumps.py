@@ -72,6 +72,12 @@ def test_constants_n3():
     assert t.moment_q[2.0] == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
 
 
+def test_sphere_moment_integer_orders_2d():
+    # the Wallis products, exact to rounding
+    assert [sphere_moment(2, q) for q in (0, 1.0, 2, 3.0, 4)] == \
+        [2.0 * math.pi, 4.0, math.pi, 8.0 / 3.0, 3.0 * math.pi / 4.0]
+
+
 @pytest.mark.parametrize("n,q", [(2, 1.5), (2, 3.0), (3, 2.5)])
 def test_sphere_moment_vs_quadrature(n, q):
     if n == 2:

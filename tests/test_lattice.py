@@ -195,3 +195,9 @@ def test_lattice_engine_dispatch(monkeypatch, disk, tent2):
     assert len(calls) == 2                          # an annulus window
     pair_integral(u, RegionSpec.box([-0.3, -0.3], [0.3, 0.3]), w, (0.0, 1.0), 2.0, budget)
     assert len(calls) == 3                          # a region that clips the support
+
+
+def test_fast_len_is_the_next_5_smooth_length():
+    from scipy.fft import next_fast_len
+    assert [quadrature._fast_len(n) for n in range(1, 20001)] == \
+        [next_fast_len(n, real=True) for n in range(1, 20001)]

@@ -5,8 +5,9 @@ import pytest
 from scipy import integrate as sciint
 
 from besovlab.errors import InputError, ResolutionError
-from besovlab.fields import GridSpec, eval_field, make_field, sample
-from besovlab.mollifiers import (make_mollifier, mollifier_bound_check, mollify)
+from besovlab.fields import Field, GridSpec, RegionSpec, eval_field, make_field, sample
+from besovlab.mollifiers import (_mollify_grid, _taps, make_mollifier,
+                                 mollifier_bound_check, mollify)
 from besovlab.seminorms import FunctionalParams, besov_seminorm_q, lq_norm_q
 
 from oracles import direct_convolution_1d
@@ -84,6 +85,44 @@ def test_mollify_grid_2d(disk, tent2):
     # unit-mass mollification conserves the integral up to the O(cell)
     # indicator-sampling bias of the grid path
     assert lq_norm_q(u, 1.0) == pytest.approx(math.pi * 0.25, rel=2e-2)
+
+
+def _direct_convolution(values, taps):
+    """Reference: the sum over the taps of each tap times the values shifted
+    by its offset from the center, zero outside the grid."""
+    ext = values.shape[:-1]
+    out = np.zeros_like(values)
+    for o in np.ndindex(*taps.shape):
+        d = [oi - t // 2 for oi, t in zip(o, taps.shape)]
+        dst = tuple(slice(max(0, x), e + min(0, x)) for x, e in zip(d, ext))
+        src = tuple(slice(max(0, -x), e - max(0, x)) for x, e in zip(d, ext))
+        out[dst] += taps[o] * values[src]
+    return out
+
+
+def _two_component_2d():
+    pieces = ((RegionSpec.ball((0.0, 0.0), 0.5), np.array([1.0, -2.0])),
+              (RegionSpec.box((0.6, -0.2), (0.9, 0.4)), np.array([0.5, 3.0])))
+    return Field(2, 2, "piecewise", {"pieces": pieces}, support_radius=1.0, name="pair")
+
+
+@pytest.mark.parametrize("case", ["signed_1d", "tent_2d_vector", "tent_3d"])
+def test_grid_mollification_matches_direct_summation(step, case):
+    if case == "signed_1d":    # total mass 0; mollify itself takes the CDF path
+        f, m, eps = step, make_mollifier("signed-test"), 0.05
+        u = _mollify_grid(f, m, eps)
+    else:
+        f = _two_component_2d() if case == "tent_2d_vector" else make_field("ball_3d")
+        m, eps = make_mollifier("tent", dim=f.dim_in), 0.2 if f.dim_in == 2 else 0.5
+        u = mollify(f, m, eps)
+    spec = u.payload["spec"]
+    values = sample(f, spec).payload["values"]
+    taps = _taps(m, eps, spec.spacing[0], f.dim_in)
+    assert taps.shape == (17,) * f.dim_in
+    reference = _direct_convolution(values, taps)
+    np.testing.assert_allclose(u.payload["values"], reference, rtol=0,
+                               atol=1e-12 * np.abs(values).max())
+    assert np.abs(reference).max() > 0.1
 
 
 def test_mollify_resolution_error(step, tent):
