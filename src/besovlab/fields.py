@@ -561,10 +561,11 @@ def support_bbox(f: Field):
             hi = np.max([b[1] for b in boxes], axis=0)
             return lo, hi
     if f.kind == "grid":
+        # the hats of the edge cells reach half a cell past the grid
         spec = f.payload["spec"]
-        lo = np.asarray(spec.origin)
-        hi = lo + np.asarray(spec.spacing) * np.asarray(spec.extent)
-        return lo, hi
+        h = np.asarray(spec.spacing)
+        lo = np.asarray(spec.origin) - 0.5 * h
+        return lo, lo + h * (np.asarray(spec.extent) + 1.0)
     if f.kind == "smooth" and f.payload.get("formula") == "steps_cdf":
         p = f.payload["params"]
         lo = min(s[0] for s in p["steps"]) - p["eps"] * f.payload["cdf_halfwidth"]
@@ -592,11 +593,15 @@ def knots_1d(f: Field):
         eps = p["eps"]
         ks = []
         for a, b, _ in p["steps"]:
-            ks.extend((a - w * eps, a + w * eps, b - w * eps, b + w * eps))
+            # a pdf may have a kink at 0 (the tent's does), so the steps
+            # themselves are knots too
+            ks.extend((a - w * eps, a, a + w * eps, b - w * eps, b, b + w * eps))
         return np.array(sorted(set(ks)))
     if f.kind == "grid":
+        # the cell centers and the outer ends of the zero ring
         spec = f.payload["spec"]
-        return np.asarray(spec.centers()[0])
+        c = spec.centers()[0]
+        return np.concatenate([[c[0] - spec.spacing[0]], c, [c[-1] + spec.spacing[0]]])
     return None
 
 

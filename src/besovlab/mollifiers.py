@@ -21,7 +21,7 @@ import scipy  # its submodules load on first use, on the paths that need them
 
 from .errors import CapabilityError, InputError, ResolutionError
 from .fields import Field, GridSpec, eval_field, sample, support_bbox
-from .quadrature import _fast_len, sphere_measure
+from .quadrature import _bspline, _fast_len, sphere_measure
 
 __all__ = ["MollifierSpec", "make_mollifier", "mollify", "mollifier_bound_check"]
 
@@ -37,6 +37,9 @@ class MollifierSpec:
     pdf: Callable = field(repr=False)          # eta(v), radial arg for dim >= 2
     grad_abs: Callable = field(repr=False)     # |eta'(v)| (1D) or |d/dr profile| (radial)
     cdf: Optional[Callable] = field(repr=False, default=None)  # 1D only
+    # 1D only: (A, kinks), the autocorrelation eta * eta(-.) as a piecewise
+    # cubic with kinks at +-kinks
+    autocorr: Optional[tuple] = field(repr=False, default=None)
 
     def weighted_grad(self, rq: float) -> float:
         """int |grad eta(v)| (|v| + 2)^{rq} dv."""
@@ -141,7 +144,7 @@ def make_mollifier(kind: str, dim: int = 1, **params) -> MollifierSpec:
         if dim == 1:
             return MollifierSpec("tent", 1, 1.0, 1.0, 1.0, 2.0,
                                  pdf=_tent_pdf, grad_abs=lambda v: 1.0 * (np.asarray(v) < 1.0),
-                                 cdf=_tent_cdf)
+                                 cdf=_tent_cdf, autocorr=(_bspline, (0.0, 1.0, 2.0)))
         # radial tent c (1 - r)+ normalized to unit mass:
         # int_0^1 (1 - r) r^(N-1) dr = 1 / (N (N + 1))
         h = sphere_measure(dim)
@@ -260,6 +263,8 @@ def mollify(f: Field, m: MollifierSpec, eps: float) -> Field:
             payload = {"formula": "steps_cdf",
                        "params": {"steps": tuple(steps), "eps": float(eps)},
                        "cdf": m.cdf, "cdf_halfwidth": m.halfwidth}
+            if m.autocorr is not None:
+                payload["autocorr"] = m.autocorr
             rad = f.support_radius + eps * m.halfwidth
             return Field(1, f.dim_out, "smooth", payload, support_radius=rad,
                          name=f"{f.name}*[{m.kind}@{eps:g}]")

@@ -13,6 +13,10 @@ engine from its inputs:
 
 - piecewise-constant 1D fields: F is piecewise linear in t, so I is exact,
   F at its breakpoints times closed-form moments of w;
+- 1D step sums mollified by the tent, with q = 2 and no region or an
+  interval around the support: the steps engine, exact up to roundoff, F
+  from the unmollified F and the mollifier's autocorrelation (see its
+  section);
 - other 1D fields: panel Gauss-Legendre in x for F, batched over the radii
   of a panel Gauss-Legendre rule in t;
 - ball and box indicators in 2D/3D: closed-form symmetric differences and
@@ -421,14 +425,16 @@ _BLOCK_POINTS = 1 << 13
 
 
 def _smooth_shift_integrals_1d(f: Field, region, ts: np.ndarray, q: float,
-                               x_div: int, x_orders) -> np.ndarray:
+                               x_div: int, x_orders,
+                               nodes: Optional[list] = None) -> np.ndarray:
     """F(t) for each radius t in ts by panel Gauss-Legendre in x, once per
     order in x_orders: an array of shape (len(ts), len(x_orders)).
 
     Each merged interval is split into equal panels no longer than
     (hi - lo) / x_div.  Consecutive radii share one field evaluation at x and
     one at x + t per block of about _BLOCK_POINTS nodes, and each value is
-    still its own radius's weights @ integrand values."""
+    still its own radius's weights @ integrand values.  When a list is
+    given as nodes, the number of x-nodes is appended to it."""
     out = np.zeros((len(ts), len(x_orders)))
     rows, lo, hi = _merged_edges_1d(f, region, ts)
     # merged intervals in radius order, each split into k equal panels
@@ -438,6 +444,8 @@ def _smooth_shift_integrals_1d(f: Field, region, ts: np.ndarray, q: float,
     k = np.maximum(1, np.ceil(width / ((hi - lo) / x_div)[row])).astype(np.int64)
     npan = np.bincount(row, weights=k, minlength=len(ts)).astype(np.int64)
     npts = npan * sum(x_orders)
+    if nodes is not None:
+        nodes.append(int(np.sum(npts)))
     block = (np.cumsum(npts) - npts) // _BLOCK_POINTS
     cuts = np.concatenate([[0], np.flatnonzero(np.diff(block)) + 1, [len(ts)]])
     for r0, r1 in zip(cuts[:-1], cuts[1:]):
@@ -543,7 +551,7 @@ def _t_integral(tfunc: Callable, a: float, b: float, kinks: Sequence[float] = ()
         return 0.0, 0.0
     edges = np.geomspace(a, b, n_panels + 1)
     inner = [k for k in kinks if a < k < b]
-    if inner and len(inner) <= 64:
+    if inner:
         edges = np.unique(np.concatenate([edges, np.asarray(inner, dtype=float)]))
     nhi, whi = _panel_nodes(edges[:-1], edges[1:], order)
     nlo, wlo = _panel_nodes(edges[:-1], edges[1:], max(order // 2, 2))
@@ -555,18 +563,19 @@ def _t_integral(tfunc: Callable, a: float, b: float, kinks: Sequence[float] = ()
     return vhi, err
 
 
-def _pair_kinks(f: Field, b: float):
-    ks = knots_1d(f)
-    if ks is not None and len(ks) <= 32:
+def _pair_kinks(f: Field, b: float, region=None):
+    if f.dim_in == 1:
+        # F(t) can kink where t is a difference of two knots or region edges
+        ks = _edge_points_1d(f, region)
         diffs = np.abs(ks[:, None] - ks[None, :]).ravel()
         return sorted(set(float(d) for d in diffs if 0.0 < d < b))
     ind = _field_is_indicator(f)
     if ind is not None:
-        region = ind[0]
-        if region.kind == "ball":
-            return [2.0 * region.radius] if 2.0 * region.radius < b else []
-        if region.kind == "box":
-            side = np.asarray(region.hi) - np.asarray(region.lo)
+        shape = ind[0]
+        if shape.kind == "ball":
+            return [2.0 * shape.radius] if 2.0 * shape.radius < b else []
+        if shape.kind == "box":
+            side = np.asarray(shape.hi) - np.asarray(shape.lo)
             ks = list(side) + [float(np.linalg.norm(side))]
             return sorted(set(k for k in ks if k < b))
     return []
@@ -600,6 +609,209 @@ def _pair_integral_piecewise_1d(f: Field, region, weight: PiecewisePower,
     return 2.0 * total
 
 
+def _pair_integral_smooth_1d(f: Field, region, weight: PiecewisePower,
+                             a: float, b: float, q: float) -> QuadResult:
+    """2 int_a^b w(t) F(t) dt for a continuous 1D field: panel Gauss-Legendre
+    in t over [max(a, t0), b], t0 = b 1e-9, with the error from a lower-order
+    t-rule, over F(t) from the batched x-rule of _smooth_shift_integrals_1d.
+    With a = 0, F(t) ~ c t^q on the core (0, t0): c is read at t0, and its
+    change to 2 t0 is the core's error.  evaluations_used counts x-nodes.
+
+    A rounded x + t shifts F(t) by up to ulp(x) / t relative, which grows
+    without bound as t -> 0.  So F is evaluated at t rounded to a multiple of
+    the ulp of twice the support's reach, where x + t is exact for every x of
+    the same binade, and rescaled by F(t) ~ c t^q."""
+    quality = _quality_1d(f)
+    nodes = []
+    ulp = np.spacing(2.0 * float(np.max(np.abs(support_bbox(f)))))
+
+    def shift_integrals(ts):
+        snapped = np.maximum(np.round(ts / ulp), 1.0) * ulp
+        return _smooth_shift_integrals_1d(f, region, snapped, q, quality["x_div"],
+                                          (quality["x_order"],), nodes)[:, 0] \
+            * (ts / snapped) ** q
+    t0 = a if a > 0.0 else b * 1e-9
+    value, err = _t_integral(lambda ts: 2.0 * shift_integrals(ts) * weight(ts), t0, b,
+                             _pair_kinks(f, b, region), n_panels=quality["t_panels"],
+                             order=quality["t_order"], truncated_at=t0)
+    if a == 0.0:
+        c = shift_integrals(np.array([t0, 2.0 * t0])) / np.array([t0, 2.0 * t0]) ** q
+        core = 2.0 * weight.moment(0.0, t0, q)
+        value += c[0] * core
+        err += abs((c[0] - c[1]) * core)
+    _guard(value)
+    return QuadResult(float(value), float(err + 16.0 * np.finfo(float).eps * abs(value)),
+                      sum(nodes))
+
+
+# ---------------------------------------------------------------------------
+# The q = 2 engine for mollified 1D step sums
+# ---------------------------------------------------------------------------
+#
+# For u_eps = u * eta_eps, u a 1D step sum, Wiener-Khinchin gives the q = 2
+# shift integral over R as
+#
+#   F_eps(t) = int [F_u(t - tau) - F_u(tau)] A_eps(tau) dtau,
+#
+# F_u the shift integral of u, piecewise linear with kinks at the knot
+# differences d, and A_eps(tau) = A(tau / eps) / eps the autocorrelation of
+# eta_eps, which the steps_cdf payload carries as (A, kinks): A piecewise
+# cubic, its kinks at +-kinks.  So Gauss-Legendre of order 3 between the kinks
+# of both factors is exact in tau, and F_eps is a quintic in t between the
+# points |d +- eps k|.  F_eps is even and C^4 (A is C^2), so on [0, t1], t1
+# the least of those points, F_eps / t^2 is a cubic, integrated against t^2 w
+# by moments.
+# An interval E strictly around the support subtracts 2 int |u_eps|^2 Phi_E,
+# Phi_E(x) the weight's mass over the window beyond either edge of E.
+
+# Gauss-Legendre orders of the t- and x-panels; the error is their difference
+_STEPS_ORDERS = (12, 8)
+# t-breaks below b times this are dropped
+_STEPS_FLOOR = 1e-9
+# where F_eps / t^2 is fitted on [0, t1], in units of t1, and checked
+_CORE_FIT = np.array([0.25, 0.5, 0.75, 1.0])
+_CORE_CHECK = 0.625
+
+
+def _steps_form(f: Field, region, q: float) -> bool:
+    """True when the mollified-step engine serves these inputs."""
+    if f.kind != "smooth" or f.payload.get("formula") != "steps_cdf" \
+            or "autocorr" not in f.payload or q != 2.0:
+        return False
+    if region is None:
+        return True
+    lo, hi = support_bbox(f)
+    return region.kind == "box" and region.lo[0] < lo[0] and hi[0] < region.hi[0]
+
+
+def _step_shift_table(f: Field):
+    """The knot differences d of the unmollified step sum, from 0 up, and its
+    shift integral F_u at them (q = 2, E = R).  The steps come from the
+    disjoint pieces of a piecewise field."""
+    steps = f.payload["params"]["steps"]
+    knots = np.array([e for a, b, _ in steps for e in (a, b)])
+    src = Field(1, f.dim_out, "piecewise",
+                {"pieces": tuple((RegionSpec.interval(a, b), amp) for a, b, amp in steps)},
+                support_radius=float(np.max(np.abs(knots))))
+    d = np.unique(np.abs(knots[:, None] - knots[None, :]))
+    fd = [0.0] + [_shift_integral_1d(src, None, float(t), 2.0)[0] for t in d[1:]]
+    return d, np.array(fd)
+
+
+def _steps_conv(ts: np.ndarray, d: np.ndarray, fd: np.ndarray, eps: float,
+                autocorr) -> tuple:
+    """(int F_u(t - tau) A_eps(tau) dtau for each t in ts, the number of tau
+    nodes), by Gauss-Legendre of order 3 between the kinks of both factors."""
+    a_fn, kinks = autocorr
+    ak = eps * np.concatenate([-np.asarray(kinks)[::-1], kinks])
+    reach = ak[-1]
+    cand = np.concatenate([np.broadcast_to(ak, (len(ts), len(ak))),
+                           np.clip(ts[:, None] - d, -reach, reach),
+                           np.clip(ts[:, None] + d, -reach, reach)], axis=1)
+    cand.sort(axis=1)
+    x, w = _gl(3)
+    mid = 0.5 * (cand[:, 1:] + cand[:, :-1])[..., None]
+    half = 0.5 * (cand[:, 1:] - cand[:, :-1])[..., None]
+    tau = mid + half * x
+    vals = np.interp(np.abs(ts[:, None, None] - tau), d, fd) * a_fn(tau / eps) / eps
+    return np.sum(half * w * vals, axis=(1, 2)), tau.size
+
+
+def _escape_mass(weight: PiecewisePower, a: float, b: float, lo: float, hi: float,
+                 x: np.ndarray) -> np.ndarray:
+    """Phi_E(x) for E = [lo, hi]: over both sides, the weight's mass on
+    [max(a, distance to the side), b]."""
+    return np.array([sum(weight.moment(max(a, dist), b, 0.0) if max(a, dist) < b else 0.0
+                         for dist in (hi - xi, xi - lo)) for xi in x])
+
+
+def _steps_region_term(f: Field, region: RegionSpec, weight: PiecewisePower,
+                       a: float, b: float) -> tuple:
+    """(int |u_eps|^2 Phi_E, its error, the nodes used): Gauss-Legendre on
+    panels split at u_eps's knots, where the distance to an edge of E is a, b
+    or an end of a weight piece, and geometrically toward E's edges, so no
+    panel is wider than its distance to them."""
+    lo_e, hi_e = region.lo[0], region.hi[0]
+    (s0,), (s1,) = support_bbox(f)
+    cuts = [c for c in [a, b] + [e for piece in weight.pieces for e in piece[:2]]
+            if math.isfinite(c)]
+    grades = 2.0 ** np.arange(1, math.ceil(math.log2((s1 - s0) / min(s0 - lo_e, hi_e - s1))) + 2)
+    pts = np.concatenate([knots_1d(f), [s0, s1], hi_e - np.asarray(cuts), lo_e + np.asarray(cuts),
+                          hi_e - (hi_e - s1) * grades, lo_e + (s0 - lo_e) * grades])
+    pts = np.unique(pts[(pts >= s0) & (pts <= s1)])
+    rules = [_panel_nodes(pts[:-1], pts[1:], order) for order in _STEPS_ORDERS]
+    x = np.concatenate([r[0] for r in rules])
+    vals = np.sum(eval_field(f, x[:, None]) ** 2, axis=-1) \
+        * _escape_mass(weight, a, b, lo_e, hi_e, x)
+    hi_rule = rules[0][1] @ vals[:len(rules[0][0])]
+    lo_rule = rules[1][1] @ vals[len(rules[0][0]):]
+    return float(hi_rule), abs(float(hi_rule - lo_rule)), len(x)
+
+
+def _pair_integral_steps(f: Field, region, weight: PiecewisePower,
+                         a: float, b: float) -> QuadResult:
+    """The q = 2 engine for mollified 1D step sums; see the section comment.
+    The t-panels split at a, b, the ends of the weight's pieces, the points
+    |d +- eps k| and geometric points, so that no panel past t1 spans a ratio
+    above sqrt(2); each reports |order 12 - order 8| as its error.  (At
+    ratio 2 the order-8 rule misses t^-2 by about 1e-12 of a panel, which
+    would dominate the error.)"""
+    eps = float(f.payload["params"]["eps"])
+    autocorr = f.payload["autocorr"]
+    d, fd = _step_shift_table(f)
+    k = eps * np.asarray(autocorr[1])
+    breaks = np.abs(d[:, None] + np.concatenate([-k, k])).ravel()
+    # F_eps is C^4, so a break d below b * _STEPS_FLOOR changes F_eps on
+    # [0, d] by a share of order (d / eps)^3: it is dropped, which keeps the
+    # weight finite on the t-panels.  The core's check catches the rest
+    breaks = breaks[breaks > b * _STEPS_FLOOR]
+    t1 = float(np.min(breaks, initial=b))
+    ends = [e for piece in weight.pieces for e in piece[:2]]
+    geo = t1 * 2.0 ** (0.5 * np.arange(max(0, math.ceil(2.0 * math.log2(b / t1))) + 1))
+    pts = np.unique(np.concatenate([[a, b], breaks, ends, geo]))
+    pts = pts[(pts >= max(a, t1)) & (pts <= b)]
+    rules = [_panel_nodes(pts[:-1], pts[1:], order) for order in _STEPS_ORDERS]
+    core = (a, min(b, t1)) if a < t1 else None
+    ts = np.concatenate([[0.0], t1 * _CORE_FIT, [t1 * _CORE_CHECK]]
+                        + [r[0] for r in rules])
+    conv, n_tau = _steps_conv(ts, d, fd, eps, autocorr)
+    fs = conv[1:] - conv[0]
+    value = err = 0.0
+    if core is not None:
+        # F_eps / t^2 = sum_j c_j (t / t1)^j on [0, t1], so the core is
+        # g @ (F_eps / t^2 at the fit nodes), g the moments through the fit;
+        # each F_eps there carries the roundoff of conv(t) - conv(0)
+        vander = np.vander(_CORE_FIT, 4, increasing=True)
+        fit_t = t1 * _CORE_FIT
+        try:
+            moments = np.array([weight.moment(*core, 2.0 + j) / t1 ** j for j in range(4)])
+        except OverflowError:   # a moment of the weight beyond float range
+            raise DivergenceError("pair integral exceeded the overflow guard") from None
+        g = np.linalg.solve(vander.T, moments)
+        value += float(g @ (fs[:4] / fit_t ** 2))
+        c = np.linalg.solve(vander, fs[:4] / fit_t ** 2)
+        resid = np.polyval(c[::-1], _CORE_CHECK) - fs[4] / (t1 * _CORE_CHECK) ** 2
+        err += abs(resid * moments[0]) + float(np.abs(g) @ (
+            8.0 * np.finfo(float).eps * (np.abs(conv[1:5]) + abs(conv[0])) / fit_t ** 2))
+    # per panel and order: weights @ w(t) F_eps(t)
+    off, sums = 5, []
+    for (nodes, w), order in zip(rules, _STEPS_ORDERS):
+        terms = w * weight(nodes) * fs[off:off + len(nodes)]
+        sums.append(np.sum(terms.reshape(-1, order), axis=1))
+        off += len(nodes)
+    value += float(np.sum(sums[0]))
+    err += float(np.sum(np.abs(sums[0] - sums[1])))
+    evals = len(d) - 1 + 2 * n_tau
+    j_value = j_err = 0.0
+    if region is not None:
+        j_value, j_err, n_x = _steps_region_term(f, region, weight, a, b)
+        evals += n_x
+    total = 2.0 * (value - j_value)
+    err = 2.0 * (err + j_err) + 64.0 * np.finfo(float).eps * (abs(value) + abs(j_value))
+    _guard(total)
+    return QuadResult(float(total), float(err), evals)
+
+
 def pair_integral(f: Field, region: Optional[RegionSpec], weight: PiecewisePower,
                   window, q: float, budget: Optional[QuadBudget] = None,
                   stream: int = 0) -> QuadResult:
@@ -628,22 +840,13 @@ def pair_integral(f: Field, region: Optional[RegionSpec], weight: PiecewisePower
             value = math.inf
         _guard(value)
         return QuadResult(value, 0.0, 0)
-
-    kinks = _pair_kinks(f, b)
-    t0 = a if a > 0.0 else b * 1e-9
+    if _steps_form(f, region, q):
+        return _pair_integral_steps(f, region, weight, a, b)
     if n == 1:
-        quality = _quality_1d(f)
+        return _pair_integral_smooth_1d(f, region, weight, a, b, q)
 
-        def tfunc(ts):
-            fs = _smooth_shift_integrals_1d(f, region, ts, q, quality["x_div"],
-                                            (quality["x_order"],))[:, 0]
-            return 2.0 * fs * weight(ts)
-        value, err = _t_integral(tfunc, t0, b, kinks,
-                                 n_panels=quality["t_panels"],
-                                 order=quality["t_order"], truncated_at=a)
-        _guard(value)
-        return QuadResult(value, err, 0)
-
+    kinks = _pair_kinks(f, b, region)
+    t0 = a if a > 0.0 else b * 1e-9
     ind = _field_is_indicator(f)
     if ind is not None and ind[0].kind in ("ball", "box") \
             and _region_inactive(f, region, b):
@@ -878,7 +1081,7 @@ def _lattice_form(f: Field, region, weight: PiecewisePower, a: float, b: float,
     spec = f.payload["spec"]
     if len(set(spec.spacing)) != 1:
         return None
-    lo, hi = _grid_support(spec)
+    lo, hi = support_bbox(f)
     if b < float(np.linalg.norm(hi - lo)):
         return None
     if region is not None and not (region.kind == "box"
@@ -886,14 +1089,6 @@ def _lattice_form(f: Field, region, weight: PiecewisePower, a: float, b: float,
                                    and np.all(hi < np.asarray(region.hi))):
         return None
     return s
-
-
-def _grid_support(spec) -> tuple:
-    """The box outside which a grid field vanishes: the hats of the edge
-    cells reach half a cell past the grid."""
-    h = np.asarray(spec.spacing)
-    lo = np.asarray(spec.origin) - 0.5 * h
-    return lo, lo + h * (np.asarray(spec.extent) + 1.0)
 
 
 def _fast_len(n: int) -> int:
@@ -1023,14 +1218,15 @@ def _box_phi(x: np.ndarray, lo, hi, s: float, b: float, order: int) -> np.ndarra
     return total
 
 
-def _region_weights(spec, region: RegionSpec, s: float, b: float):
+def _region_weights(f: Field, region: RegionSpec, s: float, b: float):
     """Phi_E as (phi, moments, err_phi): phi its values at the tensor
     Chebyshev-Lobatto nodes of the support box, so its interpolant is
     sum_a phi_a prod_i l_a_i(x_i); moments[i][d][k, a] =
     int lam_k lam_(k+d) l_a / int lam_k lam_(k+d) over axis i, for the 1D
     hats lam of cells k and k + d, d in (-1, 0, 1); err_phi bounds the
     interpolant's and the face rule's error."""
-    lo_s, hi_s = _grid_support(spec)
+    spec = f.payload["spec"]
+    lo_s, hi_s = support_bbox(f)
     n, h = len(lo_s), float(spec.spacing[0])
     degree, order = _PHI_DEGREE[n], _PHI_ORDER[n]
     mid, half = 0.5 * (hi_s + lo_s), 0.5 * (hi_s - lo_s)
@@ -1114,7 +1310,7 @@ def _pair_integral_lattice(f: Field, region, coef: float, s: float, b: float,
                     dtype=complex)
     j_term = err_phi = 0.0
     if region is not None:
-        phi, moments, err_phi = _region_weights(grid, region, s, b)
+        phi, moments, err_phi = _region_weights(f, region, s, b)
     for r0, block in sample_rows(f, grid):
         block = np.moveaxis(block, -1, 0)
         r1 = r0 + block.shape[1]

@@ -5,8 +5,10 @@ import pytest
 
 from besovlab.errors import CapabilityError, InputError
 from besovlab.fields import (Field, GridSpec, RegionSpec, default_region,
-                             eval_field, jump_set_of, make_field, sample,
-                             scale_field, truncate)
+                             eval_field, jump_set_of, knots_1d, make_field, sample,
+                             scale_field, support_bbox, truncate)
+from besovlab.mollifiers import make_mollifier, mollify
+from besovlab.quadrature import shift_integral
 
 from oracles import circle_arc_length
 
@@ -206,6 +208,39 @@ def test_grid_spec_validation():
         GridSpec(origin=(0.0,), spacing=(0.0,), extent=(4,))
     with pytest.raises(InputError):
         GridSpec(origin=(0.0,), spacing=(0.1,), extent=(1,))
+
+
+def _ones_grid(n):
+    spec = GridSpec(origin=(0.0,) * n, spacing=(0.25,) * n, extent=(4,) * n)
+    return Field(n, 1, "grid", {"spec": spec, "values": np.ones((4,) * n + (1,))},
+                 support_radius=2.0, name="ones")
+
+
+def test_grid_support_bbox_holds_the_zero_ring():
+    # the hats of the edge cells reach half a cell past the grid
+    f = _ones_grid(2)
+    lo, hi = support_bbox(f)
+    x = np.array([[-0.1, 0.5], [1.1, 0.5]])
+    assert np.all(eval_field(f, x) > 0.0)
+    assert np.all((x > lo) & (x < hi))
+    assert np.all(eval_field(f, np.array([lo - 1e-12, hi + 1e-12])) == 0.0)
+
+
+def test_grid_shift_integral_past_the_support():
+    # four ones at h = 1/4: ||u||^2 = h (4 * 2/3 + 6 * 1/6) = 11/12, and
+    # once the shift passes the support F = 2 ||u||^2
+    val, err = shift_integral(_ones_grid(1), None, [3.0], 2.0)
+    assert val == pytest.approx(11.0 / 6.0, rel=1e-12)
+    assert err <= 1e-12
+
+
+def test_mollified_step_knots_hold_the_steps(step, tent):
+    # the tent's pdf kinks at 0, so u_eps'' jumps at the steps themselves
+    eps = 0.1
+    ks = knots_1d(mollify(step, tent, eps))
+    assert np.allclose(ks, [-eps, 0.0, eps, 1.0 - eps, 1.0, 1.0 + eps], rtol=0, atol=1e-15)
+    gauss = mollify(step, make_mollifier("truncated-gaussian"), eps)
+    assert {0.0, 1.0} <= set(knots_1d(gauss).tolist())
 
 
 def test_default_region_margin(step):
