@@ -124,16 +124,21 @@ class RegionSpec:
         """Exact membership test for points of shape (M, N) -> bool (M,).
 
         Boxes and half-spaces are closed; balls are closed.  The test uses
-        exact comparisons, no floating fuzz.
+        exact comparisons, no floating fuzz.  Boxes and balls are worked one
+        coordinate column at a time; a ball sums its squares in the order of
+        the axes, as a sum over the last axis of x would.
         """
         x = np.asarray(x, dtype=float)
         if self.kind == "box":
-            lo = np.asarray(self.lo)
-            hi = np.asarray(self.hi)
-            return np.all((x >= lo) & (x <= hi), axis=-1)
+            out = (x[..., 0] >= self.lo[0]) & (x[..., 0] <= self.hi[0])
+            for k in range(1, len(self.lo)):
+                out &= (x[..., k] >= self.lo[k]) & (x[..., k] <= self.hi[k])
+            return out
         if self.kind == "ball":
-            c = np.asarray(self.center)
-            return np.sum((x - c) ** 2, axis=-1) <= self.radius ** 2
+            r2 = (x[..., 0] - self.center[0]) ** 2
+            for k in range(1, len(self.center)):
+                r2 += (x[..., k] - self.center[k]) ** 2
+            return r2 <= self.radius ** 2
         if self.kind == "half_space":
             return x @ np.asarray(self.normal) <= self.offset
         if self.kind == "complement":
@@ -285,16 +290,18 @@ def _grid_eval(spec: GridSpec, values: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Per axis, a point lies between the cells i and i + 1, i = floor(u); a
     cell outside the grid keeps a clipped index and weight 0, so the value
-    falls linearly to zero over the ring one cell wide around the grid."""
+    falls linearly to zero over the ring one cell wide around the grid.
+    Each axis is worked from its own column of x, so every pass is
+    contiguous."""
     ext = values.shape[:-1]
-    u = (x - np.asarray(spec.origin)) / np.asarray(spec.spacing) - 0.5
-    lo = np.floor(u)
-    frac = u - lo
     stride = 1
     axes = []           # per axis, the two neighbouring cells as (flat index, weight)
     for k in reversed(range(len(ext))):
+        u = (x[:, k] - spec.origin[k]) / spec.spacing[k] - 0.5
+        lo = np.floor(u)
+        frac = u - lo
         pair = []
-        for i, w in ((lo[:, k], 1.0 - frac[:, k]), (lo[:, k] + 1.0, frac[:, k])):
+        for i, w in ((lo, 1.0 - frac), (lo + 1.0, frac)):
             inside = (i >= 0.0) & (i <= ext[k] - 1.0)
             index = np.clip(i, 0.0, ext[k] - 1.0).astype(np.intp) * stride
             pair.append((index, np.where(inside, w, 0.0)))

@@ -612,9 +612,9 @@ def _pair_integral_piecewise_1d(f: Field, region, weight: PiecewisePower,
 def _pair_integral_smooth_1d(f: Field, region, weight: PiecewisePower,
                              a: float, b: float, q: float) -> QuadResult:
     """2 int_a^b w(t) F(t) dt for a continuous 1D field: panel Gauss-Legendre
-    in t over [max(a, t0), b], t0 = b 1e-9, with the error from a lower-order
+    in t over [t0, b], t0 = max(a, b 1e-9), with the error from a lower-order
     t-rule, over F(t) from the batched x-rule of _smooth_shift_integrals_1d.
-    With a = 0, F(t) ~ c t^q on the core (0, t0): c is read at t0, and its
+    When a < t0, F(t) ~ c t^q on the core (a, t0): c is read at t0, and its
     change to 2 t0 is the core's error.  evaluations_used counts x-nodes.
 
     A rounded x + t shifts F(t) by up to ulp(x) / t relative, which grows
@@ -630,13 +630,13 @@ def _pair_integral_smooth_1d(f: Field, region, weight: PiecewisePower,
         return _smooth_shift_integrals_1d(f, region, snapped, q, quality["x_div"],
                                           (quality["x_order"],), nodes)[:, 0] \
             * (ts / snapped) ** q
-    t0 = a if a > 0.0 else b * 1e-9
+    t0 = max(a, b * 1e-9)
     value, err = _t_integral(lambda ts: 2.0 * shift_integrals(ts) * weight(ts), t0, b,
                              _pair_kinks(f, b, region), n_panels=quality["t_panels"],
                              order=quality["t_order"], truncated_at=t0)
-    if a == 0.0:
+    if a < t0:
         c = shift_integrals(np.array([t0, 2.0 * t0])) / np.array([t0, 2.0 * t0]) ** q
-        core = 2.0 * weight.moment(0.0, t0, q)
+        core = 2.0 * weight.moment(a, t0, q)
         value += c[0] * core
         err += abs((c[0] - c[1]) * core)
     _guard(value)
@@ -1113,28 +1113,34 @@ def _lattice_sums(spec: np.ndarray, length, s: float):
     {m: R(m)} for m_0 in (0, 1).
 
     R comes from a blocked transform of the row spectra: per block of
-    frequency columns an fft along axis 0, |.|^2 summed over components and
-    its inverse, keeping the lags m_0 = 0 .. n_0 - 1 in place; the irfft of a
-    block of rows is dotted with K, rows m_0 > 0 counted twice since
-    R(-m) = R(m)."""
+    frequency columns, copied so that axis 0 is contiguous, an fft along
+    axis 0 and |.|^2 summed over components; the inverse of that real power
+    is the conjugate of its rfft over the transform length, and its lags
+    m_0 = 0 .. n_0 - 1 are written back into spec[0] in place.  The irfft of
+    a block of rows is dotted with K, rows m_0 > 0 counted twice since
+    R(-m) = R(m).  K is even in every lag, so _kernel_far is evaluated on
+    the trailing lags m_i >= 0 and gathered for +-m_i."""
     n, near = len(length), _KERNEL_NEAR
     table, _, _ = _kernel_table(n, s)
-    n0 = spec.shape[1]
+    n0, l0 = spec.shape[1], length[0]
     trail = tuple(range(1, n))
     fshape = tuple(length[1:-1]) + (length[-1] // 2 + 1,)
     for j0 in range(0, spec.shape[2], _LATTICE_COLS):
         cols = slice(j0, j0 + _LATTICE_COLS)
-        power = np.sum(np.abs(np.fft.fft(spec[:, :, cols], n=length[0], axis=1)) ** 2, axis=0)
-        spec[0, :, cols] = np.fft.ifft(power, axis=0)[:n0]
+        z = np.fft.fft(np.ascontiguousarray(spec[:, :, cols].swapaxes(1, 2)), n=l0, axis=-1)
+        power = np.sum(z.real ** 2 + z.imag ** 2, axis=0)
+        spec[0, :, cols] = np.conj(np.fft.rfft(power, axis=-1)[:, :n0]).T / l0
     spec = spec[0]
-    # lags on the torus of the trailing axes, and the table's part of it
+    # lags on the torus of the trailing axes, their absolute values, and
+    # the table's part of them
     lags = [(np.arange(ell) + ell // 2) % ell - ell // 2 for ell in length[1:]]
-    grid = np.meshgrid(*lags, indexing="ij")
-    t2 = sum(g.astype(float) ** 2 for g in grid)
-    t4 = sum(g.astype(float) ** 4 for g in grid)
-    sel = [np.flatnonzero(np.abs(g) <= near) for g in lags]
-    idx = np.ix_(*sel)
-    tab = table[(slice(None),) + np.ix_(*[np.abs(g[k]) for g, k in zip(lags, sel)])]
+    gather = np.ix_(*[np.abs(g) for g in lags])
+    half = np.meshgrid(*[np.arange(ell // 2 + 1) for ell in length[1:]], indexing="ij")
+    t2 = sum(g.astype(float) ** 2 for g in half)
+    t4 = sum(g.astype(float) ** 4 for g in half)
+    near_half = tuple(slice(0, near + 1) for _ in trail)
+    tab = table[(slice(None),) + tuple(slice(0, ell // 2 + 1) for ell in length[1:])]
+    idx = np.ix_(*[np.flatnonzero(np.abs(g) <= near) for g in lags])
     axes_t = tuple(range(1, n))
     sums = np.zeros(4)
     for r0 in range(0, n0, _LATTICE_ROWS):
@@ -1148,7 +1154,8 @@ def _lattice_sums(spec: np.ndarray, length, s: float):
         k = _kernel_far(np.maximum(rr ** 2 + t2, 1.0), rr ** 4 + t4, n, s)
         kn = int(np.clip(near + 1 - r0, 0, len(r)))
         if kn:
-            k[(slice(0, kn),) + idx] = tab[r0:r0 + kn]
+            k[(slice(0, kn),) + near_half] = tab[r0:r0 + kn]
+        k = k[(slice(None),) + gather]
         wrow = np.where(r > 0, 2.0, 1.0)
         rk = rows * k
         sums[0] += wrow @ np.sum(rk, axis=axes_t)

@@ -19,7 +19,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import CapabilityError, InputError
 from .fields import (Field, RegionSpec, default_region, eval_field,
-                     jump_set_of, support_bbox, unit_ball_volume)
+                     jump_set_of, knots_1d, support_bbox, unit_ball_volume)
 from .jumps import jump_variation
 from .kernels import RadialKernelFamily, kernel_profile, kernel_window
 from .mollifiers import MollifierSpec, mollify
@@ -117,9 +117,14 @@ def lq_norm_q(f: Field, q: float) -> float:
         vals = np.linalg.norm(f.payload["values"], axis=-1)
         return float(np.sum(vals ** q) * cell)
     if f.dim_in == 1:
+        # 256 equal panels, split at the knots so each panel lies on one
+        # smooth piece of u
         lo, hi = support_bbox(f)
         xg, wg = leggauss(16)
         edges = np.linspace(lo[0], hi[0], 257)
+        knots = knots_1d(f)
+        if knots is not None:
+            edges = np.union1d(edges, knots[(knots > lo[0]) & (knots < hi[0])])
         mid = 0.5 * (edges[1:] + edges[:-1])
         half = 0.5 * np.diff(edges)
         nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()

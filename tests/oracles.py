@@ -7,6 +7,7 @@ package paths in the tests; several frozen constants in the tests were
 generated by these functions.
 """
 
+import itertools
 import math
 import warnings
 
@@ -14,6 +15,52 @@ import numpy as np
 from scipy import integrate as sciint
 
 from besovlab.fields import eval_field
+
+
+def grid_eval_rowmajor(spec, values, x):
+    """Multilinear interpolation over cell centers with a zero ring, worked on
+    the (P, N) point array as a whole: the reference for fields._grid_eval,
+    which must match it bit for bit."""
+    ext = values.shape[:-1]
+    u = (x - np.asarray(spec.origin)) / np.asarray(spec.spacing) - 0.5
+    lo = np.floor(u)
+    frac = u - lo
+    stride = 1
+    axes = []
+    for k in reversed(range(len(ext))):
+        pair = []
+        for i, w in ((lo[:, k], 1.0 - frac[:, k]), (lo[:, k] + 1.0, frac[:, k])):
+            inside = (i >= 0.0) & (i <= ext[k] - 1.0)
+            index = np.clip(i, 0.0, ext[k] - 1.0).astype(np.intp) * stride
+            pair.append((index, np.where(inside, w, 0.0)))
+        axes.insert(0, pair)
+        stride *= ext[k]
+    flat = values.reshape(-1, values.shape[-1])
+    out = 0.0
+    for corner in itertools.product(*axes):
+        index, weight = corner[0]
+        for i, w in corner[1:]:
+            index, weight = index + i, weight * w
+        out = out + weight[:, None] * flat.take(index, axis=0)
+    return out
+
+
+def region_contains_rowmajor(region, x):
+    """Region membership reduced over the last axis of the point array: the
+    reference for RegionSpec.contains, which must match it exactly."""
+    x = np.asarray(x, dtype=float)
+    if region.kind == "box":
+        return np.all((x >= np.asarray(region.lo)) & (x <= np.asarray(region.hi)), axis=-1)
+    if region.kind == "ball":
+        return np.sum((x - np.asarray(region.center)) ** 2, axis=-1) <= region.radius ** 2
+    if region.kind == "half_space":
+        return x @ np.asarray(region.normal) <= region.offset
+    if region.kind == "complement":
+        return ~region_contains_rowmajor(region.inner, x)
+    out = region_contains_rowmajor(region.parts[0], x)
+    for p in region.parts[1:]:
+        out = out | region_contains_rowmajor(p, x)
+    return out
 
 
 def riemann_shift_1d(f, region, h, q, n=200_001, span=None):
@@ -171,25 +218,33 @@ def fourier_seminorm(values, h, s, cube=128.0):
                             np.arange(width, cube + 0.5 * width, width)])
     eta, w = _legendre_panels(edges, 10)
     w = 2.0 * w
-    base = _sinc4(eta)[None, :] * np.cos(np.outer(np.arange(kmax), eta))
-    full = base @ w
-    slope = base @ (w * eta ** 2)
     t_lo, t_hi = 1e-12, 1e6
     v, wv = _legendre_panels(np.linspace(math.log(t_lo), math.log(t_hi), 42), 10)
     t = np.exp(v)
-    # delta_k(t) = int (1 - e^(-t eta^2)) sinc^4(eta/2) cos(k eta)
-    delta = np.concatenate([base @ (w[:, None] * -np.expm1(-np.outer(eta ** 2, t[i:i + 32])))
-                            for i in range(0, len(t), 32)], axis=1)
-    # D(t) = sum_m R(m) [prod_i full - prod_i (full - delta)], telescoped
+    # per lag k: full = int sinc^4(eta/2) cos(k eta), slope the same with
+    # eta^2, and delta_k(t) = int (1 - e^(-t eta^2)) sinc^4(eta/2) cos(k eta);
+    # summed over blocks of eta nodes, which bound the temporaries
+    full, slope = np.zeros(kmax), np.zeros(kmax)
+    delta = np.zeros((kmax, len(t)))
+    for i in range(0, len(eta), 4096):
+        e, we = eta[i:i + 4096], w[i:i + 4096]
+        base = _sinc4(e)[None, :] * np.cos(np.outer(np.arange(kmax), e))
+        full += base @ we
+        slope += base @ (we * e ** 2)
+        delta += base @ (we[:, None] * -np.expm1(-np.outer(e ** 2, t)))
+    # D(t) = sum_m R(m) [prod_i full - prod_i (full - delta)], telescoped;
+    # a block of t at a time
     d_t = np.zeros(len(t))
     d_slope = 0.0
     for i in range(n):
-        left = np.ones((len(rr), len(t)))
-        for j in range(i):
-            left = left * (full[absm[j]][:, None] - delta[absm[j]])
         right = np.prod([full[absm[j]] for j in range(i + 1, n)], axis=0) \
             if i + 1 < n else np.ones(len(rr))
-        d_t += (rr * right) @ (left * delta[absm[i]])
+        for c in range(0, len(t), 32):
+            cols = slice(c, c + 32)
+            left = delta[absm[i], cols]
+            for j in range(i):
+                left = left * (full[absm[j]][:, None] - delta[absm[j], cols])
+            d_t[cols] += (rr * right) @ left
         others = np.prod([full[absm[j]] for j in range(n) if j != i], axis=0)
         d_slope += float(np.sum(rr * others * slope[absm[i]]))
     f_cube = float(np.sum(rr * np.prod([full[m] for m in absm], axis=0)))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besovlab.errors import CapabilityError, InputError
 from besovlab.fields import (Field, GridSpec, RegionSpec, default_region,
@@ -10,7 +12,9 @@ from besovlab.fields import (Field, GridSpec, RegionSpec, default_region,
 from besovlab.mollifiers import make_mollifier, mollify
 from besovlab.quadrature import shift_integral
 
-from oracles import circle_arc_length
+from oracles import circle_arc_length, grid_eval_rowmajor, region_contains_rowmajor
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 def test_indicator_evaluation(step):
@@ -278,3 +282,79 @@ def test_jump_set_half_space_piece_unsupported():
     f = Field(2, 1, "piecewise", {"pieces": pieces}, support_radius=1.0)
     with pytest.raises(CapabilityError):
         jump_set_of(f)
+
+
+@PROPERTY
+@given(n=st.integers(1, 3), dim_out=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1),
+       h=st.floats(0.01, 2.0), spread=st.floats(0.0, 3.0))
+def test_grid_eval_matches_rowmajor_reference(n, dim_out, seed, h, spread):
+    # per axis, the points fill the grid, its zero ring and beyond; a third
+    # sit on the half-cell lattice of centers and cell edges
+    rng = np.random.default_rng(seed)
+    ext = tuple(int(e) for e in rng.integers(2, 7, n))
+    spec = GridSpec(origin=tuple(rng.uniform(-3.0, 3.0, n)), spacing=(h,) * n, extent=ext)
+    values = rng.standard_normal(ext + (dim_out,))
+    cells = rng.uniform(-1.0 - spread, np.asarray(ext) + 1.0 + spread, (300, n))
+    cells[::3] = np.round(2.0 * cells[::3]) / 2.0
+    x = np.asarray(spec.origin) + h * cells
+    f = Field(n, dim_out, "grid", {"spec": spec, "values": values}, support_radius=10.0)
+    assert np.array_equal(eval_field(f, x), grid_eval_rowmajor(spec, values, x))
+
+
+@st.composite
+def regions(draw, n, depth=2):
+    kinds = ["box", "ball", "half_space"] + (["union", "complement"] if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    coords = st.floats(-2.0, 2.0)
+    if kind == "box":
+        lo = draw(st.lists(coords, min_size=n, max_size=n))
+        widths = draw(st.lists(st.floats(0.01, 3.0), min_size=n, max_size=n))
+        return RegionSpec.box(lo, [a + w for a, w in zip(lo, widths)])
+    if kind == "ball":
+        return RegionSpec.ball(draw(st.lists(coords, min_size=n, max_size=n)),
+                               draw(st.floats(0.01, 2.0)))
+    if kind == "half_space":
+        normal = draw(st.lists(coords, min_size=n, max_size=n).filter(
+            lambda v: any(abs(c) > 1e-3 for c in v)))
+        return RegionSpec.half_space(normal, draw(coords))
+    if kind == "complement":
+        return RegionSpec.complement_of(draw(regions(n, depth - 1)))
+    return RegionSpec.union_of(*draw(st.lists(regions(n, depth - 1), min_size=1, max_size=3)))
+
+
+def _boundary(region):
+    """Coordinates where the region's boundaries lie (box faces, ball
+    extremes and centers, half-space offsets) and its balls."""
+    if region.kind in ("complement", "union"):
+        parts = [region.inner] if region.kind == "complement" else region.parts
+        found = [_boundary(p) for p in parts]
+        return [c for f in found for c in f[0]], [b for f in found for b in f[1]]
+    if region.kind == "box":
+        return list(region.lo) + list(region.hi), []
+    if region.kind == "ball":
+        return [c + d for c in region.center for d in (-region.radius, 0.0, region.radius)], \
+            [region]
+    return [region.offset], []
+
+
+@PROPERTY
+@given(data=st.data(), n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_region_contains_matches_rowmajor_reference(data, n, seed):
+    # random points, about half their coordinates set to the region's
+    # boundary values, a quarter of the points on the spheres of its balls
+    # (where the rounding of |x - c|^2 decides), as (M, N) and (M / 2, 2, N)
+    region = data.draw(regions(n))
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-4.0, 4.0, (400, n))
+    coords, balls = _boundary(region)
+    special = np.asarray(coords + [0.0])
+    on = rng.random(x.shape) < 0.5
+    x[on] = special[rng.integers(0, len(special), int(on.sum()))]
+    if balls:
+        pick = rng.integers(0, len(balls), 100)
+        d = rng.standard_normal((100, n))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        x[300:] = np.array([b.center for b in balls])[pick] \
+            + np.array([b.radius for b in balls])[pick, None] * d
+    for pts in (x, x.reshape(200, 2, n)):
+        assert np.array_equal(region.contains(pts), region_contains_rowmajor(region, pts))

@@ -2,6 +2,7 @@
 Monte Carlo, its invariances, its region term, and which inputs reach it."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sciint
 
-from besovlab import quadrature
+from besovlab import fields, quadrature
 from besovlab.fields import Field, GridSpec, RegionSpec
 from besovlab.mollifiers import mollify
 from besovlab.quadrature import PiecewisePower, QuadBudget, pair_integral, sphere_measure
@@ -36,12 +37,16 @@ def _oracle_value(values, h, s, b):
     return semi - 2.0 * l2 * sphere_measure(n) * b ** (-2.0 * s) / (2.0 * s)
 
 
+# (70, 130) splits both the 64 frequency columns (136 of them) and the 64
+# lag rows (70) unevenly, (5, 9, 70) the columns (1314) in 3D
 @pytest.mark.parametrize("ext,dim_out,s", [((3, 4), 1, 0.5), ((4, 3), 2, 0.3),
                                            ((5, 5), 1, 0.9), ((2, 3, 2), 1, 0.5),
-                                           ((3, 2, 2), 2, 0.8)])
+                                           ((3, 2, 2), 2, 0.8), ((70, 130), 2, 0.5),
+                                           ((5, 9, 70), 1, 0.5)])
 def test_lattice_engine_matches_fourier_oracle(ext, dim_out, s):
     values = np.random.default_rng(sum(ext) + dim_out).standard_normal(ext + (dim_out,))
-    n, b = len(ext), 50.0
+    # the window must reach across the support for the lattice engine
+    n, b = len(ext), max(50.0, 2.0 * 0.37 * math.hypot(*ext))
     ref = _oracle_value(values, 0.37, s, b)
     r = pair_integral(_grid(values, 0.37), None, PiecewisePower.power_law(n + 2.0 * s),
                       (0.0, b), 2.0)
@@ -201,3 +206,27 @@ def test_fast_len_is_the_next_5_smooth_length():
     from scipy.fft import next_fast_len
     assert [quadrature._fast_len(n) for n in range(1, 20001)] == \
         [next_fast_len(n, real=True) for n in range(1, 20001)]
+
+
+@pytest.mark.parametrize("boxed", [False, True])
+def test_lattice_engine_memory_stays_near_its_spectra(monkeypatch, boxed):
+    # the engine holds one array of row spectra and transforms it in place;
+    # every other temporary spans a block of 64 columns or rows, or one read
+    # of the grid.  Reads of 2^12 points keep the last small next to the
+    # spectra, so a second spectrum-sized array would show.
+    monkeypatch.setattr(fields, "_SAMPLE_POINTS", 1 << 12)
+    ext, dim_out, h = (300, 300), 2, 0.01
+    f = _grid(np.random.default_rng(3).standard_normal(ext + (dim_out,)), h)
+    length = [quadrature._fast_len(2 * e - 1) for e in ext]
+    spec_bytes = 16 * dim_out * ext[0] * (length[1] // 2 + 1)
+    region = RegionSpec.box((-1.0, -1.0), (5.0, 5.0)) if boxed else None
+    args = (f, region, PiecewisePower.power_law(3.0), (0.0, 10.0), 2.0)
+    pair_integral(*args)        # fills the kernel table's cache
+    tracemalloc.start()
+    try:
+        r = pair_integral(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.evaluations_used == math.prod(ext)
+    assert peak <= 2.5 * spec_bytes

@@ -275,6 +275,14 @@ def test_lq_norm_paths(step3, bump, disk):
     assert lq_norm_q(disk, 2.0) == pytest.approx(math.pi * 0.25, rel=1e-12)
 
 
+@pytest.mark.parametrize("eps", [1e-4, 0.05])
+def test_lq_norm_of_mollified_step_is_exact(step, tent, eps):
+    # |u_eps|^2 is a polynomial between the knots; each ramp of width 2 eps
+    # holds 23 eps / 30 of it, where the step holds eps
+    assert lq_norm_q(mollify(step, tent, eps), 2.0) == pytest.approx(1.0 - 7.0 * eps / 15.0,
+                                                                    rel=1e-12)
+
+
 def test_provenance_recorded(step):
     v = besov_seminorm_q(step, P2)
     assert "besov_seminorm_q" in v.provenance and "shifts" in v.provenance
