@@ -8,33 +8,38 @@ becomes
     S(t) = int_{S^{N-1}} F(t n) dH^{N-1}(n),
     F(h) = int chi_E(x) chi_E(x+h) |u(x+h)-u(x)|^q dx.
 
-The radial weight w is always a `PiecewisePower`.  `pair_integral` picks one
-engine from its inputs:
+The radial weight w is always a `PiecewisePower`.  `pair_integral` runs the
+first row of the table `_ENGINES` whose predicate holds, and its result names
+that row in `QuadResult.path`:
 
-- piecewise-constant 1D fields: F is piecewise linear in t, so I is exact,
-  F at its breakpoints times closed-form moments of w;
-- 1D step sums mollified by the tent, with q = 2 and no region or an
-  interval around the support: the steps engine, exact up to roundoff, F
-  from the unmollified F and the mollifier's autocorrelation (see its
-  section);
-- other 1D fields: panel Gauss-Legendre in x for F, batched over the radii
-  of a panel Gauss-Legendre rule in t;
-- ball and box indicators in 2D/3D: closed-form symmetric differences and
-  panel Gauss-Legendre in t;
-- grid fields in 2D/3D with q = 2, the weight t^-s from 0 with N < s < N+2,
-  a window (0, b) with b at least the support's diameter, and no region or
-  a box around the support: the lattice engine, exact for the multilinear
-  field up to its kernel table's tolerance (see its section);
-- everything else: stratified Monte Carlo over (x, t, n), with log-radial
-  strata and a counter-based RNG stream per stratum, so parallel and serial
-  runs reduce identically.
+- `lattice`: grid fields in 2D/3D with q = 2, the weight t^-s from 0 with
+  N < s < N+2, a window (0, b) with b at least the support's diameter, and no
+  region or a box around the support; exact for the multilinear field up to
+  its kernel table's tolerance (see its section);
+- `piecewise_1d`: piecewise-constant 1D fields; F is piecewise linear in t,
+  so I is exact, F at its breakpoints times closed-form moments of w;
+- `steps`: 1D step sums mollified by the tent, with q = 2 and no region or an
+  interval around the support; exact up to roundoff, F from the unmollified F
+  and the mollifier's autocorrelation (see its section);
+- `smooth_1d`: other 1D fields; panel Gauss-Legendre in x for F, batched over
+  the radii of a panel Gauss-Legendre rule in t;
+- `indicator`: ball and box indicators in 2D/3D that the region does not clip
+  within the window; closed-form symmetric differences and panel
+  Gauss-Legendre in t;
+- `mc`: everything else; stratified Monte Carlo over (x, t, n), with
+  log-radial strata and a counter-based RNG stream per stratum, so parallel
+  and serial runs reduce identically.
+
+Every engine takes (f, region, weight, a, b, q, budget, stream) and returns a
+`QuadResult`; `pair_integral` alone applies the overflow guard and the
+low-confidence rule.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -79,6 +84,8 @@ class QuadResult:
     error_estimate: float
     evaluations_used: int
     low_confidence: bool = False
+    # the `_ENGINES` row that produced a pair integral; None elsewhere
+    path: Optional[str] = None
 
 
 def sphere_measure(n: int) -> float:
@@ -253,13 +260,6 @@ def _panel_nodes(left: np.ndarray, right: np.ndarray, npts: int):
     return nodes, weights
 
 
-def _field_is_indicator(f: Field):
-    """(region, amplitude) when f is a single-piece indicator, else None."""
-    if f.kind != "piecewise" or len(f.payload["pieces"]) != 1:
-        return None
-    return f.payload["pieces"][0]
-
-
 def _symdiff_measure(region: RegionSpec, h: np.ndarray) -> np.ndarray:
     """Lebesgue measure of A symmetric-difference (A - h), closed form;
     vectorized over shifts h of shape (..., N)."""
@@ -304,19 +304,27 @@ def _region_1d_edges(region: Optional[RegionSpec]):
     raise CapabilityError(f"1D shift integral unsupported for region {region.kind!r}")
 
 
-def _region_inactive(f: Field, region: Optional[RegionSpec], reach: float) -> bool:
-    """True when chi_E factors cannot clip the integrand for |h| <= reach.
+def _indicator(f: Field, region: Optional[RegionSpec], reach: float):
+    """(shape, |amplitude|) when f is the indicator of one ball or box in 2D
+    or 3D and the chi_E factors cannot clip the integrand for |h| <= reach,
+    else None.
 
     The corner test is sound only for convex regions (box, ball); any other
-    kind conservatively reports active."""
-    if region is None:
-        return True
-    if region.kind not in ("box", "ball"):
-        return False
-    lo, hi = support_bbox(f)
-    corners = np.stack(np.meshgrid(*zip(lo - reach, hi + reach), indexing="ij"),
-                       axis=-1).reshape(-1, f.dim_in)
-    return bool(np.all(region.contains(corners)))
+    kind conservatively counts as clipping."""
+    if f.kind != "piecewise" or f.dim_in < 2 or len(f.payload["pieces"]) != 1:
+        return None
+    shape, amp = f.payload["pieces"][0]
+    if shape.kind not in ("ball", "box"):
+        return None
+    if region is not None:
+        if region.kind not in ("box", "ball"):
+            return None
+        lo, hi = support_bbox(f)
+        corners = np.stack(np.meshgrid(*zip(lo - reach, hi + reach), indexing="ij"),
+                           axis=-1).reshape(-1, f.dim_in)
+        if not np.all(region.contains(corners)):
+            return None
+    return shape, float(np.linalg.norm(np.asarray(amp, dtype=float)))
 
 
 def shift_integral(f: Field, region: Optional[RegionSpec], h, q: float,
@@ -331,11 +339,9 @@ def shift_integral(f: Field, region: Optional[RegionSpec], h, q: float,
     hnorm = float(np.linalg.norm(h))
     if hnorm == 0.0:
         return 0.0, 0.0
-    ind = _field_is_indicator(f)
-    if ind is not None and f.dim_in >= 2 and ind[0].kind in ("ball", "box") \
-            and _region_inactive(f, region, hnorm):
-        amp = float(np.linalg.norm(np.asarray(ind[1], dtype=float)))
-        return amp ** q * float(_symdiff_measure(ind[0], h)), 0.0
+    ind = _indicator(f, region, hnorm)
+    if ind is not None:
+        return ind[1] ** q * float(_symdiff_measure(ind[0], h)), 0.0
     if f.dim_in == 1:
         return _shift_integral_1d(f, region, float(h[0]), q)
     return _shift_integral_mc(f, region, h, q, budget or QuadBudget(), stream)
@@ -381,42 +387,35 @@ def _shift_integral_1d(f: Field, region, t: float, q: float):
     """F(t) with an error estimate: exact for piecewise-constant fields,
     else panel Gauss-Legendre of orders 12 and 6 with the error their
     difference."""
-    if f.kind != "piecewise":
-        vhi, vlo = _smooth_shift_integrals_1d(f, region, np.array([t]), q, 64, (12, 6))[0]
-        return float(vhi), abs(float(vhi) - float(vlo))
-    pts = _edge_points_1d(f, region)
-    if t != 0.0 and np.any(pts - t == pts):
-        # |t| is below half an ulp of an edge e, so e - t rounds to e and
-        # [e - t, e] would vanish.  Sum over pairs of the intervals I_i the
-        # edges cut the line into: the integrand is constant, c_ij, for
-        # x in I_i and x + t in I_j, over a length formed from differences
-        # of edges before t is added, so no edge - t is ever rounded
-        t = abs(t)
-        p = np.unique(pts)
-        a = np.concatenate([[-np.inf], p])
-        b = np.concatenate([p, [np.inf]])
-        pad = 1.0 + np.abs(p[[0, -1]])
-        mid = np.concatenate([[p[0] - pad[0]], 0.5 * (p[1:] + p[:-1]),
-                              [p[-1] + pad[1]]])[:, None]
-        u = eval_field(f, mid)
-        c = np.linalg.norm(u[None, :, :] - u[:, None, :], axis=-1) ** q
-        if region is not None:
-            inside = region.contains(mid)
-            c = c * inside[:, None] * inside[None, :]
-        length = np.minimum(np.minimum(b - a, (b - a)[:, None]),
-                            np.minimum(b[:, None] - a[None, :] + t,
-                                       b[None, :] - a[:, None] - t))
-        hit = c > 0.0
-        return float(np.sum(c[hit] * np.maximum(length[hit], 0.0))), 0.0
-    rows, lo, hi = _merged_edges_1d(f, region, np.array([t]))
-    edges = np.unique(rows[0][np.isfinite(rows[0])])
-    if hi[0] <= lo[0] or len(edges) < 2:
-        return 0.0, 0.0
-    # integrand is constant on every merged interval: exact
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    lens = np.diff(edges)
-    vals = _pair_values(f, region, mids, t, q)
-    return float(lens @ vals), 0.0
+    if f.kind == "piecewise":
+        return float(_piecewise_shifts_1d(f, region, np.array([t]), q)[0]), 0.0
+    vhi, vlo = _smooth_shift_integrals_1d(f, region, np.array([t]), q, 64, (12, 6))[0]
+    return float(vhi), abs(float(vhi) - float(vlo))
+
+
+def _piecewise_shifts_1d(f: Field, region, ts: np.ndarray, q: float) -> np.ndarray:
+    """F(t) for each radius t in ts, exact for a piecewise-constant 1D field.
+
+    The knots and region edges cut the line into intervals I_i = [a_i, b_i].
+    The integrand is constant, c_ij, for x in I_i and x + |t| in I_j, over a
+    length formed from differences of edges before |t| is added, so no
+    edge - t is ever rounded: F(t) = sum_ij c_ij |I_i intersect (I_j - |t|)|."""
+    t = np.abs(ts)[:, None]
+    p = np.unique(_edge_points_1d(f, region))
+    a = np.concatenate([[-np.inf], p])
+    b = np.concatenate([p, [np.inf]])
+    pad = 1.0 + np.abs(p[[0, -1]])
+    mid = np.concatenate([[p[0] - pad[0]], 0.5 * (p[1:] + p[:-1]),
+                          [p[-1] + pad[1]]])[:, None]
+    u = eval_field(f, mid)
+    c = np.linalg.norm(u[None, :, :] - u[:, None, :], axis=-1) ** q
+    if region is not None:
+        inside = region.contains(mid)
+        c = c * inside[:, None] * inside[None, :]
+    i, j = np.nonzero(c > 0.0)
+    length = np.minimum(np.minimum(b[j] - a[j], b[i] - a[i]),
+                        np.minimum(b[i] - a[j] + t, b[j] - a[i] - t))
+    return np.sum(c[i, j] * np.maximum(length, 0.0), axis=1)
 
 
 # x-nodes per field evaluation when shift integrals are batched over radii;
@@ -540,13 +539,11 @@ def _shift_integral_mc(f: Field, region, h: np.ndarray, q: float,
 # ---------------------------------------------------------------------------
 
 def _t_integral(tfunc: Callable, a: float, b: float, kinks: Sequence[float] = (),
-                n_panels: int = 48, order: int = 12, truncated_at: float = 0.0):
+                n_panels: int = 48, order: int = 12):
     """Panel Gauss-Legendre of tfunc over log-spaced panels of [a, b].
 
     tfunc maps an array of radii to integrand values.  Returns (value, err)
-    with err from an embedded lower-order rule; when the window was clipped
-    at a > truncated_at, the clipped mass estimate a * |tfunc(a)| joins err.
-    """
+    with err from an embedded lower-order rule."""
     if b <= a:
         return 0.0, 0.0
     edges = np.geomspace(a, b, n_panels + 1)
@@ -557,28 +554,23 @@ def _t_integral(tfunc: Callable, a: float, b: float, kinks: Sequence[float] = ()
     nlo, wlo = _panel_nodes(edges[:-1], edges[1:], max(order // 2, 2))
     vhi = float(whi @ np.asarray(tfunc(nhi), dtype=float))
     vlo = float(wlo @ np.asarray(tfunc(nlo), dtype=float))
-    err = abs(vhi - vlo)
-    if a > truncated_at:
-        err += 2.0 * a * abs(float(np.asarray(tfunc(np.array([a])), dtype=float)[0]))
-    return vhi, err
+    return vhi, abs(vhi - vlo)
 
 
-def _pair_kinks(f: Field, b: float, region=None):
-    if f.dim_in == 1:
-        # F(t) can kink where t is a difference of two knots or region edges
-        ks = _edge_points_1d(f, region)
-        diffs = np.abs(ks[:, None] - ks[None, :]).ravel()
-        return sorted(set(float(d) for d in diffs if 0.0 < d < b))
-    ind = _field_is_indicator(f)
-    if ind is not None:
-        shape = ind[0]
-        if shape.kind == "ball":
-            return [2.0 * shape.radius] if 2.0 * shape.radius < b else []
-        if shape.kind == "box":
-            side = np.asarray(shape.hi) - np.asarray(shape.lo)
-            ks = list(side) + [float(np.linalg.norm(side))]
-            return sorted(set(k for k in ks if k < b))
-    return []
+def _core(g: Callable, weight: PiecewisePower, a: float, t0: float, p: float):
+    """(value, err) of int_a^t0 w(t) g(t) dt when g(t) ~ c t^p on the core
+    (a, t0): c is read at t0, and its change to 2 t0 is the core's error."""
+    ts = np.array([t0, 2.0 * t0])
+    c = g(ts) / ts ** p
+    moment = weight.moment(a, t0, p)
+    return float(c[0] * moment), float(abs((c[0] - c[1]) * moment))
+
+
+def _shift_breaks_1d(f: Field, region) -> np.ndarray:
+    """The radii, 0 among them, where a 1D F(t) can kink: the differences of
+    two knots or region edges."""
+    pts = _edge_points_1d(f, region)
+    return np.unique(np.abs(pts[:, None] - pts[None, :]))
 
 
 def _has_jumps(f: Field) -> bool:
@@ -588,15 +580,14 @@ def _has_jumps(f: Field) -> bool:
                for _, a in f.payload["pieces"])
 
 
-def _pair_integral_piecewise_1d(f: Field, region, weight: PiecewisePower,
-                                a: float, b: float, q: float) -> float:
+def _pair_integral_piecewise_1d(f: Field, region, weight: PiecewisePower, a: float,
+                                b: float, q: float, budget, stream) -> QuadResult:
     """Exact 2 int_a^b w(t) F(t) dt.  F can change slope only where t is a
     difference of two knots or region edges; between those breakpoints it is
     linear, so each segment is F's end values against moments of w."""
-    pts = _edge_points_1d(f, region)
-    br = np.unique(np.abs(pts[:, None] - pts[None, :]))
+    br = _shift_breaks_1d(f, region)
     ts = [a] + br[(br > a) & (br < b)].tolist() + [b]
-    fs = [_shift_integral_1d(f, region, t, q)[0] for t in ts]
+    fs = _piecewise_shifts_1d(f, region, np.array(ts), q)
     total = 0.0
     for t0, t1, f0, f1 in zip(ts[:-1], ts[1:], fs[:-1], fs[1:]):
         slope = (f1 - f0) / (t1 - t0)
@@ -606,16 +597,16 @@ def _pair_integral_piecewise_1d(f: Field, region, weight: PiecewisePower,
         const = f0 - slope * t0
         if const != 0.0:
             total += const * weight.moment(t0, t1, 0.0)
-    return 2.0 * total
+    return QuadResult(float(2.0 * total), 0.0, 0)
 
 
-def _pair_integral_smooth_1d(f: Field, region, weight: PiecewisePower,
-                             a: float, b: float, q: float) -> QuadResult:
+def _pair_integral_smooth_1d(f: Field, region, weight: PiecewisePower, a: float,
+                             b: float, q: float, budget, stream) -> QuadResult:
     """2 int_a^b w(t) F(t) dt for a continuous 1D field: panel Gauss-Legendre
     in t over [t0, b], t0 = max(a, b 1e-9), with the error from a lower-order
     t-rule, over F(t) from the batched x-rule of _smooth_shift_integrals_1d.
-    When a < t0, F(t) ~ c t^q on the core (a, t0): c is read at t0, and its
-    change to 2 t0 is the core's error.  evaluations_used counts x-nodes.
+    When a < t0, F(t) ~ c t^q on the core (a, t0), integrated by _core.
+    evaluations_used counts x-nodes.
 
     A rounded x + t shifts F(t) by up to ulp(x) / t relative, which grows
     without bound as t -> 0.  So F is evaluated at t rounded to a multiple of
@@ -625,23 +616,54 @@ def _pair_integral_smooth_1d(f: Field, region, weight: PiecewisePower,
     nodes = []
     ulp = np.spacing(2.0 * float(np.max(np.abs(support_bbox(f)))))
 
-    def shift_integrals(ts):
+    def pair_sums(ts):
         snapped = np.maximum(np.round(ts / ulp), 1.0) * ulp
-        return _smooth_shift_integrals_1d(f, region, snapped, q, quality["x_div"],
-                                          (quality["x_order"],), nodes)[:, 0] \
-            * (ts / snapped) ** q
+        return 2.0 * (_smooth_shift_integrals_1d(f, region, snapped, q, quality["x_div"],
+                                                 (quality["x_order"],), nodes)[:, 0]
+                      * (ts / snapped) ** q)
     t0 = max(a, b * 1e-9)
-    value, err = _t_integral(lambda ts: 2.0 * shift_integrals(ts) * weight(ts), t0, b,
-                             _pair_kinks(f, b, region), n_panels=quality["t_panels"],
-                             order=quality["t_order"], truncated_at=t0)
+    value, err = _t_integral(lambda ts: pair_sums(ts) * weight(ts), t0, b,
+                             _shift_breaks_1d(f, region), n_panels=quality["t_panels"],
+                             order=quality["t_order"])
     if a < t0:
-        c = shift_integrals(np.array([t0, 2.0 * t0])) / np.array([t0, 2.0 * t0]) ** q
-        core = 2.0 * weight.moment(a, t0, q)
-        value += c[0] * core
-        err += abs((c[0] - c[1]) * core)
-    _guard(value)
-    return QuadResult(float(value), float(err + 16.0 * np.finfo(float).eps * abs(value)),
-                      sum(nodes))
+        core, core_err = _core(pair_sums, weight, a, t0, q)
+        value += core
+        err += core_err
+    return QuadResult(value, float(err + 16.0 * np.finfo(float).eps * abs(value)), sum(nodes))
+
+
+def _pair_integral_indicator(f: Field, region, weight: PiecewisePower, a: float,
+                             b: float, q: float, budget, stream) -> QuadResult:
+    """A 2D/3D ball or box indicator: int_a^b t^(N-1) w(t) |amp|^q S(t) dt,
+    S(t) the sphere integral of the closed-form symmetric difference, by
+    panel Gauss-Legendre in t over [t0, b], t0 = max(a, b 1e-9), split where
+    S kinks.  The symmetric difference grows like t, so the core (a, t0) is
+    _core with p = N."""
+    n = f.dim_in
+    shape, amp = _indicator(f, region, b)
+    if shape.kind == "ball":
+        kinks = [2.0 * shape.radius]
+
+        # |B sym-diff (B - t n)| is the same for every direction n
+        def sphere_sum(ts):
+            return sphere_measure(n) * _symdiff_measure(shape, ts[:, None] * np.eye(n)[0])
+    else:
+        side = np.asarray(shape.hi) - np.asarray(shape.lo)
+        kinks = list(side) + [float(np.linalg.norm(side))]
+        nodes, wts = sphere_rule(n, default_sphere_rule(n))
+
+        def sphere_sum(ts):
+            return _symdiff_measure(shape, ts[:, None, None] * nodes[None, :, :]) @ wts
+
+    def g(ts):
+        return ts ** (n - 1) * amp ** q * sphere_sum(ts)
+    t0 = max(a, b * 1e-9)
+    value, err = _t_integral(lambda ts: g(ts) * weight(ts), t0, b, kinks)
+    if a < t0:
+        core, core_err = _core(g, weight, a, t0, n)
+        value += core
+        err += core_err
+    return QuadResult(value, float(err + 16.0 * np.finfo(float).eps * abs(value)), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -685,17 +707,20 @@ def _steps_form(f: Field, region, q: float) -> bool:
 
 
 def _step_shift_table(f: Field):
-    """The knot differences d of the unmollified step sum, from 0 up, and its
-    shift integral F_u at them (q = 2, E = R).  The steps come from the
-    disjoint pieces of a piecewise field."""
+    """(d, F_u at d, scale): the knot differences d of the unmollified step
+    sum, from 0 up, and its shift integral F_u (q = 2, E = R) with every
+    amplitude divided by scale, the least power of 2 above the largest one.
+    So F_u neither underflows nor overflows, and multiplying by scale^2 is
+    exact.  The steps come from the disjoint pieces of a piecewise field."""
     steps = f.payload["params"]["steps"]
     knots = np.array([e for a, b, _ in steps for e in (a, b)])
+    scale = 2.0 ** math.frexp(max(float(np.linalg.norm(amp)) for *_, amp in steps))[1]
     src = Field(1, f.dim_out, "piecewise",
-                {"pieces": tuple((RegionSpec.interval(a, b), amp) for a, b, amp in steps)},
+                {"pieces": tuple((RegionSpec.interval(a, b), np.asarray(amp) / scale)
+                                 for a, b, amp in steps)},
                 support_radius=float(np.max(np.abs(knots))))
-    d = np.unique(np.abs(knots[:, None] - knots[None, :]))
-    fd = [0.0] + [_shift_integral_1d(src, None, float(t), 2.0)[0] for t in d[1:]]
-    return d, np.array(fd)
+    d = _shift_breaks_1d(src, None)
+    return d, _piecewise_shifts_1d(src, None, d, 2.0), scale
 
 
 def _steps_conv(ts: np.ndarray, d: np.ndarray, fd: np.ndarray, eps: float,
@@ -726,8 +751,8 @@ def _escape_mass(weight: PiecewisePower, a: float, b: float, lo: float, hi: floa
 
 
 def _steps_region_term(f: Field, region: RegionSpec, weight: PiecewisePower,
-                       a: float, b: float) -> tuple:
-    """(int |u_eps|^2 Phi_E, its error, the nodes used): Gauss-Legendre on
+                       a: float, b: float, scale: float) -> tuple:
+    """(int |u_eps / scale|^2 Phi_E, its error, the nodes used): Gauss-Legendre on
     panels split at u_eps's knots, where the distance to an edge of E is a, b
     or an end of a weight piece, and geometrically toward E's edges, so no
     panel is wider than its distance to them."""
@@ -741,15 +766,15 @@ def _steps_region_term(f: Field, region: RegionSpec, weight: PiecewisePower,
     pts = np.unique(pts[(pts >= s0) & (pts <= s1)])
     rules = [_panel_nodes(pts[:-1], pts[1:], order) for order in _STEPS_ORDERS]
     x = np.concatenate([r[0] for r in rules])
-    vals = np.sum(eval_field(f, x[:, None]) ** 2, axis=-1) \
+    vals = np.sum((eval_field(f, x[:, None]) / scale) ** 2, axis=-1) \
         * _escape_mass(weight, a, b, lo_e, hi_e, x)
     hi_rule = rules[0][1] @ vals[:len(rules[0][0])]
     lo_rule = rules[1][1] @ vals[len(rules[0][0]):]
     return float(hi_rule), abs(float(hi_rule - lo_rule)), len(x)
 
 
-def _pair_integral_steps(f: Field, region, weight: PiecewisePower,
-                         a: float, b: float) -> QuadResult:
+def _pair_integral_steps(f: Field, region, weight: PiecewisePower, a: float,
+                         b: float, q: float, budget, stream) -> QuadResult:
     """The q = 2 engine for mollified 1D step sums; see the section comment.
     The t-panels split at a, b, the ends of the weight's pieces, the points
     |d +- eps k| and geometric points, so that no panel past t1 spans a ratio
@@ -758,7 +783,7 @@ def _pair_integral_steps(f: Field, region, weight: PiecewisePower,
     would dominate the error.)"""
     eps = float(f.payload["params"]["eps"])
     autocorr = f.payload["autocorr"]
-    d, fd = _step_shift_table(f)
+    d, fd, scale = _step_shift_table(f)
     k = eps * np.asarray(autocorr[1])
     breaks = np.abs(d[:, None] + np.concatenate([-k, k])).ravel()
     # F_eps is C^4, so a break d below b * _STEPS_FLOOR changes F_eps on
@@ -783,10 +808,7 @@ def _pair_integral_steps(f: Field, region, weight: PiecewisePower,
         # each F_eps there carries the roundoff of conv(t) - conv(0)
         vander = np.vander(_CORE_FIT, 4, increasing=True)
         fit_t = t1 * _CORE_FIT
-        try:
-            moments = np.array([weight.moment(*core, 2.0 + j) / t1 ** j for j in range(4)])
-        except OverflowError:   # a moment of the weight beyond float range
-            raise DivergenceError("pair integral exceeded the overflow guard") from None
+        moments = np.array([weight.moment(*core, 2.0 + j) / t1 ** j for j in range(4)])
         g = np.linalg.solve(vander.T, moments)
         value += float(g @ (fs[:4] / fit_t ** 2))
         c = np.linalg.solve(vander, fs[:4] / fit_t ** 2)
@@ -804,75 +826,12 @@ def _pair_integral_steps(f: Field, region, weight: PiecewisePower,
     evals = len(d) - 1 + 2 * n_tau
     j_value = j_err = 0.0
     if region is not None:
-        j_value, j_err, n_x = _steps_region_term(f, region, weight, a, b)
+        j_value, j_err, n_x = _steps_region_term(f, region, weight, a, b, scale)
         evals += n_x
-    total = 2.0 * (value - j_value)
-    err = 2.0 * (err + j_err) + 64.0 * np.finfo(float).eps * (abs(value) + abs(j_value))
-    _guard(total)
+    total = 2.0 * (value - j_value) * scale * scale
+    err = (2.0 * (err + j_err) + 64.0 * np.finfo(float).eps * (abs(value) + abs(j_value))) \
+        * scale * scale
     return QuadResult(float(total), float(err), evals)
-
-
-def pair_integral(f: Field, region: Optional[RegionSpec], weight: PiecewisePower,
-                  window, q: float, budget: Optional[QuadBudget] = None,
-                  stream: int = 0) -> QuadResult:
-    """integral over E x E of  weight(|x-y|) |u(x)-u(y)|^q  dy dx.
-
-    window = (a, b) limits |x - y|.  With a = 0, the weight's piece starting
-    at 0, ~ t^-s, diverges on a field with jumps once s >= N+1."""
-    budget = budget or QuadBudget()
-    n = f.dim_in
-    a, b = float(window[0]), float(window[1])
-    if not (0.0 <= a < b) or not math.isfinite(b):
-        raise InputError(f"bad pair-integral window [{a}, {b}]")
-    core = [-power for lo, _, coef, power in weight.pieces if lo == 0.0 and coef != 0.0]
-    if a == 0.0 and core and core[0] >= n + 1.0 and _has_jumps(f):
-        raise DivergenceError(
-            f"weight exponent {core[0]} >= N+1 diverges on a jump field")
-
-    s = _lattice_form(f, region, weight, a, b, q)
-    if s is not None:
-        return _pair_integral_lattice(f, region, weight.pieces[0][2], s, b, budget)
-
-    if n == 1 and f.kind == "piecewise":
-        try:
-            value = _pair_integral_piecewise_1d(f, region, weight, a, b, q)
-        except OverflowError:   # a moment of the weight beyond float range
-            value = math.inf
-        _guard(value)
-        return QuadResult(value, 0.0, 0)
-    if _steps_form(f, region, q):
-        return _pair_integral_steps(f, region, weight, a, b)
-    if n == 1:
-        return _pair_integral_smooth_1d(f, region, weight, a, b, q)
-
-    kinks = _pair_kinks(f, b, region)
-    t0 = a if a > 0.0 else b * 1e-9
-    ind = _field_is_indicator(f)
-    if ind is not None and ind[0].kind in ("ball", "box") \
-            and _region_inactive(f, region, b):
-        amp = float(np.linalg.norm(np.asarray(ind[1], dtype=float))) ** q
-        if ind[0].kind == "ball":
-            # |B sym-diff (B - t n)| is the same for every direction n
-            def sphere_sum(ts):
-                return sphere_measure(n) * _symdiff_measure(ind[0], ts[:, None] * np.eye(n)[0])
-        else:
-            nodes, wts = sphere_rule(n, default_sphere_rule(n))
-
-            def sphere_sum(ts):
-                return _symdiff_measure(ind[0], ts[:, None, None] * nodes[None, :, :]) @ wts
-
-        def tfunc(ts):
-            return ts ** (n - 1) * weight(ts) * amp * sphere_sum(ts)
-        value, err = _t_integral(tfunc, t0, b, kinks, truncated_at=a)
-        _guard(value)
-        return QuadResult(value, err, 0)
-
-    return _pair_integral_mc(f, region, weight, (a, b), q, budget, stream)
-
-
-def _guard(value: float):
-    if not math.isfinite(value) or abs(value) > OVERFLOW_GUARD:
-        raise DivergenceError("pair integral exceeded the overflow guard")
 
 
 def _unit_directions(rng, m: int, n: int) -> np.ndarray:
@@ -895,10 +854,9 @@ def _clipped_core(lowest) -> float:
     return lowest[0] / (lowest[1] / lowest[0] - 1.0)
 
 
-def _pair_integral_mc(f: Field, region, weight: PiecewisePower, window, q,
-                      budget: QuadBudget, stream: int) -> QuadResult:
+def _pair_integral_mc(f: Field, region, weight: PiecewisePower, a: float, b: float,
+                      q: float, budget: QuadBudget, stream: int) -> QuadResult:
     n = f.dim_in
-    a, b = window
     t_lo = a if a > 0.0 else b * 1e-6
     # keep the sample count within the budget: evaluations_used counts
     # integrand samples, never more than max_evaluations
@@ -936,12 +894,10 @@ def _pair_integral_mc(f: Field, region, weight: PiecewisePower, window, q,
         evals += per
         if i < 2:
             lowest.append(mean)
-        _guard(total)
     err = 2.0 * math.sqrt(var_sum)
     if a == 0.0:
         err += _clipped_core(lowest)
-    low = not err <= budget.target_rel_error * max(abs(total), 1e-300)
-    return QuadResult(total, err, evals, low_confidence=low)
+    return QuadResult(total, err, evals)
 
 
 # ---------------------------------------------------------------------------
@@ -1066,29 +1022,23 @@ def _kernel_table(n: int, s: float):
 
 
 def _lattice_form(f: Field, region, weight: PiecewisePower, a: float, b: float,
-                  q: float):
-    """The weight exponent s when the lattice engine serves these inputs,
-    else None."""
+                  q: float) -> bool:
+    """True when the lattice engine serves these inputs."""
     n = f.dim_in
     if f.kind != "grid" or n not in (2, 3) or q != 2.0 or a != 0.0:
-        return None
+        return False
     if len(weight.pieces) != 1:
-        return None
+        return False
     lo_p, hi_p, _, power = weight.pieces[0]
-    s = -power
-    if lo_p != 0.0 or hi_p != math.inf or not (n < s < n + 2.0):
-        return None
-    spec = f.payload["spec"]
-    if len(set(spec.spacing)) != 1:
-        return None
+    if lo_p != 0.0 or hi_p != math.inf or not (n < -power < n + 2.0):
+        return False
+    if len(set(f.payload["spec"].spacing)) != 1:
+        return False
     lo, hi = support_bbox(f)
     if b < float(np.linalg.norm(hi - lo)):
-        return None
-    if region is not None and not (region.kind == "box"
-                                   and np.all(np.asarray(region.lo) < lo)
-                                   and np.all(hi < np.asarray(region.hi))):
-        return None
-    return s
+        return False
+    return region is None or (region.kind == "box" and np.all(np.asarray(region.lo) < lo)
+                              and np.all(hi < np.asarray(region.hi)))
 
 
 def _fast_len(n: int) -> int:
@@ -1301,14 +1251,16 @@ def _j_block(c: np.ndarray, r0: int, new: int, phi: np.ndarray, moments) -> floa
     return total
 
 
-def _pair_integral_lattice(f: Field, region, coef: float, s: float, b: float,
-                           budget: QuadBudget) -> QuadResult:
+def _pair_integral_lattice(f: Field, region, weight: PiecewisePower, a: float,
+                           b: float, q: float, budget, stream) -> QuadResult:
     """The q = 2 lattice engine: the integral of the multilinear grid field
     itself, with an error bound from the kernel table, roundoff and the
     Phi_E term; see the section comment.  The cell values are read, weighted
     by Phi_E and transformed a block of rows at a time, so no full copy of
     them is held."""
     n = f.dim_in
+    _, _, coef, power = weight.pieces[0]
+    s = -power
     grid = f.payload["spec"]
     h = float(grid.spacing[0])
     ext = tuple(grid.extent)
@@ -1343,9 +1295,55 @@ def _pair_integral_lattice(f: Field, region, coef: float, s: float, b: float,
     err = abs(coef) * (scale * (far_rel * sums[1] + near_err * sums[3] + roundoff)
                        + 2.0 * err_phi * a_zero
                        + 8.0 * eps * (scale * sums[1] + tail + 2.0 * abs(j_term)))
-    _guard(value)
-    low = not err <= budget.target_rel_error * max(abs(value), 1e-300)
-    return QuadResult(value, err, math.prod(ext), low_confidence=low)
+    return QuadResult(value, err, math.prod(ext))
+
+
+# ---------------------------------------------------------------------------
+# The pair-integral dispatch
+# ---------------------------------------------------------------------------
+
+# (path id, predicate, engine): pair_integral runs the first row whose
+# predicate holds for (f, region, weight, a, b, q)
+_ENGINES = (
+    ("lattice", _lattice_form, _pair_integral_lattice),
+    ("piecewise_1d", lambda f, *_: f.dim_in == 1 and f.kind == "piecewise",
+     _pair_integral_piecewise_1d),
+    ("steps", lambda f, region, weight, a, b, q: _steps_form(f, region, q),
+     _pair_integral_steps),
+    ("smooth_1d", lambda f, *_: f.dim_in == 1, _pair_integral_smooth_1d),
+    ("indicator", lambda f, region, weight, a, b, q: _indicator(f, region, b) is not None,
+     _pair_integral_indicator),
+    ("mc", lambda *_: True, _pair_integral_mc),
+)
+
+
+def pair_integral(f: Field, region: Optional[RegionSpec], weight: PiecewisePower,
+                  window, q: float, budget: Optional[QuadBudget] = None,
+                  stream: int = 0) -> QuadResult:
+    """integral over E x E of  weight(|x-y|) |u(x)-u(y)|^q  dy dx.
+
+    window = (a, b) limits |x - y|.  With a = 0, the weight's piece starting
+    at 0, ~ t^-s, diverges on a field with jumps once s >= N+1.  The result
+    is low-confidence when its error exceeds budget.target_rel_error of its
+    value, and its path names the engine that ran."""
+    budget = budget or QuadBudget()
+    a, b = float(window[0]), float(window[1])
+    if not (0.0 <= a < b) or not math.isfinite(b):
+        raise InputError(f"bad pair-integral window [{a}, {b}]")
+    core = [-power for lo, _, coef, power in weight.pieces if lo == 0.0 and coef != 0.0]
+    if a == 0.0 and core and core[0] >= f.dim_in + 1.0 and _has_jumps(f):
+        raise DivergenceError(
+            f"weight exponent {core[0]} >= N+1 diverges on a jump field")
+    path, engine = next((path, engine) for path, serves, engine in _ENGINES
+                        if serves(f, region, weight, a, b, q))
+    try:
+        r = engine(f, region, weight, a, b, q, budget, stream)
+    except OverflowError:   # a moment of the weight beyond float range
+        r = QuadResult(math.inf, math.inf, 0)
+    if not abs(r.value) <= OVERFLOW_GUARD:   # inf and nan fail it too
+        raise DivergenceError("pair integral exceeded the overflow guard")
+    low = not r.error_estimate <= budget.target_rel_error * max(abs(r.value), 1e-300)
+    return replace(r, low_confidence=low, path=path)
 
 
 # ---------------------------------------------------------------------------

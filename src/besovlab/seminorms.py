@@ -23,7 +23,7 @@ from .fields import (Field, RegionSpec, default_region, eval_field,
 from .jumps import jump_variation
 from .kernels import RadialKernelFamily, kernel_profile, kernel_window
 from .mollifiers import MollifierSpec, mollify
-from .quadrature import (PiecewisePower, QuadBudget, QuadResult,
+from .quadrature import (PiecewisePower, QuadBudget, QuadResult, _indicator,
                          default_sphere_rule, integrate_sphere, pair_integral,
                          shift_integral, sphere_measure)
 
@@ -242,7 +242,9 @@ def spherical_variation(f: Field, params: FunctionalParams, eps: float,
     rule = rule or default_sphere_rule(n)
     tag = (f"spherical_variation[f={f.name},q={params.q:g},rq={params.rq:g},"
            f"eps={eps:g},rule={rule}]")
-    if _is_radial_indicator(f, region, eps):
+    ind = _indicator(f, region, eps)
+    if ind is not None and ind[0].kind == "ball":
+        # an unclipped ball indicator varies alike in every direction
         dv = directional_variation(f, params, np.eye(n)[0], eps, budget=budget)
         h = sphere_measure(n)
         return FunctionalValue(h * dv.value, h * dv.error_estimate, tag)
@@ -263,13 +265,6 @@ def spherical_variation(f: Field, params: FunctionalParams, eps: float,
     scale = eps ** -params.rq
     err = (qr.error_estimate + sphere_measure(n) * node_errs[0]) * scale
     return FunctionalValue(qr.value * scale, err, tag)
-
-
-def _is_radial_indicator(f: Field, region: RegionSpec, reach: float) -> bool:
-    from .quadrature import _field_is_indicator, _region_inactive
-    ind = _field_is_indicator(f)
-    return (ind is not None and ind[0].kind == "ball" and f.dim_in >= 2
-            and _region_inactive(f, region, reach))
 
 
 def besov_constant_at(f: Field, params: FunctionalParams, k: RadialKernelFamily,

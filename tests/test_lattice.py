@@ -14,7 +14,6 @@ from besovlab import fields, quadrature
 from besovlab.fields import Field, GridSpec, RegionSpec
 from besovlab.mollifiers import mollify
 from besovlab.quadrature import PiecewisePower, QuadBudget, pair_integral, sphere_measure
-from besovlab.seminorms import FunctionalParams, gagliardo_constant_at
 
 from oracles import box_escape_2d, fourier_seminorm, grid_weighted_l2_2d
 
@@ -171,35 +170,27 @@ def test_lattice_engine_agrees_with_monte_carlo(disk, tent2, k):
     region = RegionSpec.box([-1.5, -1.5], [1.5, 1.5])
     w, b = PiecewisePower.power_law(3.0), 3.0 * math.sqrt(2.0)
     exact = pair_integral(u, region, w, (0.0, b), 2.0)
-    mc = quadrature._pair_integral_mc(u, region, w, (0.0, b), 2.0,
-                                      QuadBudget(max_evaluations=1_500_000, rng_seed=11),
-                                      stream=7)
+    mc = quadrature._pair_integral_mc(u, region, w, 0.0, b, 2.0,
+                                      QuadBudget(max_evaluations=1_500_000, rng_seed=11), 7)
     assert abs(exact.value - mc.value) <= 1.5 * mc.error_estimate
     assert exact.error_estimate <= 1e-3 * exact.value and not exact.low_confidence
 
 
-def test_lattice_engine_dispatch(monkeypatch, disk, tent2):
-    calls = []
-    real = quadrature._pair_integral_mc
-
-    def spy(*args, **kwargs):
-        calls.append(args[4])
-        return real(*args, **kwargs)
-    monkeypatch.setattr(quadrature, "_pair_integral_mc", spy)
+def test_lattice_engine_dispatch(disk, tent2):
     budget = QuadBudget(max_evaluations=20_000, rng_seed=1)
-    params = FunctionalParams.jump_regime(2.0)
-    for k in (2, 3, 4, 5):     # the 2D chain's Gagliardo rows
-        gagliardo_constant_at(disk, tent2, params, math.exp(-k), budget=budget)
-    assert calls == []
-    u = mollify(disk, tent2, math.exp(-2))
     box = RegionSpec.box([-1.5, -1.5], [1.5, 1.5])
     w = PiecewisePower.power_law(3.0)
-    pair_integral(u, box, PiecewisePower.power_law(2.5), (0.0, 4.3), 1.5, budget)
-    assert len(calls) == 1                          # q = 1.5
-    pair_integral(u, box, w, (0.05, 0.5), 2.0, budget)
-    assert len(calls) == 2                          # an annulus window
-    pair_integral(u, RegionSpec.box([-0.3, -0.3], [0.3, 0.3]), w, (0.0, 1.0), 2.0, budget)
-    assert len(calls) == 3                          # a region that clips the support
+    for k in (2, 3, 4, 5):     # the 2D chain's Gagliardo rows
+        u = mollify(disk, tent2, math.exp(-k))
+        assert pair_integral(u, box, w, (0.0, 3.0 * math.sqrt(2.0)), 2.0, budget).path \
+            == "lattice"
+    u = mollify(disk, tent2, math.exp(-2))
+    cases = [(box, PiecewisePower.power_law(2.5), (0.0, 4.3), 1.5),   # q = 1.5
+             (box, w, (0.05, 0.5), 2.0),                              # an annulus window
+             # a region that clips the support
+             (RegionSpec.box([-0.3, -0.3], [0.3, 0.3]), w, (0.0, 1.0), 2.0)]
+    for region, weight, window, q in cases:
+        assert pair_integral(u, region, weight, window, q, budget).path == "mc"
 
 
 def test_fast_len_is_the_next_5_smooth_length():

@@ -1,4 +1,6 @@
+import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +11,13 @@ from scipy import integrate as sciint
 
 from besovlab import quadrature
 from besovlab.errors import CapabilityError, DivergenceError, InputError
+from besovlab.experiments import run
 from besovlab.fields import (Field, GridSpec, RegionSpec, eval_field, knots_1d,
-                             make_field, sample, support_bbox)
+                             make_field, sample, scale_field, support_bbox)
 from besovlab.kernels import RadialKernelFamily, kernel_profile, kernel_window
 from besovlab.mollifiers import make_mollifier, mollify
 from besovlab.quadrature import (PiecewisePower, QuadBudget, _merged_edges_1d,
-                                 _pair_kinks, _region_1d_edges, _shift_integral_1d,
+                                 _region_1d_edges, _shift_integral_1d,
                                  _smooth_shift_integrals_1d, _symdiff_measure,
                                  _t_integral, default_sphere_rule,
                                  double_integral_singular, integrate_sphere,
@@ -247,11 +250,11 @@ def test_pair_integral_box_field_path():
     box = make_field("box_2d")
     weight = PiecewisePower.power_law(1.0)
     r = pair_integral(box, None, weight, (1e-6, 0.05), 2.0)
+    assert r.path == "indicator"
     # per unit boundary length the small-|z| window contributes like the 1D
     # case; compare against the stratified MC estimate of the same integral
     budget = QuadBudget(max_evaluations=400_000, rng_seed=3)
-    from besovlab.quadrature import _pair_integral_mc
-    mc = _pair_integral_mc(box, None, weight, (1e-6, 0.05), 2.0, budget, stream=5)
+    mc = quadrature._pair_integral_mc(box, None, weight, 1e-6, 0.05, 2.0, budget, 5)
     assert r.value == pytest.approx(mc.value, rel=0.05)
 
 
@@ -453,8 +456,7 @@ def _sphere_rule_pair_integral(f, weight, a, b):
     def tfunc(ts):
         sym = _symdiff_measure(ball, ts[:, None, None] * nodes[None, :, :])
         return ts ** (n - 1) * weight(ts) * (sym @ wts)
-    return _t_integral(tfunc, a if a > 0.0 else b * 1e-9, b, _pair_kinks(f, b),
-                       truncated_at=a)[0]
+    return _t_integral(tfunc, a if a > 0.0 else b * 1e-9, b, [2.0 * ball.radius])[0]
 
 
 @pytest.mark.parametrize("name", ["disk_2d", "ball_3d"])
@@ -470,6 +472,116 @@ def test_ball_indicator_radial_branch_matches_sphere_rule(name, eps):
         assert got.value == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("name", ["disk_2d", "ball_3d"])
+@pytest.mark.parametrize("rq", [0.3, 0.6, 0.9, 0.97])
+def test_indicator_engine_counts_its_core(name, rq):
+    # the W^(r,1) integral of a ball indicator over the window (0, 2), weight
+    # t^-(N + rq).  As rq -> 1 the core (0, b 1e-9) holds a growing share of
+    # it (over half at rq = 0.97).  Reference: |S^(N-1)| times the integral
+    # of t^(-1-rq) |B sym-diff (B + t e_1)|, whose linear part L t (L twice
+    # the ball's cross-section) is integrated in closed form, the rest by
+    # adaptive quadrature
+    f = make_field(name)
+    n = f.dim_in
+    ball = f.payload["pieces"][0][0]
+    b = 2.0
+    lin = 2.0 * (2.0 * ball.radius if n == 2 else math.pi * ball.radius ** 2)
+
+    def rest(t):
+        sym = float(_symdiff_measure(ball, np.array([t] + [0.0] * (n - 1))))
+        return t ** (-1.0 - rq) * (sym - lin * t)
+    kinks = [2.0 * ball.radius] if 2.0 * ball.radius < b else None
+    rest_integral = sciint.quad(rest, 0.0, b, points=kinks, epsabs=0.0, epsrel=1e-11,
+                                limit=200)[0]
+    ref = sphere_measure(n) * (lin * b ** (1.0 - rq) / (1.0 - rq) + rest_integral)
+    got = pair_integral(f, None, PiecewisePower.power_law(n + rq), (0.0, b), 1.0)
+    assert got.path == "indicator"
+    assert abs(got.value - ref) <= got.error_estimate <= 1e-6 * got.value
+
+
+def test_chain1d_exact_rows_hit_their_closed_forms(tmp_path):
+    # the default 1D jump chain's kernel-constant and variation rows are
+    # exact sums of interval lengths; each lands within 1e-15 of 2, 2 and 4
+    run({"kind": "jump_chain", "seed": 11}, str(tmp_path), threads=1)
+    for sweep, closed in (("besov_constant_trivial", 2.0),
+                          ("besov_constant_logarithmic_w0.5", 2.0),
+                          ("spherical_variation", 4.0)):
+        with open(tmp_path / f"sweep_{sweep}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        for row in rows:
+            assert abs(float(row["value"]) / closed - 1.0) <= 1e-15, (sweep, row)
+
+
+# ---------------------------------------------------------------------------
+# Every engine path: homogeneity and translation invariance
+# ---------------------------------------------------------------------------
+
+def _moved(region, v):
+    """A box or ball region translated by v."""
+    if region is None:
+        return None
+    if region.kind == "box":
+        return RegionSpec.box(np.add(region.lo, v), np.add(region.hi, v))
+    return RegionSpec.ball(np.add(region.center, v), region.radius)
+
+
+def _translated(f, v):
+    """The field u(. - v), for piecewise, grid and steps_cdf fields."""
+    if f.kind == "piecewise":
+        payload = {"pieces": tuple((_moved(r, v), amp) for r, amp in f.payload["pieces"])}
+    elif f.kind == "grid":
+        spec = f.payload["spec"]
+        payload = dict(f.payload, spec=replace(spec, origin=tuple(np.add(spec.origin, v))))
+    else:
+        params = dict(f.payload["params"])
+        params["steps"] = tuple((a + v[0], b + v[0], amp) for a, b, amp in params["steps"])
+        payload = dict(f.payload, params=params)
+    return replace(f, payload=payload, support_radius=f.support_radius + float(np.linalg.norm(v)))
+
+
+def _path_case(path):
+    """(field, region, weight, window, q, grid-aligned shift) reaching path."""
+    tent_step = mollify(make_field("step_1d"), make_mollifier("tent"), 0.05)
+    if path == "lattice":
+        values = np.random.default_rng(3).standard_normal((9, 7, 1))
+        spec = GridSpec(origin=(0.125, 0.25), spacing=(0.125, 0.125), extent=(9, 7))
+        grid = Field(2, 1, "grid", {"spec": spec, "values": values}, support_radius=2.0)
+        return (grid, RegionSpec.box([-0.5, -0.5], [2.0, 2.0]), PiecewisePower.power_law(2.6),
+                (0.0, 3.0), 2.0, (0.375, -0.25))
+    if path == "piecewise_1d":
+        return (make_field("step_1d"), RegionSpec.interval(-1.0, 2.0),
+                PiecewisePower.power_law(1.5), (0.0, 2.0), 2.0, (0.25,))
+    if path in ("steps", "smooth_1d"):
+        return (tent_step, RegionSpec.interval(-0.5, 1.5), PiecewisePower.power_law(2.0),
+                (0.0, 2.0), 2.0 if path == "steps" else 1.5, (0.25,))
+    # a box around the disk leaves it to the indicator engine; one that
+    # clips it sends it to Monte Carlo
+    region = RegionSpec.box([-2.0, -2.0], [2.0, 2.0]) if path == "indicator" \
+        else RegionSpec.box([-0.3, -0.3], [0.3, 0.3])
+    return (make_field("disk_2d"), region, PiecewisePower.power_law(2.5), (0.0, 0.5), 1.0,
+            (0.25, -0.5))
+
+
+_PATHS = ("lattice", "piecewise_1d", "steps", "smooth_1d", "indicator", "mc")
+
+
+@pytest.mark.parametrize("path", _PATHS)
+def test_every_path_is_homogeneous_and_translation_invariant(path):
+    assert set(_PATHS) == {row[0] for row in quadrature._ENGINES}
+    f, region, weight, window, q, v = _path_case(path)
+    budget = QuadBudget(max_evaluations=20_000, rng_seed=4)
+    r = pair_integral(f, region, weight, window, q, budget)
+    assert r.path == path
+    scaled = pair_integral(scale_field(f, 3.0), region, weight, window, q, budget)
+    assert scaled.path == path
+    assert abs(scaled.value - 3.0 ** q * r.value) <= \
+        scaled.error_estimate + 3.0 ** q * r.error_estimate
+    moved = pair_integral(_translated(f, v), _moved(region, v), weight, window, q, budget)
+    assert moved.path == path
+    assert abs(moved.value - r.value) <= moved.error_estimate + r.error_estimate
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo: the clipped core and the shift-integral budget
 # ---------------------------------------------------------------------------
@@ -478,19 +590,19 @@ def test_mc_clipped_core_joins_the_error(disk, tent2):
     # q = 1.5 on a Lipschitz field: near t = 0 the integrand goes like
     # t^(N + q - s - 1), so with s = N + q - 0.15 the core below b * 1e-6
     # holds about (1e-6)^0.15 = 13% of the integral
-    from besovlab.quadrature import _pair_integral_mc
     u = mollify(disk, tent2, math.exp(-2))
     b, q = 1.0, 1.5
     budget = QuadBudget(max_evaluations=1_500_000, rng_seed=5)
     weight = PiecewisePower.power_law(2.0 + q - 0.15)
-    full = _pair_integral_mc(u, None, weight, (0.0, b), q, budget, stream=3)
+    full = pair_integral(u, None, weight, (0.0, b), q, budget, stream=3)
     # the six decades of the core below b * 1e-6, sampled on their own
-    core = _pair_integral_mc(u, None, weight, (b * 1e-12, b * 1e-6), q, budget, stream=4)
+    core = pair_integral(u, None, weight, (b * 1e-12, b * 1e-6), q, budget, stream=4)
+    assert full.path == core.path == "mc"
     assert core.value > 0.05 * full.value
     assert full.error_estimate >= 0.5 * core.value and full.low_confidence
     # with s >= N + q the core diverges; no finite error covers it
-    div = _pair_integral_mc(u, None, PiecewisePower.power_law(2.0 + 1.9), (0.0, b), q,
-                            budget, stream=3)
+    div = pair_integral(u, None, PiecewisePower.power_law(2.0 + 1.9), (0.0, b), q,
+                        budget, stream=3)
     assert div.error_estimate == math.inf and div.low_confidence
 
 

@@ -30,7 +30,7 @@ def _steps(steps, dim_out=1):
 
 
 def _smooth(f, region, weight, window, q=2.0):
-    return quadrature._pair_integral_smooth_1d(f, region, weight, *window, q)
+    return quadrature._pair_integral_smooth_1d(f, region, weight, *window, q, None, 0)
 
 
 # adaptive-quadrature references: step_1d mollified by the tent, q = 2, the
@@ -120,30 +120,39 @@ def test_mollified_core_diverges_at_q_plus_one(step, tent, s):
         _smooth(u, None, weight, (0.0, 1.0))
 
 
-def test_steps_engine_dispatch(monkeypatch, step, tent):
-    calls = []
-    for name in ("_pair_integral_steps", "_pair_integral_smooth_1d"):
-        original = getattr(quadrature, name)
-        monkeypatch.setattr(quadrature, name,
-                            lambda *args, _n=name, _o=original: calls.append(_n) or _o(*args))
+def test_steps_engine_dispatch(step, tent):
     u = mollify(step, tent, 0.05)
     w = PiecewisePower.power_law(2.0)
     around = RegionSpec.interval(-0.1, 1.1)
     cases = [
-        (u, None, w, (0.0, 2.0), 2.0, "_pair_integral_steps"),
-        (u, around, w, (0.0, 2.0), 2.0, "_pair_integral_steps"),
-        (u, around, w, (0.3, 0.7), 2.0, "_pair_integral_steps"),
+        (u, None, w, (0.0, 2.0), 2.0, "steps"),
+        (u, around, w, (0.0, 2.0), 2.0, "steps"),
+        (u, around, w, (0.3, 0.7), 2.0, "steps"),
         # the interval clips the support
-        (u, RegionSpec.interval(0.0, 1.1), w, (0.0, 2.0), 2.0, "_pair_integral_smooth_1d"),
-        (u, around, w, (0.0, 2.0), 1.5, "_pair_integral_smooth_1d"),
+        (u, RegionSpec.interval(0.0, 1.1), w, (0.0, 2.0), 2.0, "smooth_1d"),
+        (u, around, w, (0.0, 2.0), 1.5, "smooth_1d"),
         (mollify(step, make_mollifier("truncated-gaussian"), 0.05), None, w, (0.0, 2.0), 2.0,
-         "_pair_integral_smooth_1d"),
-        (make_field("gaussian_bump_1d"), None, w, (0.0, 2.0), 2.0, "_pair_integral_smooth_1d"),
+         "smooth_1d"),
+        (make_field("gaussian_bump_1d"), None, w, (0.0, 2.0), 2.0, "smooth_1d"),
     ]
     for f, region, weight, window, q, path in cases:
-        calls.clear()
-        pair_integral(f, region, weight, window, q)
-        assert calls == [path]
+        assert pair_integral(f, region, weight, window, q).path == path
+
+
+def test_steps_engine_scales_out_tiny_amplitudes(tent):
+    # at amplitude 9e-159, |u_eps|^2 is subnormal and the engine's sums lost
+    # all precision (the integral read -2.1e-319).  It works on the steps
+    # over a power of 2 and multiplies back, so the integral is amp^2 times
+    # the one at amplitude 1, to the ~1e-4 precision of its subnormal result
+    amp = 9.01877906e-159
+    w = PiecewisePower.power_law(2.0)
+    for region in (None, RegionSpec.interval(-0.5, 1.0)):
+        one = pair_integral(mollify(_steps([(0.0, 1e-3, 1.0)]), tent, 0.1), region, w,
+                            (0.0, 1.0), 2.0)
+        tiny = pair_integral(mollify(_steps([(0.0, 1e-3, amp)]), tent, 0.1), region, w,
+                             (0.0, 1.0), 2.0)
+        assert tiny.path == "steps"
+        assert tiny.value == pytest.approx(amp * amp * one.value, rel=1e-3)
 
 
 @pytest.mark.parametrize("kind", ["trivial", "logarithmic"])
