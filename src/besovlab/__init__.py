@@ -15,8 +15,7 @@ from .kernels import (NegLogEps, RadialKernelFamily, kernel_mass,
 from .limits import (ChainVerdict, EpsilonGrid, EpsilonSweepResult,
                      chain_check, epsilon_sweep, extrapolate)
 from .mollifiers import MollifierSpec, make_mollifier, mollifier_bound_check, mollify
-from .quadrature import (PiecewisePower, QuadBudget, QuadResult,
-                         double_integral_singular, integrate_sphere,
+from .quadrature import (PiecewisePower, QuadBudget, QuadResult, integrate_sphere,
                          pair_integral, radial_integral, shift_integral,
                          sphere_measure)
 from .seminorms import (FunctionalParams, FunctionalValue, besov_constant_at,

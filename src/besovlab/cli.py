@@ -8,58 +8,65 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .errors import BesovLabError, InputError
-from .experiments import (EXPERIMENT_KINDS, ExperimentConfig, default_config,
-                          run, validate_config, _fmt, _write_csv,
-                          _kernel_eps_list, _json_default)
+from .errors import BesovLabError
+from .experiments import (EXPERIMENT_KINDS, ExperimentConfig, csv_text,
+                          default_config, json_text, kernel_audit_table, run,
+                          sweep_table, validate_config, write_csv)
 from .jumps import dimensional_constants
-from .kernels import RadialKernelFamily, audit_rows
+from .kernels import RadialKernelFamily
 from .limits import epsilon_sweep
 from .seminorms import (besov_constant_at, besov_seminorm_q,
                         brq_double_integral, directional_variation,
                         gagliardo_constant_at, gagliardo_seminorm_q,
                         spherical_variation)
 
-FUNCTIONALS = ("gagliardo-seminorm", "besov-seminorm", "brq",
-               "directional-variation", "spherical-variation",
-               "besov-constant", "gagliardo-constant")
+# name -> functional(setup, config params, eps); the functionals that need
+# no eps ignore it
+FUNCTIONALS = {
+    "gagliardo-seminorm": lambda s, p, eps: gagliardo_seminorm_q(
+        s.field, s.params, budget=s.budget),
+    "besov-seminorm": lambda s, p, eps: besov_seminorm_q(s.field, s.params),
+    "brq": lambda s, p, eps: brq_double_integral(s.field, s.params, eps, budget=s.budget),
+    "directional-variation": lambda s, p, eps: directional_variation(
+        s.field, s.params, p.get("direction", [1.0] + [0.0] * (s.field.dim_in - 1)),
+        eps, budget=s.budget),
+    "spherical-variation": lambda s, p, eps: spherical_variation(
+        s.field, s.params, eps, budget=s.budget),
+    "besov-constant": lambda s, p, eps: besov_constant_at(
+        s.field, s.params, s.kernels[p.get("kernel_index", 0)], eps, budget=s.budget),
+    "gagliardo-constant": lambda s, p, eps: gagliardo_constant_at(
+        s.field, s.mollifier, s.params, eps, budget=s.budget),
+}
 
 
-def _load_config(path) -> ExperimentConfig:
-    if path is None:
-        return default_config("jump_chain")
-    with open(path, "r", encoding="utf-8") as fh:
-        return validate_config(json.load(fh))
+def _load_config(args) -> ExperimentConfig:
+    """The --config file (default: the jump_chain defaults), with --seed."""
+    if args.config is None:
+        cfg = default_config("jump_chain")
+    else:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            cfg = validate_config(json.load(fh))
+    if args.seed is not None:
+        cfg.seed = args.seed
+    return cfg
 
 
-def _functional_closure(name: str, cfg: ExperimentConfig):
-    f = cfg.build_field()
-    region = cfg.build_region(f)
-    params = cfg.build_params(region)
-    budget = cfg.build_budget()
-    if name == "gagliardo-seminorm":
-        return lambda eps: gagliardo_seminorm_q(f, params, budget=budget)
-    if name == "besov-seminorm":
-        return lambda eps: besov_seminorm_q(f, params)
-    if name == "brq":
-        return lambda eps: brq_double_integral(f, params, eps, budget=budget)
-    if name == "directional-variation":
-        direction = cfg.params.get("direction", [1.0] + [0.0] * (f.dim_in - 1))
-        return lambda eps: directional_variation(f, params, direction, eps,
-                                                 budget=budget)
-    if name == "spherical-variation":
-        return lambda eps: spherical_variation(f, params, eps,
-                                               rule=cfg.sphere_rule, budget=budget)
-    if name == "besov-constant":
-        idx = int(cfg.params.get("kernel_index", 0))
-        kernel = cfg.build_kernels(f.dim_in)[idx]
-        return lambda eps: besov_constant_at(f, params, kernel, eps, budget=budget)
-    if name == "gagliardo-constant":
-        m = cfg.build_mollifier(f.dim_in)
-        return lambda eps: gagliardo_constant_at(f, m, params, eps, budget=budget)
-    raise InputError(f"functional: must be one of {FUNCTIONALS}, got {name!r}")
+def _functional(name: str, cfg: ExperimentConfig):
+    """The named functional as a function of eps over the config's set-up."""
+    s = cfg.setup()
+    fn = FUNCTIONALS[name]
+    return lambda eps: fn(s, cfg.params, eps)
+
+
+def _emit_csv(out, name: str, header: list, rows: list):
+    """Write the table to out/name and print its path, or print it."""
+    if out:
+        os.makedirs(out, exist_ok=True)
+        path = os.path.join(out, name)
+        write_csv(path, header, rows)
+        print(path)
+    else:
+        sys.stdout.write(csv_text(header, rows))
 
 
 def _cmd_print_defaults(args) -> int:
@@ -80,8 +87,7 @@ def _cmd_constants(args) -> int:
         res = f"{t.nc_residual:.3e}" if t.nc_residual is not None else "-"
         print(f"{t.n:>2} {t.sphere_measure:>12.8f} {t.moment1:>14.10f} "
               f"{t.c_n:>14.10f} {res:>12}")
-    payload = json.dumps([t.to_dict() for t in tables], sort_keys=True, indent=2,
-                         default=_json_default)
+    payload = json_text([t.to_dict() for t in tables], indent=2)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "constants.json"), "w", encoding="utf-8") as fh:
@@ -92,68 +98,38 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_kernel_check(args) -> int:
-    cfg = _load_config(args.config)
-    grid = cfg.build_eps_grid()
     kernel_kwargs = {}
     if args.family == "logarithmic":
         kernel_kwargs["omega"] = args.omega
     if args.family == "sigma_approx":
         kernel_kwargs["sigma_ratio"] = args.sigma_ratio
     k = RadialKernelFamily(args.family, args.dim, **kernel_kwargs)
-    rows = audit_rows(k, _kernel_eps_list(k, grid), deltas=tuple(cfg.deltas),
-                      alphas=tuple(cfg.alphas))
-    header = list(rows[0].keys())
-    table = [[r[h] for h in header] for r in rows]
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"kernel_audit_{k.kind}_N{args.dim}.csv")
-        _write_csv(path, header, table)
-        print(path)
-    else:
-        print(",".join(header))
-        for row in table:
-            print(",".join(_fmt(v) for v in row))
+    _emit_csv(args.out, f"kernel_audit_{k.kind}_N{args.dim}.csv",
+              *kernel_audit_table(k, _load_config(args)))
     return 0
 
 
 def _cmd_seminorm(args) -> int:
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    fn = _functional_closure(args.functional, cfg)
-    out = fn(args.epsilon)
+    cfg = _load_config(args)
+    out = _functional(args.functional, cfg)(args.epsilon)
     record = {"functional": args.functional, "params": cfg.params,
               "epsilon": args.epsilon, "value": out.value,
               "error": out.error_estimate, "provenance": out.provenance}
-    print(json.dumps(record, sort_keys=True, default=_json_default))
+    print(json_text(record))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    fn = _functional_closure(args.functional, cfg)
+    cfg = _load_config(args)
     which = "gagliardo_grid" if args.functional == "gagliardo-constant" else "eps_grid"
-    sweep = epsilon_sweep(fn, cfg.build_eps_grid(which), threads=args.threads,
-                          functional_id=args.functional)
-    rows = [(r.eps, r.value, r.error, "" if r.ok else r.note) for r in sweep.rows]
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"sweep_{args.functional}.csv")
-        _write_csv(path, ["epsilon", "value", "error", "flag"], rows)
-        print(path)
-    else:
-        print("epsilon,value,error,flag")
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
+    sweep = epsilon_sweep(_functional(args.functional, cfg), cfg.build_eps_grid(which),
+                          threads=args.threads, functional_id=args.functional)
+    _emit_csv(args.out, f"sweep_{args.functional}.csv", *sweep_table(sweep))
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = _load_config(args)
     out_dir = args.out or "out"
     report = run(cfg, out_dir, threads=args.threads)
     for verdict in report.verdicts:

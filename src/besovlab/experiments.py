@@ -15,7 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -28,22 +28,30 @@ from .limits import EpsilonGrid, chain_check, epsilon_sweep
 from .mollifiers import MollifierSpec, make_mollifier
 from .quadrature import QuadBudget, sphere_measure
 from .seminorms import (FunctionalParams, besov_constant_at, besov_seminorm_q,
-                        brq_double_integral, directional_variation,
                         gagliardo_constant_at, gagliardo_region_integrals,
-                        gagliardo_seminorm_q, gagliardo_split_bounds,
-                        interpolation_check, lq_norm_q, spherical_variation,
-                        variation_inequality_check)
+                        gagliardo_split_bounds, interpolation_check, lq_norm_q,
+                        spherical_variation, variation_inequality_check)
 
-__all__ = ["ExperimentConfig", "default_config", "run", "EXPERIMENT_KINDS"]
-
-EXPERIMENT_KINDS = ("kernel_audit", "constants", "sandwich", "kernel_equivalence",
-                    "jump_chain", "interpolation", "truncation_convergence",
-                    "bounds_audit")
+__all__ = ["ExperimentConfig", "Setup", "default_config", "validate_config", "run",
+           "EXPERIMENT_KINDS", "write_csv", "csv_text", "sweep_table",
+           "kernel_audit_table", "json_text"]
 
 
 # ---------------------------------------------------------------------------
 # Config
 # ---------------------------------------------------------------------------
+
+class Setup(NamedTuple):
+    """The objects a limit identity is stated for: one field u, its region
+    E, the exponents (r, q), one mollifier eta, the kernel families and the
+    quadrature budget."""
+    field: Field
+    region: Optional[RegionSpec]
+    params: FunctionalParams
+    mollifier: MollifierSpec
+    kernels: list
+    budget: QuadBudget
+
 
 @dataclass
 class ExperimentConfig:
@@ -62,7 +70,6 @@ class ExperimentConfig:
     seed: int = 0
     tolerance: float = 0.10
     pair_tolerance: float = 0.05
-    sphere_rule: Optional[str] = None
     dims: list = field(default_factory=lambda: [1, 2, 3])
     q_list: list = field(default_factory=lambda: [1.0, 2.0])
     deltas: list = field(default_factory=lambda: [0.1, 0.01])
@@ -77,34 +84,29 @@ class ExperimentConfig:
         d["field"] = d.pop("field_spec")
         return d
 
-    # -- construction helpers -------------------------------------------------
-
-    def build_field(self) -> Field:
+    def setup(self) -> Setup:
+        """Build the field, region, exponents, mollifier, kernels and budget.
+        Kinds whose table row pins r take r = 1/q exactly."""
         spec = dict(self.field_spec)
         name = spec.pop("name", None)
         if name is None:
             raise InputError("field.name is required")
-        return make_field(name, **spec)
-
-    def build_region(self, f: Field) -> Optional[RegionSpec]:
-        if self.region is None:
-            return None
-        return RegionSpec.from_dict(self.region)
-
-    def build_params(self, region=None) -> FunctionalParams:
+        f = make_field(name, **spec)
+        region = None if self.region is None else RegionSpec.from_dict(self.region)
         q = float(self.params.get("q", 2.0))
         p = self.params.get("p")
         p = float(p) if p is not None else None
-        if self.kind in ("jump_chain", "sandwich", "kernel_equivalence",
-                         "truncation_convergence"):
-            return FunctionalParams.jump_regime(q, p=p, region=region)
-        r = float(self.params.get("r", 0.5))
-        return FunctionalParams.make(q, r, p=p, region=region)
-
-    def build_mollifier(self, dim: int) -> MollifierSpec:
-        spec = dict(self.mollifier)
-        kind = spec.pop("kind")
-        return make_mollifier(kind, dim=dim, **spec)
+        if _KINDS[self.kind][1]:
+            params = FunctionalParams.jump_regime(q, p=p, region=region)
+        else:
+            params = FunctionalParams.make(q, float(self.params.get("r", 0.5)), p=p,
+                                           region=region)
+        mspec = dict(self.mollifier)
+        m = make_mollifier(mspec.pop("kind"), dim=f.dim_in, **mspec)
+        budget = QuadBudget(max_evaluations=int(self.budget.get("max_evaluations", 200_000)),
+                            target_rel_error=float(self.budget.get("target_rel_error", 1e-3)),
+                            rng_seed=int(self.seed))
+        return Setup(f, region, params, m, self.build_kernels(f.dim_in), budget)
 
     def build_kernels(self, dim: int) -> list:
         out = []
@@ -113,11 +115,6 @@ class ExperimentConfig:
             kind = kspec.pop("kind")
             out.append(RadialKernelFamily(kind, dim, **kspec))
         return out
-
-    def build_budget(self) -> QuadBudget:
-        return QuadBudget(max_evaluations=int(self.budget.get("max_evaluations", 200_000)),
-                          target_rel_error=float(self.budget.get("target_rel_error", 1e-3)),
-                          rng_seed=int(self.seed))
 
     def build_eps_grid(self, which: str = "eps_grid") -> EpsilonGrid:
         g = self.eps_grid if which == "eps_grid" else self.gagliardo_grid
@@ -133,7 +130,7 @@ def _require(cond: bool, path: str, message: str):
 def validate_config(d: dict) -> ExperimentConfig:
     """Build a config from a dict, naming the offending field path on error."""
     kind = d.get("kind")
-    _require(kind in EXPERIMENT_KINDS, "kind",
+    _require(kind in _KINDS, "kind",
              f"must be one of {EXPERIMENT_KINDS}, got {kind!r}")
     base = default_config(kind)
     merged = base.to_dict()
@@ -150,11 +147,15 @@ def validate_config(d: dict) -> ExperimentConfig:
     p = params.get("p")
     if p is not None:
         _require(float(p) > float(q), "params.p", "must exceed params.q")
-    if kind in ("jump_chain", "truncation_convergence") and r is not None:
+    if _KINDS[kind][1] and r is not None:
         _require(abs(float(r) * float(q) - 1.0) < 1e-12, "params.r",
                  "jump-regime experiments need r = 1/q exactly")
     if kind == "interpolation":
         _require(p is not None, "params.p", "interpolation needs p > q")
+    idx = params.get("kernel_index")
+    if idx is not None:
+        _require(type(idx) is int and 0 <= idx < len(merged["kernels"]),
+                 "params.kernel_index", "must be an integer index into kernels")
     grid = merged["eps_grid"]
     _require(0.0 < float(grid["ratio"]) < 1.0, "eps_grid.ratio", "must lie in (0, 1)")
     _require(int(grid["count"]) >= 4, "eps_grid.count", "must be >= 4")
@@ -165,7 +166,7 @@ def validate_config(d: dict) -> ExperimentConfig:
 
 
 def default_config(kind: str) -> ExperimentConfig:
-    if kind not in EXPERIMENT_KINDS:
+    if kind not in _KINDS:
         raise InputError(f"kind: must be one of {EXPERIMENT_KINDS}, got {kind!r}")
     cfg = ExperimentConfig(kind=kind, field_spec={"name": "step_1d"},
                            params={"q": 2.0, "r": 0.5})
@@ -191,7 +192,10 @@ class ExperimentReport:
     terms: dict
     sweeps: dict
     files: list
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(v["pass"] for v in self.verdicts)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "pass": self.passed,
@@ -208,20 +212,28 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: str, header: list, rows: list):
+def csv_text(header: list, rows: list) -> str:
+    """The CSV form of a table: floats by repr, one line per row."""
+    return "".join(",".join(_fmt(v) for v in line) + "\n" for line in [header, *rows])
+
+
+def write_csv(path: str, header: list, rows: list):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(csv_text(header, rows))
+
+
+def sweep_table(sweep) -> tuple:
+    """(header, rows) of a sweep CSV; a failed row's flag is its note."""
+    return (["epsilon", "value", "error", "flag"],
+            [(r.eps, r.value, r.error, "" if r.ok else r.note) for r in sweep.rows])
 
 
 def _sweep_files(out_dir: str, sid: str, sweep) -> list:
-    rows = [(r.eps, r.value, r.error, "" if r.ok else r.note) for r in sweep.rows]
     p1 = os.path.join(out_dir, f"sweep_{sid}.csv")
-    _write_csv(p1, ["epsilon", "value", "error", "flag"], rows)
+    write_csv(p1, *sweep_table(sweep))
     p2 = os.path.join(out_dir, f"plot_{sid}.csv")
-    _write_csv(p2, ["x", "y", "label"],
-               [(r.eps, r.value, sid) for r in sweep.rows if r.ok])
+    write_csv(p2, ["x", "y", "label"],
+              [(r.eps, r.value, sid) for r in sweep.rows if r.ok])
     return [p1, p2]
 
 
@@ -245,6 +257,66 @@ def _audit_verdict(name: str, violation: float, tolerance: float,
             "pass": bool(violation <= tolerance), "worst_violation": violation}
 
 
+def _json_default(obj):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"not JSON serializable: {type(obj)}")
+
+
+def json_text(obj, indent: Optional[int] = None) -> str:
+    """JSON with sorted keys; numpy scalars and arrays become plain values."""
+    return json.dumps(obj, sort_keys=True, indent=indent, default=_json_default)
+
+
+# ---------------------------------------------------------------------------
+# Chain terms
+# ---------------------------------------------------------------------------
+
+class _ChainTerm(NamedTuple):
+    """One chain term: factor times the eps -> 0 limit of the functional."""
+    sweep_id: str
+    term: str
+    functional: Callable
+    grid: str          # the config's eps grid the sweep runs on
+    model: str         # the sweep's extrapolation model
+    factor: float
+    factor_label: str  # the factor in the term's provenance
+
+    def sweep(self, cfg: ExperimentConfig, threads: int):
+        return epsilon_sweep(self.functional, cfg.build_eps_grid(self.grid),
+                             model=self.model, threads=threads,
+                             functional_id=self.sweep_id)
+
+
+def _chain_terms(s: Setup, f: Field) -> list:
+    """The chain terms of field f: the spherical variation, one Besov
+    constant per kernel, then the Gagliardo constant."""
+    params, budget = s.params, s.budget
+    eta = abs(s.mollifier.total) ** params.q
+    eta_h = eta * sphere_measure(f.dim_in)
+    rows = [_ChainTerm("spherical_variation", "variation",
+                       lambda e: spherical_variation(f, params, e, budget=budget),
+                       "eps_grid", "affine-in-power", eta, "|int eta|^q x ")]
+    for k in s.kernels:
+        sid = f"besov_constant_{k.kind}" + (f"_w{k.omega:g}" if k.kind == "logarithmic" else "")
+        rows.append(_ChainTerm(
+            sid, sid, lambda e, _k=k: besov_constant_at(f, params, _k, e, budget=budget),
+            "eps_grid", "affine-in-power", eta_h, "|int eta|^q H(S^(N-1)) x "))
+    rows.append(_ChainTerm(
+        "gagliardo_constant", "gagliardo",
+        lambda e: gagliardo_constant_at(f, s.mollifier, params, e, budget=budget),
+        "gagliardo_grid", "affine-in-inverse-log", 1.0, ""))
+    return rows
+
+
+def _jump_term(s: Setup, f: Field) -> float:
+    """|int eta|^q moment1 ||D^j u||_q, the closed-form end of the chain."""
+    jv = jump_variation(jump_set_of(f), s.params.q, s.region)
+    return abs(s.mollifier.total) ** s.params.q * sphere_moment(f.dim_in, 1.0) * jv
+
+
 # ---------------------------------------------------------------------------
 # Experiment bodies
 # ---------------------------------------------------------------------------
@@ -265,57 +337,20 @@ def _region_clears_jumps(region: RegionSpec, f: Field, gap: float = 1e-9) -> boo
     return True
 
 
-def _chain_sweeps(cfg: ExperimentConfig, out_dir: str, threads: int):
-    f = cfg.build_field()
-    region = cfg.build_region(f)
-    if region is not None and not _region_clears_jumps(region, f):
+def _run_chain(cfg: ExperimentConfig, out_dir: str, threads: int) -> ExperimentReport:
+    s = cfg.setup()
+    f = s.field
+    if s.region is not None and not _region_clears_jumps(s.region, f):
         raise InputError("region: boundary touches the jump set; chain limits "
                          "need H^(N-1)(boundary of E cap J_u) = 0")
-    params = cfg.build_params(region)
-    m = cfg.build_mollifier(f.dim_in)
-    kernels = cfg.build_kernels(f.dim_in)
-    budget = cfg.build_budget()
-    eta_factor = abs(m.total) ** params.q
-    h_meas = sphere_measure(f.dim_in)
-
     files, sweeps, terms = [], {}, {}
-
-    var_sweep = epsilon_sweep(
-        lambda e: spherical_variation(f, params, e, rule=cfg.sphere_rule, budget=budget),
-        cfg.build_eps_grid(), model="affine-in-power", power_s=1.0,
-        threads=threads, functional_id="spherical_variation")
-    sweeps["spherical_variation"] = var_sweep
-    files += _sweep_files(out_dir, "spherical_variation", var_sweep)
-    terms["variation"] = _term(eta_factor * var_sweep.extrapolated.limit,
-                               eta_factor * var_sweep.extrapolated.uncertainty,
-                               f"|int eta|^q x {var_sweep.functional_id} extrapolation")
-
-    for k in kernels:
-        sid = f"besov_constant_{k.kind}" + (f"_w{k.omega:g}" if k.kind == "logarithmic" else "")
-        sw = epsilon_sweep(lambda e, _k=k: besov_constant_at(f, params, _k, e, budget=budget),
-                           cfg.build_eps_grid(), model="affine-in-power", power_s=1.0,
-                           threads=threads, functional_id=sid)
-        sweeps[sid] = sw
-        files += _sweep_files(out_dir, sid, sw)
-        terms[sid] = _term(eta_factor * h_meas * sw.extrapolated.limit,
-                           eta_factor * h_meas * sw.extrapolated.uncertainty,
-                           f"|int eta|^q H(S^(N-1)) x {sid} extrapolation")
-
-    gag_sweep = epsilon_sweep(
-        lambda e: gagliardo_constant_at(f, m, params, e, budget=budget),
-        cfg.build_eps_grid("gagliardo_grid"), model="affine-in-inverse-log",
-        threads=threads, functional_id="gagliardo_constant")
-    sweeps["gagliardo_constant"] = gag_sweep
-    files += _sweep_files(out_dir, "gagliardo_constant", gag_sweep)
-    terms["gagliardo"] = _term(gag_sweep.extrapolated.limit,
-                               gag_sweep.extrapolated.uncertainty,
-                               "gagliardo_constant extrapolation")
-    return f, region, params, m, eta_factor, files, sweeps, terms
-
-
-def _run_chain(cfg: ExperimentConfig, out_dir: str, threads: int) -> ExperimentReport:
-    f, region, params, m, eta_factor, files, sweeps, terms = \
-        _chain_sweeps(cfg, out_dir, threads)
+    for row in _chain_terms(s, f):
+        sw = row.sweep(cfg, threads)
+        sweeps[row.sweep_id] = sw
+        files += _sweep_files(out_dir, row.sweep_id, sw)
+        terms[row.term] = _term(row.factor * sw.extrapolated.limit,
+                                row.factor * sw.extrapolated.uncertainty,
+                                f"{row.factor_label}{row.sweep_id} extrapolation")
     verdicts = []
     if cfg.kind == "sandwich":
         limit = terms["variation"]["value"]
@@ -330,9 +365,7 @@ def _run_chain(cfg: ExperimentConfig, out_dir: str, threads: int) -> ExperimentR
         chain_terms = {name: t["value"] for name, t in terms.items()
                        if name != "variation"} | {"variation": terms["variation"]["value"]}
         if cfg.kind == "jump_chain":
-            js = jump_set_of(f)
-            jv = jump_variation(js, params.q, region)
-            jump_term = eta_factor * sphere_moment(f.dim_in, 1.0) * jv
+            jump_term = _jump_term(s, f)
             terms["jump"] = _term(jump_term, 0.0,
                                   "|int eta|^q moment1 x jump_variation (closed form)")
             chain_terms["jump"] = jump_term
@@ -347,15 +380,12 @@ def _run_chain(cfg: ExperimentConfig, out_dir: str, threads: int) -> ExperimentR
         if len(kernel_terms) >= 2:
             verdicts.append(chain_check("kernel-equivalence", kernel_terms,
                                         cfg.pair_tolerance * scale).to_dict())
-    passed = all(v["pass"] for v in verdicts)
     return ExperimentReport(cfg.kind, verdicts, terms,
-                            {k: _sweep_summary(s) for k, s in sweeps.items()},
-                            files, passed)
+                            {k: _sweep_summary(sw) for k, sw in sweeps.items()}, files)
 
 
-def _run_constants(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
-    verdicts, terms, files = [], {}, []
-    rows = []
+def _run_constants(cfg: ExperimentConfig, out_dir: str, threads: int) -> ExperimentReport:
+    verdicts, terms, rows = [], {}, []
     for n in cfg.dims:
         table = dimensional_constants(n, tuple(cfg.q_list))
         terms[f"N{n}"] = {"value": table.moment1, "error": 0.0,
@@ -369,91 +399,82 @@ def _run_constants(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
                 f"nc_residual_N{n}", table.nc_residual, tol,
                 {"moment1": table.moment1, "residual": table.nc_residual}))
     path = os.path.join(out_dir, "constants.csv")
-    _write_csv(path, ["N", "sphere_measure", "moment1", "C_N", "nc_residual"], rows)
-    files.append(path)
-    passed = all(v["pass"] for v in verdicts)
-    return ExperimentReport("constants", verdicts, terms, {}, files, passed)
+    write_csv(path, ["N", "sphere_measure", "moment1", "C_N", "nc_residual"], rows)
+    return ExperimentReport("constants", verdicts, terms, {}, [path])
 
 
-def _kernel_eps_list(k: RadialKernelFamily, grid: EpsilonGrid):
-    if k.kind != "logarithmic":
-        return list(grid.values())
-    # sweep L = |ln eps| geometrically far enough for the support to pass
-    # delta = 0.1 exactly; for small omega this goes beyond float64 eps
-    l_end = 1.2 * 10.0 ** (1.0 / k.omega)
-    return [NegLogEps(L) for L in np.geomspace(2.0, l_end, grid.count)]
-
-
-def _run_kernel_audit(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
-    verdicts, files, terms = [], [], {}
+def kernel_audit_table(k: RadialKernelFamily, cfg: ExperimentConfig) -> tuple:
+    """(header, rows) of the audit CSV of kernel family k over the config's
+    eps grid, deltas and alphas.  A logarithmic family sweeps L = |ln eps|
+    geometrically far enough for its support to pass delta = 0.1 exactly;
+    for small omega this goes beyond float64 eps."""
     grid = cfg.build_eps_grid()
+    if k.kind == "logarithmic":
+        eps_list = [NegLogEps(L) for L in np.geomspace(2.0, 1.2 * 10.0 ** (1.0 / k.omega),
+                                                       grid.count)]
+    else:
+        eps_list = list(grid.values())
+    rows = audit_rows(k, eps_list, deltas=tuple(cfg.deltas), alphas=tuple(cfg.alphas))
+    header = list(rows[0].keys())
+    return header, [[r[h] for h in header] for r in rows]
+
+
+def _run_kernel_audit(cfg: ExperimentConfig, out_dir: str, threads: int) -> ExperimentReport:
+    verdicts, files, terms = [], [], {}
     for n in cfg.dims:
         for k in cfg.build_kernels(n):
             label = f"N{n}_{k.kind}" + (f"_w{k.omega:g}" if k.kind == "logarithmic" else "")
-            eps_list = _kernel_eps_list(k, grid)
-            rows = audit_rows(k, eps_list, deltas=tuple(cfg.deltas),
-                              alphas=tuple(cfg.alphas))
-            header = list(rows[0].keys())
+            header, rows = kernel_audit_table(k, cfg)
             path = os.path.join(out_dir, f"kernel_audit_{label}.csv")
-            _write_csv(path, header, [[r[h] for h in header] for r in rows])
+            write_csv(path, header, rows)
             files.append(path)
-            mass_dev = max(abs(r["mass"] - 1.0) for r in rows)
+            col = dict(zip(header, zip(*rows)))
+            mass_dev = max(abs(m - 1.0) for m in col["mass"])
             verdicts.append(_audit_verdict(f"mass_{label}", mass_dev, 1e-9,
                                            {"worst |mass-1|": mass_dev}))
-            tail_end = rows[-1][f"tail_{cfg.deltas[0]:g}"]
+            tail_end = col[f"tail_{cfg.deltas[0]:g}"][-1]
             verdicts.append(_audit_verdict(f"tail_{label}", abs(tail_end), 0.0,
                                            {"final tail": tail_end}))
             if k.kind == "logarithmic":
-                moms = [r[f"moment_{cfg.alphas[0]:g}"] for r in rows]
+                moms = col[f"moment_{cfg.alphas[0]:g}"]
                 tail = moms[-max(3, math.ceil(len(moms) / 3)):]
                 mono = all(a > b for a, b in zip(tail, tail[1:]))
                 verdicts.append(_audit_verdict(f"moment_monotone_{label}",
                                                0.0 if mono else 1.0, 0.0,
                                                {"monotone": 1.0 if mono else 0.0}))
-    passed = all(v["pass"] for v in verdicts)
-    return ExperimentReport("kernel_audit", verdicts, terms, {}, files, passed)
+    return ExperimentReport("kernel_audit", verdicts, terms, {}, files)
 
 
-def _run_interpolation(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
-    f = cfg.build_field()
-    q = float(cfg.params["q"])
-    p = float(cfg.params["p"])
-    lhs, rhs = interpolation_check(f, q, p)
+def _run_interpolation(cfg: ExperimentConfig, out_dir: str, threads: int) -> ExperimentReport:
+    s = cfg.setup()
+    q = s.params.q
+    lhs, rhs = interpolation_check(s.field, q, s.params.p)
     violation = max(0.0, lhs - rhs)
     verdict = _audit_verdict("interpolation", violation, cfg.tolerance,
                              {"lhs": lhs, "rhs": rhs})
     terms = {"lhs": _term(lhs, 0.0, f"besov_seminorm_q(r=1/{q:g})"),
              "rhs": _term(rhs, 0.0, "||Du||^alpha [u]_p^(p(1-alpha)) closed form")}
-    return ExperimentReport("interpolation", [verdict], terms, {}, [],
-                            verdict["pass"])
+    return ExperimentReport("interpolation", [verdict], terms, {}, [])
 
 
 def _run_truncation(cfg: ExperimentConfig, out_dir: str, threads: int) -> ExperimentReport:
-    f = cfg.build_field()
-    region = cfg.build_region(f)
-    params = cfg.build_params(region)
-    m = cfg.build_mollifier(f.dim_in)
-    kernels = cfg.build_kernels(f.dim_in)
-    budget = cfg.build_budget()
-    eta_factor = abs(m.total) ** params.q
-    h_meas = sphere_measure(f.dim_in)
-    sup_amp = sup_amplitude(f)
+    s = cfg.setup()
+    sup_amp = sup_amplitude(s.field)
     levels = list(cfg.truncation_levels) + [None]   # None = untruncated
-    eps_var = cfg.build_eps_grid().values()[-1]
+    # each chain term at one eps: the eps grid's last, and e^-7 for Gagliardo
+    at = {"eps_grid": float(cfg.build_eps_grid().values()[-1]),
+          "gagliardo_grid": math.exp(-7.0)}
 
     rows = []
     for l in levels:
-        g = f if l is None else truncate(f, l)
-        jv = jump_variation(jump_set_of(g), params.q, region)
-        var = spherical_variation(g, params, float(eps_var), budget=budget).value
-        bc = besov_constant_at(g, params, kernels[0], float(eps_var), budget=budget).value
-        gag = gagliardo_constant_at(g, m, params, math.exp(-7.0), budget=budget).value
-        rows.append(("inf" if l is None else l,
-                     eta_factor * sphere_moment(f.dim_in, 1.0) * jv,
-                     eta_factor * var, eta_factor * h_meas * bc, gag))
+        g = s.field if l is None else truncate(s.field, l)
+        # the variation, the first kernel's Besov constant, the Gagliardo constant
+        chain = _chain_terms(s._replace(kernels=s.kernels[:1]), g)
+        rows.append(("inf" if l is None else l, _jump_term(s, g),
+                     *(row.factor * row.functional(at[row.grid]).value for row in chain)))
     path = os.path.join(out_dir, "truncation_terms.csv")
-    _write_csv(path, ["level", "jump_term", "variation_term",
-                      "besov_constant_term", "gagliardo_term"], rows)
+    write_csv(path, ["level", "jump_term", "variation_term",
+                     "besov_constant_term", "gagliardo_term"], rows)
 
     names = ["jump_term", "variation_term", "besov_constant_term", "gagliardo_term"]
     verdicts = []
@@ -471,25 +492,20 @@ def _run_truncation(cfg: ExperimentConfig, out_dir: str, threads: int) -> Experi
                                    {n: rows[-1][i + 1] for i, n in enumerate(names)}))
     verdicts.append(_audit_verdict("truncation_equality", worst_eq, 1e-9,
                                    {"sup_amplitude": sup_amp}))
-    passed = all(v["pass"] for v in verdicts)
     terms = {f"level_{r[0]}": _term(r[1], 0.0, "jump term at this level") for r in rows}
-    return ExperimentReport("truncation_convergence", verdicts, terms, {},
-                            [path], passed)
+    return ExperimentReport("truncation_convergence", verdicts, terms, {}, [path])
 
 
 def _run_bounds_audit(cfg: ExperimentConfig, out_dir: str, threads: int) -> ExperimentReport:
-    f = cfg.build_field()
-    region = cfg.build_region(f)
-    params = cfg.build_params(region)
-    m = cfg.build_mollifier(f.dim_in)
-    budget = cfg.build_budget()
+    s = cfg.setup()
+    f, params, m = s.field, s.params, s.mollifier
     verdicts, terms = [], {}
 
     combo_rows = []
     for eps, beta, gamma in cfg.split_combos:
         bounds = gagliardo_split_bounds(f, m, params, eps, beta, gamma)
         measured = gagliardo_region_integrals(f, m, params, eps, beta, gamma,
-                                              budget=budget)
+                                              budget=s.budget)
         for name, bd, (mv, me) in zip(("tail", "annulus", "core"), bounds, measured):
             violation = max(0.0, mv - bd - 3.0 * me)
             verdicts.append(_audit_verdict(
@@ -497,8 +513,8 @@ def _run_bounds_audit(cfg: ExperimentConfig, out_dir: str, threads: int) -> Expe
                 {"measured": mv, "bound": bd, "error": me}))
             combo_rows.append((eps, beta, gamma, name, mv, me, bd))
     path = os.path.join(out_dir, "split_bounds.csv")
-    _write_csv(path, ["eps", "beta", "gamma", "regionpiece", "measured",
-                      "error", "bound"], combo_rows)
+    write_csv(path, ["eps", "beta", "gamma", "regionpiece", "measured",
+                     "error", "bound"], combo_rows)
 
     # uniform bound over the gagliardo sweep rows
     q, rq = params.q, params.rq
@@ -510,10 +526,7 @@ def _run_bounds_audit(cfg: ExperimentConfig, out_dir: str, threads: int) -> Expe
              + m.grad_mass ** q * 2.0 ** q * unorm * h / (q - rq))
     terms["uniform_bound_rhs"] = _term(rhs74, 0.0,
                                        "closed form from mollifier moments and field norms")
-    gag = epsilon_sweep(lambda e: gagliardo_constant_at(f, m, params, e, budget=budget),
-                        cfg.build_eps_grid("gagliardo_grid"),
-                        model="affine-in-inverse-log", threads=threads,
-                        functional_id="gagliardo_constant")
+    gag = _chain_terms(s, f)[-1].sweep(cfg, threads)
     worst = max(max(r.value - rhs74 for r in gag.valid_rows()), 0.0)
     verdicts.append(_audit_verdict("uniform_bound", worst, 0.0,
                                    {"rhs": rhs74,
@@ -524,15 +537,28 @@ def _run_bounds_audit(cfg: ExperimentConfig, out_dir: str, threads: int) -> Expe
         violation = max(0.0, lhs - tv)
         verdicts.append(_audit_verdict(f"variation_inequality_h{hshift:g}",
                                        violation, 1e-9, {"lhs": lhs, "tv": tv}))
-    passed = all(v["pass"] for v in verdicts)
     return ExperimentReport("bounds_audit", verdicts, terms,
                             {"gagliardo_constant": _sweep_summary(gag)},
-                            [path], passed)
+                            [path])
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
+
+# kind -> (body, whether r is pinned to 1/q, the jump regime)
+_KINDS = {
+    "kernel_audit": (_run_kernel_audit, False),
+    "constants": (_run_constants, False),
+    "sandwich": (_run_chain, True),
+    "kernel_equivalence": (_run_chain, True),
+    "jump_chain": (_run_chain, True),
+    "interpolation": (_run_interpolation, False),
+    "truncation_convergence": (_run_truncation, True),
+    "bounds_audit": (_run_bounds_audit, False),
+}
+EXPERIMENT_KINDS = tuple(_KINDS)
+
 
 def run(config, out_dir: str, threads: int = 1) -> ExperimentReport:
     """Execute the experiment named by the config; write CSV sweeps, plot
@@ -541,32 +567,10 @@ def run(config, out_dir: str, threads: int = 1) -> ExperimentReport:
     if isinstance(config, dict):
         config = validate_config(config)
     os.makedirs(out_dir, exist_ok=True)
-    if config.kind in ("sandwich", "kernel_equivalence", "jump_chain"):
-        report = _run_chain(config, out_dir, threads)
-    elif config.kind == "constants":
-        report = _run_constants(config, out_dir)
-    elif config.kind == "kernel_audit":
-        report = _run_kernel_audit(config, out_dir)
-    elif config.kind == "interpolation":
-        report = _run_interpolation(config, out_dir)
-    elif config.kind == "truncation_convergence":
-        report = _run_truncation(config, out_dir, threads)
-    elif config.kind == "bounds_audit":
-        report = _run_bounds_audit(config, out_dir, threads)
-    else:
-        raise InputError(f"kind: unhandled experiment {config.kind!r}")
+    report = _KINDS[config.kind][0](config, out_dir, threads)
     summary = {"config": config.to_dict()} | report.to_dict()
     spath = os.path.join(out_dir, "summary.json")
     with open(spath, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2, default=_json_default)
-        fh.write("\n")
+        fh.write(json_text(summary, indent=2) + "\n")
     report.files.append(spath)
     return report
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")

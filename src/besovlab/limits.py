@@ -4,15 +4,15 @@ Tail minima/maxima are window statistics over the smallest-eps rows, never
 claimed to be true liminf/limsup values.  Three extrapolation models are
 supported: a weighted constant tail, an affine fit against 1/|ln eps| (the
 controlling small parameter of the mollified-seminorm sweeps), and an affine
-fit against eps^s.
+fit against eps.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -92,8 +92,7 @@ def _eval_row(functional: Callable, eps: float) -> SweepRow:
 
 
 def epsilon_sweep(functional: Callable, grid: EpsilonGrid,
-                  model: str = "constant-tail", power_s: float = 1.0,
-                  tail_window: Optional[int] = None, threads: int = 1,
+                  model: str = "constant-tail", threads: int = 1,
                   functional_id: str = "") -> EpsilonSweepResult:
     """Evaluate functional(eps) on a geometric grid (eps strictly decreasing)
     and extrapolate the eps -> 0 limit.
@@ -111,8 +110,7 @@ def epsilon_sweep(functional: Callable, grid: EpsilonGrid,
     valid = [r for r in rows if r.ok]
     if not valid:
         raise SweepError(f"every row of sweep {functional_id!r} failed")
-    window = tail_window if tail_window is not None else math.ceil(grid.count / 3)
-    window = min(window, len(valid))
+    window = min(math.ceil(grid.count / 3), len(valid))
     tail = valid[-window:]
     tail_min = min(r.value for r in tail)
     tail_max = max(r.value for r in tail)
@@ -120,10 +118,7 @@ def epsilon_sweep(functional: Callable, grid: EpsilonGrid,
                                 tail_window=window, tail_min=tail_min,
                                 tail_max=tail_max,
                                 extrapolated=Extrapolation(model, math.nan, math.nan))
-    ext = extrapolate(result, model, power_s=power_s)
-    return EpsilonSweepResult(functional_id=functional_id, rows=tuple(rows),
-                              tail_window=window, tail_min=tail_min,
-                              tail_max=tail_max, extrapolated=ext)
+    return replace(result, extrapolated=extrapolate(result, model))
 
 
 def _affine_fit(x: np.ndarray, y: np.ndarray):
@@ -139,8 +134,7 @@ def _affine_fit(x: np.ndarray, y: np.ndarray):
     return float(coef[0]), math.sqrt(max(cov[0, 0], 0.0))
 
 
-def extrapolate(sweep: EpsilonSweepResult, model: str,
-                power_s: float = 1.0) -> Extrapolation:
+def extrapolate(sweep: EpsilonSweepResult, model: str) -> Extrapolation:
     valid = sweep.valid_rows()
     tail = valid[-sweep.tail_window:]
     if model == "constant-tail":
@@ -164,12 +158,11 @@ def extrapolate(sweep: EpsilonSweepResult, model: str,
     if model == "affine-in-inverse-log":
         x = np.array([1.0 / abs(math.log(r.eps)) for r in fit_rows])
     elif model == "affine-in-power":
-        x = np.array([r.eps ** power_s for r in fit_rows])
+        x = np.array([r.eps for r in fit_rows])
     else:
         raise InputError(f"unknown extrapolation model {model!r}")
     limit, sigma = _affine_fit(x, v)
-    return Extrapolation(model if model != "affine-in-power"
-                         else f"affine-in-power({power_s:g})",
+    return Extrapolation(model if model != "affine-in-power" else "affine-in-power(1)",
                          limit, sigma + err_mean)
 
 

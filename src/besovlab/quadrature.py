@@ -58,7 +58,6 @@ __all__ = [
     "radial_integral",
     "shift_integral",
     "pair_integral",
-    "double_integral_singular",
     "OVERFLOW_GUARD",
 ]
 
@@ -638,31 +637,40 @@ def _pair_integral_indicator(f: Field, region, weight: PiecewisePower, a: float,
     S(t) the sphere integral of the closed-form symmetric difference, by
     panel Gauss-Legendre in t over [t0, b], t0 = max(a, b 1e-9), split where
     S kinks.  The symmetric difference grows like t, so the core (a, t0) is
-    _core with p = N."""
+    _core with p = N.  A box's S comes from the default sphere rule, whose
+    error is the integral's change on the rule of half its nodes."""
     n = f.dim_in
     shape, amp = _indicator(f, region, b)
     if shape.kind == "ball":
         kinks = [2.0 * shape.radius]
 
         # |B sym-diff (B - t n)| is the same for every direction n
-        def sphere_sum(ts):
+        def sphere_sum(ts, k):
             return sphere_measure(n) * _symdiff_measure(shape, ts[:, None] * np.eye(n)[0])
     else:
         side = np.asarray(shape.hi) - np.asarray(shape.lo)
         kinks = list(side) + [float(np.linalg.norm(side))]
-        nodes, wts = sphere_rule(n, default_sphere_rule(n))
+        rule = default_sphere_rule(n)
+        rules = [sphere_rule(n, rule), sphere_rule(n, _halve_rule(rule))]
 
-        def sphere_sum(ts):
+        def sphere_sum(ts, k):
+            nodes, wts = rules[k]
             return _symdiff_measure(shape, ts[:, None, None] * nodes[None, :, :]) @ wts
 
-    def g(ts):
-        return ts ** (n - 1) * amp ** q * sphere_sum(ts)
     t0 = max(a, b * 1e-9)
-    value, err = _t_integral(lambda ts: g(ts) * weight(ts), t0, b, kinks)
-    if a < t0:
-        core, core_err = _core(g, weight, a, t0, n)
-        value += core
-        err += core_err
+
+    def integral(k):
+        def g(ts):
+            return ts ** (n - 1) * amp ** q * sphere_sum(ts, k)
+        value, err = _t_integral(lambda ts: g(ts) * weight(ts), t0, b, kinks)
+        if a < t0:
+            core, core_err = _core(g, weight, a, t0, n)
+            value += core
+            err += core_err
+        return value, err
+    value, err = integral(0)
+    if shape.kind == "box":
+        err += abs(value - integral(1)[0])
     return QuadResult(value, float(err + 16.0 * np.finfo(float).eps * abs(value)), 0)
 
 
@@ -1345,35 +1353,3 @@ def pair_integral(f: Field, region: Optional[RegionSpec], weight: PiecewisePower
     low = not r.error_estimate <= budget.target_rel_error * max(abs(r.value), 1e-300)
     return replace(r, low_confidence=low, path=path)
 
-
-# ---------------------------------------------------------------------------
-# Public singular double integral
-# ---------------------------------------------------------------------------
-
-def _window_bounds(window, region: Optional[RegionSpec], f: Field):
-    if region is not None:
-        bb = region.bbox()
-        if bb is None:
-            raise InputError("double_integral_singular needs a bounded region")
-        diam = float(np.linalg.norm(bb[1] - bb[0]))
-    else:
-        lo, hi = support_bbox(f)
-        diam = 2.0 * float(np.linalg.norm(hi - lo))
-    if window is None or window == "full" or (isinstance(window, tuple) and window[0] == "full"):
-        return 0.0, diam
-    if isinstance(window, tuple) and window[0] == "ball":
-        return 0.0, float(window[1])
-    if isinstance(window, tuple) and window[0] == "annulus":
-        return float(window[1]), min(float(window[2]), diam)
-    raise InputError(f"unknown window spec {window!r}")
-
-
-def double_integral_singular(f: Field, region: Optional[RegionSpec], s: float,
-                             q: float, window, budget: Optional[QuadBudget] = None,
-                             stream: int = 0) -> QuadResult:
-    """Estimate the double integral of |u(x)-u(y)|^q / |x-y|^s over E x E
-    restricted to |x-y| inside the window ("full", ("ball", eps) or
-    ("annulus", beta, gamma))."""
-    return pair_integral(f, region, PiecewisePower.power_law(s),
-                         _window_bounds(window, region, f), q, budget=budget,
-                         stream=stream)

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from besovlab.cli import main
+from besovlab import seminorms
+from besovlab.cli import FUNCTIONALS, main
 from besovlab.experiments import default_config, validate_config
 from besovlab.errors import InputError
 
@@ -82,6 +83,13 @@ def test_validate_config_paths():
                          "eps_grid": {"eps0": 0.2, "ratio": 0.5, "count": 2}})
     with pytest.raises(InputError, match="unknown config key"):
         validate_config({"kind": "jump_chain", "mystery": 1})
+    # every kind that pins r = 1/q rejects another r
+    for kind in ("sandwich", "kernel_equivalence", "jump_chain",
+                 "truncation_convergence"):
+        with pytest.raises(InputError, match="params.r"):
+            validate_config({"kind": kind, "params": {"q": 2.0, "r": 0.3}})
+    with pytest.raises(InputError, match="params.kernel_index"):
+        validate_config({"kind": "jump_chain", "params": {"q": 2.0, "kernel_index": 1.0}})
     cfg = validate_config({"kind": "jump_chain", "params": {"q": 2.0, "r": 0.5}})
     assert cfg.tolerance == 0.10
 
@@ -181,3 +189,45 @@ def test_sweep_gagliardo_constant_grid(capsys):
     assert len(lines) == 9   # header + 8 rows of the gagliardo grid
     eps0 = float(lines[1].split(",")[0])
     assert eps0 == pytest.approx(math.exp(-2.0))
+
+
+def test_kernel_index_out_of_range(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "jump_chain",
+                               "params": {"q": 2.0, "kernel_index": 5}}))
+    rc = main(["seminorm", "--functional", "besov-constant", "--epsilon", "0.05",
+               "--config", str(cfg)])
+    assert rc == 2
+    assert "params.kernel_index" in capsys.readouterr().err
+
+
+# each CLI functional called directly on the config's set-up
+_DIRECT = {
+    "gagliardo-seminorm": lambda s, eps: seminorms.gagliardo_seminorm_q(
+        s.field, s.params, budget=s.budget),
+    "besov-seminorm": lambda s, eps: seminorms.besov_seminorm_q(s.field, s.params),
+    "brq": lambda s, eps: seminorms.brq_double_integral(s.field, s.params, eps,
+                                                        budget=s.budget),
+    "directional-variation": lambda s, eps: seminorms.directional_variation(
+        s.field, s.params, [1.0], eps, budget=s.budget),
+    "spherical-variation": lambda s, eps: seminorms.spherical_variation(
+        s.field, s.params, eps, budget=s.budget),
+    "besov-constant": lambda s, eps: seminorms.besov_constant_at(
+        s.field, s.params, s.kernels[0], eps, budget=s.budget),
+    "gagliardo-constant": lambda s, eps: seminorms.gagliardo_constant_at(
+        s.field, s.mollifier, s.params, eps, budget=s.budget),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONALS))
+def test_seminorm_command_matches_direct_call(name, tmp_path, capsys):
+    # at r = 0.3 every functional converges on the step
+    config = {"kind": "bounds_audit", "params": {"q": 2.0, "r": 0.3}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["seminorm", "--functional", name, "--epsilon", "0.05",
+                 "--config", str(cfg)]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    direct = _DIRECT[name](validate_config(config).setup(), 0.05)
+    assert (rec["value"], rec["error"], rec["provenance"]) == \
+        (direct.value, direct.error_estimate, direct.provenance)

@@ -58,7 +58,7 @@ def test_exact_affine_inverse_log_recovery():
 def test_exact_power_recovery_and_constant_agreement():
     a, b = 2.0, 3.0
     sweep = epsilon_sweep(lambda e: a + b * e, EpsilonGrid(0.1, 0.5, 10),
-                          model="affine-in-power", power_s=1.0)
+                          model="affine-in-power")
     assert abs(sweep.extrapolated.limit - a) <= 1e-12
     const = epsilon_sweep(lambda e: 5.0, EpsilonGrid(0.1, 0.5, 8))
     for model in ("constant-tail", "affine-in-inverse-log", "affine-in-power"):
@@ -82,7 +82,7 @@ def test_step_besov_constant_power_intercept(step):
     k = RadialKernelFamily("trivial", 1)
     grid = EpsilonGrid(0.1, 10.0 ** (-3.0 / 9.0), 10)   # 1e-1 .. 1e-4
     sweep = epsilon_sweep(lambda e: besov_constant_at(step, params, k, e), grid,
-                          model="affine-in-power", power_s=1.0)
+                          model="affine-in-power")
     assert sweep.extrapolated.limit == pytest.approx(2.0, rel=0.01)
 
 

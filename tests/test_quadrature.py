@@ -19,8 +19,7 @@ from besovlab.mollifiers import make_mollifier, mollify
 from besovlab.quadrature import (PiecewisePower, QuadBudget, _merged_edges_1d,
                                  _region_1d_edges, _shift_integral_1d,
                                  _smooth_shift_integrals_1d, _symdiff_measure,
-                                 _t_integral, default_sphere_rule,
-                                 double_integral_singular, integrate_sphere,
+                                 _t_integral, default_sphere_rule, integrate_sphere,
                                  pair_integral, radial_integral,
                                  shift_integral, sphere_measure, sphere_rule)
 
@@ -165,22 +164,22 @@ def test_symdiff_ball_3d_and_box():
 
 def test_double_integral_constant_field():
     const = make_field("constant", value=2.0)
-    r = double_integral_singular(const, RegionSpec.interval(-1, 1), 1.0, 2.0,
-                                 ("ball", 0.1))
+    r = pair_integral(const, RegionSpec.interval(-1, 1), PiecewisePower.power_law(1.0),
+                      (0.0, 0.1), 2.0)
     assert r.value == 0.0
 
 
 def test_double_integral_step_ball_window(step):
     # per jump the |z| < eps window contributes 2 eps: total 2*2*eps = 0.4
-    r = double_integral_singular(step, RegionSpec.interval(-1, 2), 1.0, 2.0,
-                                 ("ball", 0.1))
+    r = pair_integral(step, RegionSpec.interval(-1, 2), PiecewisePower.power_law(1.0),
+                      (0.0, 0.1), 2.0)
     assert r.value == pytest.approx(0.4, rel=0.02)
 
 
 def test_double_integral_step_annulus(step):
     beta, gamma = 0.02, 0.7
-    r = double_integral_singular(step, RegionSpec.interval(-1, 2), 2.0, 2.0,
-                                 ("annulus", beta, gamma))
+    r = pair_integral(step, RegionSpec.interval(-1, 2), PiecewisePower.power_law(2.0),
+                      (beta, gamma), 2.0)
     expect = 4.0 * (math.log(gamma) - math.log(beta))
     assert r.value == pytest.approx(expect, rel=0.02)
     oracle = riemann_pair_1d(step, RegionSpec.interval(-1, 2),
@@ -190,23 +189,18 @@ def test_double_integral_step_annulus(step):
 
 def test_double_integral_divergence_guard(step):
     with pytest.raises(DivergenceError):
-        double_integral_singular(step, RegionSpec.interval(-1, 2), 2.0, 2.0, "full")
-
-
-def test_double_integral_unbounded_region(step):
-    with pytest.raises(InputError):
-        double_integral_singular(step, RegionSpec.half_space([1.0], 0.0), 1.0,
-                                 2.0, ("ball", 0.1))
+        pair_integral(step, RegionSpec.interval(-1, 2), PiecewisePower.power_law(2.0),
+                      (0.0, 3.0), 2.0)
 
 
 def test_mc_seeded_determinism(disk, tent2):
     from besovlab.mollifiers import mollify
     u = mollify(disk, tent2, math.exp(-2))
     budget = QuadBudget(max_evaluations=50_000, rng_seed=42)
-    r1 = double_integral_singular(u, RegionSpec.box([-1.5, -1.5], [1.5, 1.5]),
-                                  3.0, 2.0, ("annulus", 0.05, 0.5), budget)
-    r2 = double_integral_singular(u, RegionSpec.box([-1.5, -1.5], [1.5, 1.5]),
-                                  3.0, 2.0, ("annulus", 0.05, 0.5), budget)
+    region = RegionSpec.box([-1.5, -1.5], [1.5, 1.5])
+    weight = PiecewisePower.power_law(3.0)
+    r1 = pair_integral(u, region, weight, (0.05, 0.5), 2.0, budget)
+    r2 = pair_integral(u, region, weight, (0.05, 0.5), 2.0, budget)
     assert r1.value == r2.value and r1.error_estimate == r2.error_estimate
 
 
@@ -214,8 +208,8 @@ def test_mc_low_confidence_flag(disk, tent2):
     from besovlab.mollifiers import mollify
     u = mollify(disk, tent2, math.exp(-2))
     tiny = QuadBudget(max_evaluations=2_048, target_rel_error=1e-6, rng_seed=1)
-    r = double_integral_singular(u, RegionSpec.box([-1.5, -1.5], [1.5, 1.5]),
-                                 3.0, 2.0, ("annulus", 0.05, 0.5), tiny)
+    r = pair_integral(u, RegionSpec.box([-1.5, -1.5], [1.5, 1.5]),
+                      PiecewisePower.power_law(3.0), (0.05, 0.5), 2.0, tiny)
     assert r.low_confidence
 
 
@@ -240,7 +234,7 @@ def test_error_estimate_honesty_randomized():
         eps = float(rng.uniform(0.01, 0.4 * length))
         f = make_field("step_1d", a=a, b=a + length, amplitude=amp)
         region = RegionSpec.interval(a - 1.5, a + length + 1.5)
-        r = double_integral_singular(f, region, 1.0, 2.0, ("ball", eps))
+        r = pair_integral(f, region, PiecewisePower.power_law(1.0), (0.0, eps), 2.0)
         closed = 4.0 * amp * amp * eps
         assert abs(r.value - closed) <= 1e-12 and r.error_estimate == 0.0
 
@@ -273,8 +267,8 @@ def test_mc_respects_evaluation_budget(disk, tent2):
     region = RegionSpec.box([-1.5, -1.5], [1.5, 1.5])
     for cap in (100, 2_048, 70_000):
         budget = QuadBudget(max_evaluations=cap, rng_seed=1)
-        r = double_integral_singular(u, region, 3.0, 2.0,
-                                     ("annulus", 0.05, 0.5), budget)
+        r = pair_integral(u, region, PiecewisePower.power_law(3.0), (0.05, 0.5), 2.0,
+                          budget)
         assert r.evaluations_used <= cap
 
 
@@ -497,6 +491,21 @@ def test_indicator_engine_counts_its_core(name, rq):
     got = pair_integral(f, None, PiecewisePower.power_law(n + rq), (0.0, b), 1.0)
     assert got.path == "indicator"
     assert abs(got.value - ref) <= got.error_estimate <= 1e-6 * got.value
+
+
+@pytest.mark.parametrize("rq", [0.1, 0.3, 0.9])
+def test_box_indicator_counts_its_sphere_rule_error(rq, monkeypatch):
+    # the W^(r,1) integral of the box indicator over the window (0, 2),
+    # weight t^-(2 + rq), against the same integral on a 4096-node rule; the
+    # trapezoid rule converges like h^2 on the symmetric difference's kinks
+    box = make_field("box_2d")
+    weight = PiecewisePower.power_law(2.0 + rq)
+    got = pair_integral(box, None, weight, (0.0, 2.0), 1.0)
+    assert got.path == "indicator"
+    monkeypatch.setattr(quadrature, "default_sphere_rule", lambda n: "trapezoid-4096")
+    ref = pair_integral(box, None, weight, (0.0, 2.0), 1.0).value
+    miss = abs(got.value - ref)
+    assert miss <= got.error_estimate <= 100.0 * miss
 
 
 def test_chain1d_exact_rows_hit_their_closed_forms(tmp_path):

@@ -202,12 +202,12 @@ def test_sandwich_at_the_limit(step, disk):
     for f in (step, disk):
         n = f.dim_in
         var = epsilon_sweep(lambda e: spherical_variation(f, P2, e), grid,
-                            model="affine-in-power", power_s=1.0)
+                            model="affine-in-power")
         for k in (RadialKernelFamily("trivial", n),
                   RadialKernelFamily("logarithmic", n, omega=0.5),
                   RadialKernelFamily("sigma_approx", n)):
             bc = epsilon_sweep(lambda e, _k=k: besov_constant_at(f, P2, _k, e),
-                               grid, model="affine-in-power", power_s=1.0)
+                               grid, model="affine-in-power")
             avg_var = var.extrapolated.limit / sphere_measure(n)
             assert bc.extrapolated.limit <= avg_var + 1e-3
             assert bc.extrapolated.limit == pytest.approx(avg_var, rel=5e-3)
@@ -313,7 +313,7 @@ def test_box_field_chain_quantities():
     target = sphere_moment(2, 1.0) * 4.0
     sweep = epsilon_sweep(lambda e: spherical_variation(box, P2, e),
                           EpsilonGrid(0.1, 0.5, 8),
-                          model="affine-in-power", power_s=1.0)
+                          model="affine-in-power")
     assert sweep.extrapolated.limit == pytest.approx(target, rel=2e-3)
     bc = besov_constant_at(box, P2, RadialKernelFamily("trivial", 2), 0.01)
     assert bc.value == pytest.approx(target / (2.0 * math.pi), rel=0.01)
