@@ -152,6 +152,8 @@ def validate_config(d: dict) -> ExperimentConfig:
                  "jump-regime experiments need r = 1/q exactly")
     if kind == "interpolation":
         _require(p is not None, "params.p", "interpolation needs p > q")
+    _require(isinstance(merged["kernels"], list) and len(merged["kernels"]) > 0, "kernels",
+             "must be a non-empty list of kernel specs")
     idx = params.get("kernel_index")
     if idx is not None:
         _require(type(idx) is int and 0 <= idx < len(merged["kernels"]),

@@ -21,7 +21,7 @@ import scipy  # its submodules load on first use, on the paths that need them
 
 from .errors import CapabilityError, InputError, ResolutionError
 from .fields import Field, GridSpec, eval_field, sample, support_bbox
-from .quadrature import _bspline, _fast_len, sphere_measure
+from .quadrature import _LATTICE_COLS, _LATTICE_ROWS, _bspline, _fast_len, sphere_measure
 
 __all__ = ["MollifierSpec", "make_mollifier", "mollify", "mollifier_bound_check"]
 
@@ -246,8 +246,9 @@ def _steps_of_1d_piecewise(f: Field):
 
 def mollify(f: Field, m: MollifierSpec, eps: float) -> Field:
     """u_eps = u * eta_(eps); closed form for 1D step sums, grid convolution
-    (the linear convolution of the sampled field with the taps, through a
-    zero-padded FFT) otherwise."""
+    otherwise: the field sampled at resolution eps/8 and convolved in place
+    with the taps, through a zero-padded FFT taken in blocks, so that
+    besides the samples it holds one complex array of about their size."""
     if eps <= 0.0:
         raise InputError("mollification scale must be positive")
     if m.dim != f.dim_in:
@@ -341,20 +342,45 @@ def _taps(m: MollifierSpec, eps: float, h: float, n: int) -> np.ndarray:
 
 
 def _convolve(values: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Each component of values (shape extent + (dim_out,)) convolved with
-    the odd-sized taps, zero outside the grid, cut back to the grid: the
-    linear convolution through rfftn/irfftn at a 5-smooth length."""
+    """Convolve each component of values (shape extent + (dim_out,)) in
+    place with the odd-sized taps, zero outside the grid, cut back to the
+    grid; returns values.  These are the 1D transforms of one rfftn/irfftn
+    at a 5-smooth length, in the same order, so the result is that one's bit
+    for bit, taken in blocks through one (ext_0, F) complex buffer: the
+    trailing rfftn per block of rows; the axis-0 fft, the product with the
+    taps' spectrum and the axis-0 ifft per block of columns; the trailing
+    irfftn per block of rows.  A 1D grid takes a leading axis of length 1,
+    whose fft is exact."""
+    if values.ndim == 2:
+        _convolve(values[None], taps[None])
+        return values
     ext = values.shape[:-1]
     reach = [t // 2 for t in taps.shape]
     length = [_fast_len(e + t - 1) for e, t in zip(ext, taps.shape)]
-    axes = tuple(range(len(ext)))
-    kernel = np.fft.rfftn(taps, s=length, axes=axes)
-    keep = tuple(slice(r, r + e) for r, e in zip(reach, ext))
-    out = np.empty_like(values)
+    trail = tuple(range(1, len(ext)))
+    fshape = tuple(length[1:-1]) + (length[-1] // 2 + 1,)
+    keep = (slice(None),) + tuple(slice(r, r + e) for r, e in zip(reach[1:], ext[1:]))
+    kernel = np.fft.rfftn(taps, s=length[1:], axes=trail).reshape(taps.shape[0], -1)
+    buf = np.empty((ext[0], kernel.shape[1]), dtype=complex)
+    # the data's and the taps' axis-0 spectra of a block of columns, two
+    # (length_0, width) arrays, take what one block of _LATTICE_COLS takes
+    width = _LATTICE_COLS // 2
     for di in range(values.shape[-1]):
-        spectrum = np.fft.rfftn(values[..., di], s=length, axes=axes) * kernel
-        out[..., di] = np.fft.irfftn(spectrum, s=length, axes=axes)[keep]
-    return out
+        comp = values[..., di]
+        for r0 in range(0, ext[0], _LATTICE_ROWS):
+            rows = slice(r0, r0 + _LATTICE_ROWS)
+            spectrum = np.fft.rfftn(comp[rows], s=length[1:], axes=trail)
+            buf[rows] = spectrum.reshape(spectrum.shape[0], -1)
+        for j0 in range(0, buf.shape[1], width):
+            cols = slice(j0, j0 + width)
+            z = np.fft.fft(buf[:, cols], n=length[0], axis=0)
+            z *= np.fft.fft(kernel[:, cols], n=length[0], axis=0)
+            buf[:, cols] = np.fft.ifft(z, axis=0)[reach[0]:reach[0] + ext[0]]
+        for r0 in range(0, ext[0], _LATTICE_ROWS):
+            rows = slice(r0, r0 + _LATTICE_ROWS)
+            comp[rows] = np.fft.irfftn(buf[rows].reshape((-1,) + fshape),
+                                       s=length[1:], axes=trail)[keep]
+    return values
 
 
 def mollifier_bound_check(f: Field, m: MollifierSpec, eps: float, r: float,

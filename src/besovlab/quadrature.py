@@ -46,7 +46,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import CapabilityError, DivergenceError, InputError
-from .fields import Field, RegionSpec, eval_field, knots_1d, sample_rows, support_bbox
+from .fields import (Field, RegionSpec, eval_field, knots_1d, sample_rows, scale_field,
+                     sup_amplitude, support_bbox)
 
 __all__ = [
     "QuadBudget",
@@ -599,6 +600,18 @@ def _pair_integral_piecewise_1d(f: Field, region, weight: PiecewisePower, a: flo
     return QuadResult(float(2.0 * total), 0.0, 0)
 
 
+def _amplitude(f: Field) -> Optional[float]:
+    """The largest amplitude of a field that fields.scale_field can scale:
+    of its steps for a mollified step sum, else fields.sup_amplitude; None
+    for any other field."""
+    if f.kind == "smooth" and f.payload.get("formula") == "steps_cdf":
+        return max(float(np.linalg.norm(amp)) for *_, amp in f.payload["params"]["steps"])
+    try:
+        return sup_amplitude(f)
+    except CapabilityError:
+        return None
+
+
 def _pair_integral_smooth_1d(f: Field, region, weight: PiecewisePower, a: float,
                              b: float, q: float, budget, stream) -> QuadResult:
     """2 int_a^b w(t) F(t) dt for a continuous 1D field: panel Gauss-Legendre
@@ -611,6 +624,17 @@ def _pair_integral_smooth_1d(f: Field, region, weight: PiecewisePower, a: float,
     without bound as t -> 0.  So F is evaluated at t rounded to a multiple of
     the ulp of twice the support's reach, where x + t is exact for every x of
     the same binade, and rescaled by F(t) ~ c t^q."""
+    amp = _amplitude(f)
+    if amp is not None and np.finfo(float).tiny <= amp < math.inf \
+            and not -1022.0 <= q * math.log2(amp) < 1024.0:
+        # |u|^q leaves the normal range: integrate u / scale, scale the least
+        # power of 2 above amp, and multiply back by scale^q in two halves
+        scale = 2.0 ** math.frexp(amp)[1]
+        r = _pair_integral_smooth_1d(scale_field(f, 1.0 / scale), region, weight, a, b, q,
+                                     budget, stream)
+        half = scale ** (q / 2.0)
+        return QuadResult(r.value * half * half, r.error_estimate * half * half,
+                          r.evaluations_used)
     quality = _quality_1d(f)
     nodes = []
     ulp = np.spacing(2.0 * float(np.max(np.abs(support_bbox(f)))))
@@ -722,7 +746,7 @@ def _step_shift_table(f: Field):
     exact.  The steps come from the disjoint pieces of a piecewise field."""
     steps = f.payload["params"]["steps"]
     knots = np.array([e for a, b, _ in steps for e in (a, b)])
-    scale = 2.0 ** math.frexp(max(float(np.linalg.norm(amp)) for *_, amp in steps))[1]
+    scale = 2.0 ** math.frexp(_amplitude(f))[1]
     src = Field(1, f.dim_out, "piecewise",
                 {"pieces": tuple((RegionSpec.interval(a, b), np.asarray(amp) / scale)
                                  for a, b, amp in steps)},

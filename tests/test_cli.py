@@ -201,6 +201,26 @@ def test_kernel_index_out_of_range(tmp_path, capsys):
     assert "params.kernel_index" in capsys.readouterr().err
 
 
+def test_empty_kernels_rejected_by_seminorm(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "jump_chain", "kernels": []}))
+    rc = main(["seminorm", "--functional", "besov-constant", "--epsilon", "0.05",
+               "--config", str(cfg)])
+    assert rc == 2
+    assert "kernels: must be a non-empty list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["truncation_convergence", "kernel_equivalence"])
+def test_empty_kernels_rejected_by_experiment(kind, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": kind, "kernels": []}))
+    out = tmp_path / "o"
+    rc = main(["experiment", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert "kernels: must be a non-empty list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # each CLI functional called directly on the config's set-up
 _DIRECT = {
     "gagliardo-seminorm": lambda s, eps: seminorms.gagliardo_seminorm_q(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ from scipy import integrate as sciint
 
 from besovlab.errors import InputError, ResolutionError
 from besovlab.fields import Field, GridSpec, RegionSpec, eval_field, make_field, sample
-from besovlab.mollifiers import (_mollify_grid, _taps, make_mollifier,
+from besovlab import mollifiers
+from besovlab.mollifiers import (_convolve, _mollify_grid, _taps, make_mollifier,
                                  mollifier_bound_check, mollify)
+from besovlab.quadrature import _fast_len
 from besovlab.seminorms import FunctionalParams, besov_seminorm_q, lq_norm_q
 
-from oracles import direct_convolution_1d
+from oracles import convolve_full_fft, direct_convolution_1d
 
 
 def test_tent_moments(tent):
@@ -123,6 +126,45 @@ def test_grid_mollification_matches_direct_summation(step, case):
     np.testing.assert_allclose(u.payload["values"], reference, rtol=0,
                                atol=1e-12 * np.abs(values).max())
     assert np.abs(reference).max() > 0.1
+
+
+@pytest.mark.parametrize("extent", [(200,), (70, 130), (5, 9, 70)])
+@pytest.mark.parametrize("taps_per_axis", [1, 3, 17])
+@pytest.mark.parametrize("dim_out", [1, 2])
+def test_blocked_convolution_is_the_full_fft_bit_for_bit(extent, taps_per_axis, dim_out):
+    # extents that split the row and column blocks unevenly
+    rng = np.random.default_rng(len(extent) * 100 + taps_per_axis * 10 + dim_out)
+    values = rng.standard_normal(extent + (dim_out,))
+    taps = rng.random((taps_per_axis,) * len(extent))
+    reference = convolve_full_fft(values, taps)
+    out = _convolve(values, taps)
+    assert out is values
+    assert np.array_equal(out, reference)
+
+
+def test_grid_mollification_peak_memory(disk, tent2, monkeypatch):
+    # The convolution holds the samples, one (ext_0, F) complex buffer and
+    # its blocks.  Sampling ends before it starts; its own temporaries
+    # (fields._SAMPLE_POINTS centers at a time) are left out of the peak.
+    def sample_then_reset(f, spec):
+        out = sample(f, spec)
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(mollifiers, "sample", sample_then_reset)
+    tracemalloc.start()
+    try:
+        u = mollify(disk, tent2, math.exp(-4.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    values = u.payload["values"]
+    ext = values.shape[:-1]
+    assert ext == (457, 457)
+    # per axis-0 row, F complex values: the rfft at the length that holds
+    # ext_1 + 17 - 1 points (17 taps)
+    buffer = ext[0] * (_fast_len(ext[1] + 16) // 2 + 1) * 16
+    assert peak <= 1.25 * (values.nbytes + buffer)
 
 
 def test_mollify_resolution_error(step, tent):

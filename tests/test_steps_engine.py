@@ -236,6 +236,20 @@ def test_smooth_engine_error_is_calibrated(u, margins, s, b, a_frac):
     assert smooth.error_estimate <= max(100.0 * actual, 1e-9 * abs(exact.value) + roundoff)
 
 
+def test_smooth_engine_subnormal_integrand(tent):
+    # amp^2 ~ 8e-317 is subnormal: the smooth engine integrates u / 2^-525
+    # and multiplies back, so it loses no digits to underflow and agrees
+    # with the exact engine, 4.293e-320 = amp^2 5.27787e-4
+    amp = 9.01877906e-159
+    u = mollify(_steps([(0.0, 1e-3, amp)]), tent, 0.1)
+    weight = PiecewisePower.power_law(2.0)
+    exact = pair_integral(u, None, weight, (0.0, 1.0), 2.0)
+    smooth = _smooth(u, None, weight, (0.0, 1.0))
+    assert exact.value == pytest.approx(amp ** 2 * 5.27787e-4, rel=1e-5)
+    tiny = 4.0 * np.finfo(float).smallest_subnormal
+    assert abs(smooth.value - exact.value) <= smooth.error_estimate + exact.error_estimate + tiny
+
+
 def test_smooth_engine_tiny_window_start(step, tent):
     # a window start far below b 1e-9 joins the core (a, b 1e-9) instead of
     # starting the t-panels there, where t^-1.5 overflows
