@@ -540,12 +540,15 @@ def sample_rows(f: Field, g: GridSpec):
     if g.dim != f.dim_in:
         raise InputError("grid dimension does not match field")
     axes = g.centers()
-    ext = tuple(g.extent)
+    ext, n = tuple(g.extent), g.dim
     rows = max(1, _SAMPLE_POINTS // math.prod(ext[1:]))
     for r0 in range(0, ext[0], rows):
-        mesh = np.meshgrid(axes[0][r0:r0 + rows], *axes[1:], indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        yield r0, eval_field(f, pts).reshape(mesh[0].shape + (f.dim_out,))
+        block = [axes[0][r0:r0 + rows]] + axes[1:]
+        # one (rows, ..., N) array of centers, each axis broadcast into its column
+        pts = np.empty(tuple(len(a) for a in block) + (n,))
+        for i, a in enumerate(block):
+            pts[..., i] = a.reshape((-1,) + (1,) * (n - 1 - i))
+        yield r0, eval_field(f, pts.reshape(-1, n)).reshape(pts.shape[:-1] + (f.dim_out,))
 
 
 def sample(f: Field, g: GridSpec) -> Field:

@@ -382,3 +382,32 @@ def fourier_seminorm_steps(steps, eps, s):
     const = math.sqrt(math.pi) * math.gamma(1 - s) / (s * 4 ** s * math.gamma(0.5 + s))
     semi = 2.0 * const / (2.0 * math.pi) * transform(2.0 * s)
     return semi, transform(0.0) / (2.0 * math.pi)
+
+
+def region_moments_four_matrix(f):
+    """The lattice engine's box-term moments of a grid field, per axis
+    {d: (ext, degree + 1)}, with one interpolation matrix per hat-pair part:
+    the shape 6u(1 - u) at c_k -+ h u for d = -+1, and 1.5(1 - u)^2 at
+    c_k + h u and at c_k - h u for d = 0, u the Gauss-Legendre nodes on
+    [0, 1] and c_k the cell centers."""
+    from besovlab.fields import support_bbox
+    from besovlab.quadrature import _PHI_DEGREE, _cheb_interp, _gl
+    spec = f.payload["spec"]
+    lo_s, hi_s = support_bbox(f)
+    n, h = len(lo_s), float(spec.spacing[0])
+    degree = _PHI_DEGREE[n]
+    mid, half = 0.5 * (hi_s + lo_s), 0.5 * (hi_s - lo_s)
+    gx, gw = _gl(degree // 2 + 2)
+    u, wu = 0.5 * (1.0 + gx), 0.5 * gw
+    pieces = {-1: [(-1.0, 6.0 * u * (1.0 - u))], 1: [(1.0, 6.0 * u * (1.0 - u))],
+              0: [(1.0, 1.5 * (1.0 - u) ** 2), (-1.0, 1.5 * (1.0 - u) ** 2)]}
+    moments = []
+    for i in range(n):
+        centers = lo_s[i] + h * (np.arange(spec.extent[i]) + 1.0)
+        per = {}
+        for d, parts in pieces.items():
+            per[d] = sum(np.einsum("j,kja->ka", wu * shape, _cheb_interp(
+                degree, ((centers[:, None] + sign * h * u - mid[i]) / half[i]).ravel()
+            ).reshape(len(centers), len(u), -1)) for sign, shape in parts)
+        moments.append(per)
+    return moments

@@ -2,7 +2,9 @@
 Monte Carlo, its invariances, its region term, and which inputs reach it."""
 
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,10 +14,13 @@ from scipy import integrate as sciint
 
 from besovlab import fields, quadrature
 from besovlab.fields import Field, GridSpec, RegionSpec
+from besovlab.limits import EpsilonGrid, epsilon_sweep
 from besovlab.mollifiers import mollify
 from besovlab.quadrature import PiecewisePower, QuadBudget, pair_integral, sphere_measure
+from besovlab.seminorms import gagliardo_constant_at
 
-from oracles import box_escape_2d, fourier_seminorm, grid_weighted_l2_2d
+from oracles import (box_escape_2d, fourier_seminorm, grid_weighted_l2_2d,
+                     region_moments_four_matrix)
 
 PROPERTY = settings(max_examples=15, deadline=None, derandomize=True, database=None)
 
@@ -144,6 +149,26 @@ def test_lattice_engine_region_term_matches_quadrature(margin, b):
     assert abs(got - ref) <= 0.5 * (boxed.error_estimate + free.error_estimate)
 
 
+@pytest.mark.parametrize("ext,h,origin", [((40, 57), 0.05, (0.1, -0.3)),
+                                           ((120, 90), 0.02, (-1.1, 0.3)),
+                                           ((9, 12, 7), 0.1, (0.2, -0.5, 0.3)),
+                                           ((30, 24, 18), 0.05, (0.4, -0.9, 0.2))])
+def test_region_moments_share_one_matrix_per_axis(ext, h, origin):
+    # one interpolation matrix per axis serves both neighbours of a cell;
+    # its moments are the four-matrix form's up to rounding in the nodes
+    values = np.zeros(ext + (1,))
+    f = _grid(values, h, origin)
+    lo, hi = fields.support_bbox(f)
+    n = len(ext)
+    _, moments, _ = quadrature._region_weights(f, RegionSpec.box(lo - 0.5, hi + 0.5), n + 1.0,
+                                               float(np.linalg.norm(hi - lo)) + 1.0)
+    ref = region_moments_four_matrix(f)
+    for i in range(n):
+        for d in (-1, 0, 1):
+            assert moments[i][d].shape == (ext[i], quadrature._PHI_DEGREE[n] + 1)
+            assert np.max(np.abs(moments[i][d] - ref[i][d])) <= 1e-14 * np.max(np.abs(ref[i][d]))
+
+
 @pytest.mark.parametrize("x", [[0.2, 0.3, 0.4], [-0.5, 0.9, 0.1]])
 def test_box_phi_matches_face_quadrature_3d(x):
     # Phi_E(x) as a sum over the faces of int d G(r) r^-3 dA, each by scipy
@@ -172,8 +197,49 @@ def test_lattice_engine_agrees_with_monte_carlo(disk, tent2, k):
     exact = pair_integral(u, region, w, (0.0, b), 2.0)
     mc = quadrature._pair_integral_mc(u, region, w, 0.0, b, 2.0,
                                       QuadBudget(max_evaluations=1_500_000, rng_seed=11), 7)
-    assert abs(exact.value - mc.value) <= 1.5 * mc.error_estimate
+    # mc's error is four standard errors plus its core: 0.75 of it allows three
+    assert abs(exact.value - mc.value) <= 0.75 * mc.error_estimate
     assert exact.error_estimate <= 1e-3 * exact.value and not exact.low_confidence
+
+
+@st.composite
+def mc_grid_cases(draw):
+    ext = tuple(draw(st.lists(st.integers(6, 24), min_size=2, max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.standard_normal(ext + (draw(st.integers(1, 2)),))
+    return (values, draw(st.floats(0.05, 0.3)), rng.uniform(-1.0, 1.0, 2),
+            draw(st.floats(2.2, 3.8)), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def test_monte_carlo_error_is_calibrated_against_the_lattice_engine():
+    # mc is the only 2D/3D engine for q != 2: on random grid fields, with no
+    # region and with a box, its miss against the lattice engine stays
+    # within the two reported errors (coverage), and its error is not
+    # inflated past 100x the miss (tightness), taken over the examples since
+    # one Monte Carlo miss can be near zero by chance
+    ratios = []
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(case=mc_grid_cases())
+    def check(case):
+        values, h, origin, s, seed = case
+        f = _grid(values, h, origin)
+        lo = origin - h
+        hi = lo + h * (np.asarray(values.shape[:-1]) + 2.0)
+        b = float(np.linalg.norm(hi - lo)) + 0.5
+        w = PiecewisePower.power_law(s)
+        for region in (None, RegionSpec.box(lo - 0.3, hi + 0.3)):
+            ref = pair_integral(f, region, w, (0.0, b), 2.0)
+            assert ref.path == "lattice"
+            mc = quadrature._pair_integral_mc(f, region, w, 0.0, b, 2.0,
+                                              QuadBudget(max_evaluations=100_000,
+                                                         rng_seed=seed), 0)
+            miss = abs(mc.value - ref.value)
+            assert miss <= mc.error_estimate + ref.error_estimate
+            ratios.append(miss / mc.error_estimate)
+
+    check()
+    assert np.mean(ratios) >= 0.01
 
 
 def test_lattice_engine_dispatch(disk, tent2):
@@ -191,6 +257,49 @@ def test_lattice_engine_dispatch(disk, tent2):
              (RegionSpec.box([-0.3, -0.3], [0.3, 0.3]), w, (0.0, 1.0), 2.0)]
     for region, weight, window, q in cases:
         assert pair_integral(u, region, weight, window, q, budget).path == "mc"
+
+
+def test_kernel_table_is_built_once_across_threads(monkeypatch, disk, tent2, jump_params):
+    # the 2D chain's four Gagliardo rows on two threads: the first two reach
+    # the empty table cache together, and one order-10 and one order-5 rule
+    # must build it
+    monkeypatch.setattr(quadrature, "_KERNEL_CACHE", {})
+    orders = []
+    values = quadrature._kernel_values
+
+    def counted(n, s, ms, order):
+        orders.append(order)
+        return values(n, s, ms, order)
+
+    monkeypatch.setattr(quadrature, "_kernel_values", counted)
+    sweep = epsilon_sweep(lambda e: gagliardo_constant_at(disk, tent2, jump_params, e),
+                          EpsilonGrid(math.exp(-2.0), math.exp(-1.0), 4), threads=2)
+    assert all(r.ok for r in sweep.rows)
+    assert orders == [10, 5]
+
+
+def test_kernel_table_is_built_once_under_contention(monkeypatch):
+    # more threads than cores ask for one missing table at a short switch
+    # interval: one pair of rules builds it, and every caller gets that table
+    monkeypatch.setattr(quadrature, "_KERNEL_CACHE", {})
+    orders = []
+    values = quadrature._kernel_values
+
+    def counted(n, s, ms, order):
+        orders.append(order)
+        return values(n, s, ms, order)
+
+    monkeypatch.setattr(quadrature, "_kernel_values", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(quadrature._kernel_table, 2, 3.3) for _ in range(4)]
+            tables = [fut.result(timeout=60) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert orders == [10, 5]
+    assert all(t is tables[0] for t in tables)
 
 
 def test_fast_len_is_the_next_5_smooth_length():

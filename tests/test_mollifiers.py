@@ -167,6 +167,27 @@ def test_grid_mollification_peak_memory(disk, tent2, monkeypatch):
     assert peak <= 1.25 * (values.nbytes + buffer)
 
 
+def test_grid_sampling_peak_memory(disk, tent2, monkeypatch):
+    # sampling mollify's e^-4 grid (457^2, values 1.67 MB) holds one block of
+    # fields._SAMPLE_POINTS centers, filled in place, and eval_field's work
+    specs = []
+
+    def record(f, spec):
+        specs.append(spec)
+        return sample(f, spec)
+
+    monkeypatch.setattr(mollifiers, "sample", record)
+    mollify(disk, tent2, math.exp(-4.0))
+    assert tuple(specs[0].extent) == (457, 457)
+    tracemalloc.start()
+    try:
+        sample(disk, specs[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.0e6
+
+
 def test_mollify_resolution_error(step, tent):
     g = GridSpec(origin=(-1.0,), spacing=(0.05,), extent=(60,))
     coarse = sample(step, g)

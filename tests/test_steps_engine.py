@@ -259,3 +259,30 @@ def test_smooth_engine_tiny_window_start(step, tent):
     full = _smooth(u, None, weight, (0.0, 0.237))
     assert math.isfinite(tiny.value) and math.isfinite(tiny.error_estimate)
     assert abs(tiny.value - full.value) <= tiny.error_estimate + full.error_estimate
+
+
+@pytest.mark.parametrize("weight", [PiecewisePower.power_law(2.0),
+                                    PiecewisePower.power_law(1.0),
+                                    kernel_profile(RadialKernelFamily("trivial", 1), 0.05),
+                                    kernel_profile(RadialKernelFamily("logarithmic", 1, omega=0.5),
+                                                   0.05),
+                                    kernel_profile(RadialKernelFamily("sigma_approx", 1), 0.05),
+                                    PiecewisePower(((0.0, 0.3, 2.0, -0.5), (0.3, 2.0, -1.0, 1.5)))])
+def test_array_moments_are_the_scalar_moments(weight):
+    # the region term's escape mass takes one call per side: each bound must
+    # give the scalar path's value bit for bit, 0 at and past b
+    b = 1.7
+    lows = np.concatenate([np.geomspace(1e-6, 2.5, 200), [b, 0.05, 0.3, 2.0]])
+    for power in (0.0, 1.0, -0.5):
+        got = weight.moment(lows, b, power)
+        want = [weight.moment(x, b, power) if x < b else 0.0 for x in lows]
+        assert np.array_equal(got, want)
+
+
+def test_array_moments_keep_the_divergence_checks():
+    w = PiecewisePower.power_law(2.0)
+    with pytest.raises(DivergenceError):
+        w.moment(np.array([0.5, 0.0]), 1.0, 0.0)
+    with pytest.raises(DivergenceError):
+        PiecewisePower.power_law(1.0).moment(np.array([0.0]), 1.0, 0.0)
+    assert np.array_equal(w.moment(np.array([0.0]), 1.0, 2.0), [w.moment(0.0, 1.0, 2.0)])
