@@ -279,6 +279,15 @@ def _gl(npts: int):
     return _GL_CACHE[npts]
 
 
+def _distinct(x) -> np.ndarray:
+    """The sorted distinct values of a NaN-free array, as np.unique gives
+    them: np.unique's first call in a process imports numpy.ma."""
+    x = np.sort(x, axis=None)
+    keep = np.ones(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 def _panel_nodes(left: np.ndarray, right: np.ndarray, npts: int):
     """GL nodes/weights for the panels [left_i, right_i], panel by panel."""
     x, w = _gl(npts)
@@ -430,7 +439,7 @@ def _piecewise_shifts_1d(f: Field, region, ts: np.ndarray, q: float) -> np.ndarr
     length formed from differences of edges before |t| is added, so no
     edge - t is ever rounded: F(t) = sum_ij c_ij |I_i intersect (I_j - |t|)|."""
     t = np.abs(ts)[:, None]
-    p = np.unique(_edge_points_1d(f, region))
+    p = _distinct(_edge_points_1d(f, region))
     a = np.concatenate([[-np.inf], p])
     b = np.concatenate([p, [np.inf]])
     pad = 1.0 + np.abs(p[[0, -1]])
@@ -578,7 +587,7 @@ def _t_integral(tfunc: Callable, a: float, b: float, kinks: Sequence[float] = ()
     edges = np.geomspace(a, b, n_panels + 1)
     inner = [k for k in kinks if a < k < b]
     if inner:
-        edges = np.unique(np.concatenate([edges, np.asarray(inner, dtype=float)]))
+        edges = _distinct(np.concatenate([edges, np.asarray(inner, dtype=float)]))
     nhi, whi = _panel_nodes(edges[:-1], edges[1:], order)
     nlo, wlo = _panel_nodes(edges[:-1], edges[1:], max(order // 2, 2))
     vhi = float(whi @ np.asarray(tfunc(nhi), dtype=float))
@@ -599,7 +608,7 @@ def _shift_breaks_1d(f: Field, region) -> np.ndarray:
     """The radii, 0 among them, where a 1D F(t) can kink: the differences of
     two knots or region edges."""
     pts = _edge_points_1d(f, region)
-    return np.unique(np.abs(pts[:, None] - pts[None, :]))
+    return _distinct(np.abs(pts[:, None] - pts[None, :]))
 
 
 def _has_jumps(f: Field) -> bool:
@@ -823,7 +832,7 @@ def _steps_region_term(f: Field, region: RegionSpec, weight: PiecewisePower,
     grades = 2.0 ** np.arange(1, math.ceil(math.log2((s1 - s0) / min(s0 - lo_e, hi_e - s1))) + 2)
     pts = np.concatenate([knots_1d(f), [s0, s1], hi_e - np.asarray(cuts), lo_e + np.asarray(cuts),
                           hi_e - (hi_e - s1) * grades, lo_e + (s0 - lo_e) * grades])
-    pts = np.unique(pts[(pts >= s0) & (pts <= s1)])
+    pts = _distinct(pts[(pts >= s0) & (pts <= s1)])
     rules = [_panel_nodes(pts[:-1], pts[1:], order) for order in _STEPS_ORDERS]
     x = np.concatenate([r[0] for r in rules])
     vals = np.sum((eval_field(f, x[:, None]) / scale) ** 2, axis=-1) \
@@ -853,7 +862,7 @@ def _pair_integral_steps(f: Field, region, weight: PiecewisePower, a: float,
     t1 = float(np.min(breaks, initial=b))
     ends = [e for piece in weight.pieces for e in piece[:2]]
     geo = t1 * 2.0 ** (0.5 * np.arange(max(0, math.ceil(2.0 * math.log2(b / t1))) + 1))
-    pts = np.unique(np.concatenate([[a, b], breaks, ends, geo]))
+    pts = _distinct(np.concatenate([[a, b], breaks, ends, geo]))
     pts = pts[(pts >= max(a, t1)) & (pts <= b)]
     rules = [_panel_nodes(pts[:-1], pts[1:], order) for order in _STEPS_ORDERS]
     core = (a, min(b, t1)) if a < t1 else None

@@ -5,6 +5,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+# Hypothesis adds the literals of every loaded local module to its example
+# pool, so a derandomized test's draws depend on which besovlab modules the
+# collected test files import.  besovlab.cli imports them all: loaded here, a
+# test draws the same examples whichever files are collected.
+import besovlab.cli  # noqa: F401
 from besovlab.fields import make_field
 from besovlab.mollifiers import make_mollifier
 from besovlab.seminorms import FunctionalParams

@@ -1,5 +1,7 @@
 """Importing besovlab and running a chain's grid path load no scipy
-submodule: they cost most of the package's start-up time."""
+submodule: they cost most of the package's start-up time.  Once its config
+is validated, a chain run loads no module but numpy.fft: an import inside
+the run is paid in every run's wall time."""
 
 import os
 import subprocess
@@ -25,13 +27,39 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
 
 
-def test_chain_grid_path_loads_no_scipy_submodule():
+RUN_SCRIPT = """
+import math, sys, tempfile
+from besovlab import experiments
+chain_1d = experiments.validate_config(experiments.default_config("jump_chain").to_dict())
+chain_2d = experiments.validate_config({
+    "kind": "jump_chain", "field": {"name": "disk_2d"}, "params": {"q": 2.0},
+    "gagliardo_grid": {"eps0": math.exp(-1.0), "ratio": math.exp(-0.5), "count": 4},
+    "budget": {"max_evaluations": 20_000, "target_rel_error": 0.2}})
+for cfg in (chain_1d, chain_2d):
+    before = set(sys.modules)
+    with tempfile.TemporaryDirectory() as out:
+        experiments.run(cfg, out)
+    print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def _run(script: str) -> str:
     env = dict(os.environ)
     src = str(Path(besovlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    return proc.stdout
+
+
+def test_chain_grid_path_loads_no_scipy_submodule():
+    loaded = set(_run(SCRIPT).split())
     assert "scipy" in loaded
     assert not {f"scipy.{name}" for name in HEAVY} & loaded
+
+
+def test_chain_runs_load_no_module_but_numpy_fft():
+    new_1d, new_2d = _run(RUN_SCRIPT).split("\n")[:2]
+    assert new_1d == ""
+    assert all(m == "numpy.fft" or m.startswith("numpy.fft.") for m in new_2d.split()), new_2d

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate as sciint
@@ -16,8 +16,8 @@ from besovlab.fields import (Field, GridSpec, RegionSpec, eval_field, knots_1d,
                              make_field, sample, scale_field, support_bbox)
 from besovlab.kernels import RadialKernelFamily, kernel_profile, kernel_window
 from besovlab.mollifiers import make_mollifier, mollify
-from besovlab.quadrature import (PiecewisePower, QuadBudget, _merged_edges_1d,
-                                 _region_1d_edges, _shift_integral_1d,
+from besovlab.quadrature import (PiecewisePower, QuadBudget, _distinct, _merged_edges_1d,
+                                 _region_1d_edges, _shift_breaks_1d, _shift_integral_1d,
                                  _smooth_shift_integrals_1d, _symdiff_measure,
                                  _t_integral, default_sphere_rule, integrate_sphere,
                                  pair_integral, radial_integral,
@@ -277,6 +277,27 @@ def test_mc_respects_evaluation_budget(disk, tent2):
 # ---------------------------------------------------------------------------
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.floats(allow_nan=False),
+                          st.sampled_from((0.0, -0.0, 1.0, math.inf, -math.inf))),
+                max_size=40))
+@example([])
+@example([2.5])
+@example([-0.0, 0.0, -0.0])
+@example([math.inf, -math.inf, math.inf, 1.0])
+def test_distinct_matches_np_unique(values):
+    # the sampled pool makes heavy repeats; signed zeros compare equal
+    x = np.array(values, dtype=float)
+    got, want = _distinct(x), np.unique(x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_shift_breaks_of_a_knot_free_field_are_empty(bump):
+    assert knots_1d(bump) is None
+    assert _shift_breaks_1d(bump, None).shape == (0,)
 
 
 @st.composite

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from besovlab.errors import DivergenceError, InputError
-from besovlab.fields import Field, RegionSpec, make_field, scale_field
+from besovlab.fields import Field, RegionSpec, make_field, scale_field, truncate
 from besovlab.kernels import RadialKernelFamily
 from besovlab.mollifiers import mollify
 from besovlab.quadrature import shift_integral, sphere_measure
@@ -173,6 +173,52 @@ def test_homogeneity_every_functional(step, lam):
     ]
     for base, got in pairs:
         assert got == pytest.approx(factor * base, rel=1e-9)
+
+
+def _two_steps(shift: float = 0.0) -> Field:
+    pieces = tuple((RegionSpec.interval(a + shift, b + shift), np.array([amp]))
+                   for a, b, amp in ((0.0, 1.0, 1.0), (1.5, 2.25, -2.0)))
+    return Field(1, 1, "piecewise", {"pieces": pieces}, support_radius=abs(shift) + 2.25,
+                 name="two_steps")
+
+
+def _within(a, b) -> bool:
+    """a and b agree within their reported errors plus rounding."""
+    tol = a.error_estimate + b.error_estimate + 1e-14 * max(abs(a.value), abs(b.value))
+    return abs(a.value - b.value) <= tol
+
+
+# dyadic shifts move the knots and the region's edges without rounding
+@pytest.mark.parametrize("shift", [0.375, -1.5, 3.25])
+def test_gagliardo_constant_translation_invariant(shift, tent):
+    for eps in (math.exp(-2.0), math.exp(-4.0)):
+        base, moved = (gagliardo_constant_at(
+            _two_steps(d), tent,
+            FunctionalParams.jump_regime(2.0, region=RegionSpec.interval(d - 1.0, d + 3.5)), eps)
+            for d in (0.0, shift))
+        assert _within(base, moved)
+
+
+@pytest.mark.parametrize("lam", [-1.0, 2.0, -0.3, 3.0])
+def test_gagliardo_constant_homogeneous(lam, tent):
+    params = FunctionalParams.jump_regime(2.0, region=RegionSpec.interval(-1.0, 3.5))
+    base = gagliardo_constant_at(_two_steps(), tent, params, math.exp(-3.0))
+    scaled = gagliardo_constant_at(scale_field(_two_steps(), lam), tent, params,
+                                   math.exp(-3.0))
+    factor = abs(lam) ** 2
+    assert abs(scaled.value - factor * base.value) <= scaled.error_estimate \
+        + factor * base.error_estimate + 1e-14 * abs(scaled.value)
+
+
+def test_constants_of_truncations_do_not_decrease(step3, tent):
+    levels = (0.0, 0.5, 1.0, 2.0, 2.9, 3.0, 4.0)
+    for value_at in (lambda u: gagliardo_constant_at(u, tent, P2, math.exp(-3.0)),
+                     lambda u: besov_constant_at(u, P2, RadialKernelFamily("trivial", 1),
+                                                 0.05)):
+        vals = [value_at(truncate(step3, l)) for l in levels]
+        assert vals[-1].value > 0.0
+        for lo, hi in zip(vals, vals[1:]):
+            assert hi.value >= lo.value or _within(lo, hi)
 
 
 def _add_disjoint(u: Field, v: Field) -> Field:
