@@ -6,7 +6,7 @@ from .errors import (BesovLabError, CapabilityError, DivergenceError, FitError,
                      InputError, ResolutionError, SweepError)
 from .fields import (Field, GridSpec, JumpPatch, JumpSetSpec, RegionSpec,
                      default_region, eval_field, jump_set_of, make_field,
-                     sample, scale_field, truncate)
+                     sample, scale_field, sphere_measure, truncate)
 from .jumps import (ConstantsTable, dimensional_constants,
                     directional_jump_variation, jump_variation, sphere_moment)
 from .kernels import (NegLogEps, RadialKernelFamily, kernel_mass,
@@ -16,8 +16,7 @@ from .limits import (ChainVerdict, EpsilonGrid, EpsilonSweepResult,
                      chain_check, epsilon_sweep, extrapolate)
 from .mollifiers import MollifierSpec, make_mollifier, mollifier_bound_check, mollify
 from .quadrature import (PiecewisePower, QuadBudget, QuadResult, integrate_sphere,
-                         pair_integral, radial_integral, shift_integral,
-                         sphere_measure)
+                         pair_integral, radial_integral, shift_integral)
 from .seminorms import (FunctionalParams, FunctionalValue, besov_constant_at,
                         besov_seminorm_q, brq_double_integral,
                         directional_variation, gagliardo_constant_at,

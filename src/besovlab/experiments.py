@@ -14,19 +14,20 @@ from __future__ import annotations
 import json
 import math
 import os
+import statistics
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import InputError
-from .fields import (Field, RegionSpec, jump_set_of, make_field,
+from .fields import (Field, RegionSpec, jump_set_of, make_field, sphere_measure,
                      sup_amplitude, truncate)
 from .jumps import dimensional_constants, jump_variation, sphere_moment
 from .kernels import NegLogEps, RadialKernelFamily, audit_rows
 from .limits import EpsilonGrid, chain_check, epsilon_sweep
 from .mollifiers import MollifierSpec, make_mollifier
-from .quadrature import QuadBudget, sphere_measure
+from .quadrature import QuadBudget
 from .seminorms import (FunctionalParams, besov_constant_at, besov_seminorm_q,
                         gagliardo_constant_at, gagliardo_region_integrals,
                         gagliardo_split_bounds, interpolation_check, lq_norm_q,
@@ -323,7 +324,11 @@ def _jump_term(s: Setup, f: Field) -> float:
 # Experiment bodies
 # ---------------------------------------------------------------------------
 
-def _region_clears_jumps(region: RegionSpec, f: Field, gap: float = 1e-9) -> bool:
+# closest a jump may come to a face of the region
+_FACE_GAP = 1e-9
+
+
+def _region_clears_jumps(region: RegionSpec, f: Field) -> bool:
     """True when the region boundary stays clear of the jump set (the
     chain-limit precondition); checked for piecewise fields on box regions."""
     if f.kind != "piecewise" or region.kind != "box":
@@ -333,7 +338,7 @@ def _region_clears_jumps(region: RegionSpec, f: Field, gap: float = 1e-9) -> boo
     hi = np.asarray(region.hi)
     for patch in jump_set_of(f).patches:
         pts = _patch_probe_points(patch)
-        near_face = np.any((np.abs(pts - lo) < gap) | (np.abs(pts - hi) < gap))
+        near_face = np.any((np.abs(pts - lo) < _FACE_GAP) | (np.abs(pts - hi) < _FACE_GAP))
         if near_face:
             return False
     return True
@@ -373,7 +378,8 @@ def _run_chain(cfg: ExperimentConfig, out_dir: str, threads: int) -> ExperimentR
             chain_terms["jump"] = jump_term
             ref = abs(jump_term)
         else:
-            ref = float(np.median([abs(v) for v in chain_terms.values()]))
+            # not np.median: its first call in a process imports numpy.ma
+            ref = statistics.median(abs(v) for v in chain_terms.values())
         scale = max(ref, 1e-2)
         kind = "jump-chain" if cfg.kind == "jump_chain" else "kernel-equivalence"
         verdicts.append(chain_check(kind, chain_terms, cfg.tolerance * scale).to_dict())

@@ -31,19 +31,25 @@ __all__ = [
     "default_region",
     "support_bbox",
     "knots_1d",
+    "sphere_measure",
     "unit_ball_volume",
 ]
 
 
-def unit_ball_volume(n: int) -> float:
-    """Lebesgue measure of the unit ball in R^n (n = 1, 2, 3)."""
+def sphere_measure(n: int) -> float:
+    """H^{N-1}(S^{N-1}) for N = 1, 2, 3 (2, 2*pi, 4*pi)."""
     if n == 1:
         return 2.0
     if n == 2:
-        return math.pi
+        return 2.0 * math.pi
     if n == 3:
-        return 4.0 * math.pi / 3.0
+        return 4.0 * math.pi
     raise CapabilityError(f"unsupported dimension {n}")
+
+
+def unit_ball_volume(n: int) -> float:
+    """Lebesgue measure of the unit ball in R^n (n = 1, 2, 3)."""
+    return sphere_measure(n) / n
 
 
 # ---------------------------------------------------------------------------
@@ -585,10 +591,10 @@ def support_bbox(f: Field):
     return -r * np.ones(f.dim_in), r * np.ones(f.dim_in)
 
 
-def default_region(f: Field, margin: float = 1.0) -> RegionSpec:
-    """Box strictly containing the support with the given margin."""
+def default_region(f: Field) -> RegionSpec:
+    """Box strictly containing the support with one unit of margin."""
     lo, hi = support_bbox(f)
-    return RegionSpec.box(lo - margin, hi + margin)
+    return RegionSpec.box(lo - 1.0, hi + 1.0)
 
 
 def knots_1d(f: Field):

@@ -16,8 +16,7 @@ import numpy as np
 import scipy  # its submodules load on first use, on the paths that need them
 
 from .errors import CapabilityError, InputError
-from .fields import JumpPatch, JumpSetSpec, RegionSpec
-from .quadrature import sphere_measure
+from .fields import JumpPatch, JumpSetSpec, RegionSpec, sphere_measure
 
 __all__ = [
     "ConstantsTable",

@@ -16,8 +16,8 @@ from typing import Union
 import numpy as np
 
 from .errors import DivergenceError, InputError
-from .fields import unit_ball_volume
-from .quadrature import PiecewisePower, QuadResult, sphere_measure
+from .fields import sphere_measure, unit_ball_volume
+from .quadrature import PiecewisePower, QuadResult
 
 __all__ = [
     "NegLogEps",

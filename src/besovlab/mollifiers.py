@@ -20,8 +20,8 @@ import numpy as np
 import scipy  # its submodules load on first use, on the paths that need them
 
 from .errors import CapabilityError, InputError, ResolutionError
-from .fields import Field, GridSpec, eval_field, sample, support_bbox
-from .quadrature import _LATTICE_COLS, _LATTICE_ROWS, _bspline, _fast_len, sphere_measure
+from .fields import Field, GridSpec, eval_field, sample, sphere_measure, support_bbox
+from .quadrature import _LATTICE_COLS, _LATTICE_ROWS, _bspline, _fast_len, _panel_nodes
 
 __all__ = ["MollifierSpec", "make_mollifier", "mollify", "mollifier_bound_check"]
 
@@ -121,11 +121,15 @@ def _bump_grad(v):
     return out
 
 
-class _TableCDF:
-    """Cumulative integral of a pdf on [-hw, hw], tabulated once."""
+_CDF_CELLS = 8192
 
-    def __init__(self, pdf: Callable, hw: float, m: int = 8192):
-        xs = np.linspace(-hw, hw, m + 1)
+
+class _TableCDF:
+    """Cumulative integral of a pdf on [-hw, hw], tabulated once on
+    _CDF_CELLS midpoint cells."""
+
+    def __init__(self, pdf: Callable, hw: float):
+        xs = np.linspace(-hw, hw, _CDF_CELLS + 1)
         mid = 0.5 * (xs[1:] + xs[:-1])
         steps = np.diff(xs) * pdf(mid)
         self.xs = xs
@@ -276,15 +280,10 @@ def mollify(f: Field, m: MollifierSpec, eps: float) -> Field:
 
 def _mollify_smooth_quadrature(f: Field, m: MollifierSpec, eps: float) -> Field:
     """Evaluate u_eps(x) = int eta(z) u(x - eps z) dz by fixed panel GL."""
-    from numpy.polynomial.legendre import leggauss
-    xg, wg = leggauss(12)
     panels = np.linspace(-m.halfwidth, m.halfwidth, 9)
-    mid = 0.5 * (panels[1:] + panels[:-1])
-    half = 0.5 * np.diff(panels)
-    z = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel() * np.asarray(m.pdf(np.abs(z))
-                                                           if m.kind != "signed-test"
-                                                           else m.pdf(z), dtype=float)
+    z, w = _panel_nodes(panels[:-1], panels[1:], 12)
+    w = w * np.asarray(m.pdf(np.abs(z)) if m.kind != "signed-test" else m.pdf(z),
+                       dtype=float)
 
     base = f
 

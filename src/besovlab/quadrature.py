@@ -48,12 +48,11 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import CapabilityError, DivergenceError, InputError
 from .fields import (Field, RegionSpec, eval_field, knots_1d, sample_rows, scale_field,
-                     sup_amplitude, support_bbox)
+                     sphere_measure, sup_amplitude, support_bbox)
 
 __all__ = [
     "QuadBudget",
     "QuadResult",
-    "sphere_measure",
     "sphere_rule",
     "integrate_sphere",
     "PiecewisePower",
@@ -89,80 +88,44 @@ class QuadResult:
     path: Optional[str] = None
 
 
-def sphere_measure(n: int) -> float:
-    """H^{N-1}(S^{N-1}) for N = 1, 2, 3 (2, 2*pi, 4*pi)."""
-    if n == 1:
-        return 2.0
-    if n == 2:
-        return 2.0 * math.pi
-    if n == 3:
-        return 4.0 * math.pi
-    raise CapabilityError(f"unsupported dimension {n}")
-
-
 # ---------------------------------------------------------------------------
 # Sphere rules
 # ---------------------------------------------------------------------------
 
-def sphere_rule(n: int, rule: str):
-    """Nodes (M, N) and weights (M,) for the unnormalized H^{N-1} integral."""
-    if rule == "exact-2pt":
-        if n != 1:
-            raise InputError("exact-2pt applies to N=1 only")
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if rule.startswith("trapezoid-"):
-        if n != 2:
-            raise InputError("trapezoid rules apply to N=2 only")
-        m = int(rule.split("-")[-1])
-        theta = 2.0 * math.pi * np.arange(m) / m
+# nodes per circle of the sphere rules; the error of a sphere integral is its
+# change on the rule of half as many
+_SPHERE_NODES = 64
+
+
+def sphere_rule(n: int, m: int):
+    """Nodes (M, N) and weights (M,) for the unnormalized H^{N-1} integral:
+    the m-point trapezoid rule in the angle for N = 2; for N = 3, m angles on
+    each of m // 2 Gauss-Legendre latitudes (at least 2)."""
+    theta = 2.0 * math.pi * np.arange(m) / m
+    if n == 2:
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         return nodes, np.full(m, 2.0 * math.pi / m)
-    if rule.startswith("product-lat-long-"):
-        if n != 3:
-            raise InputError("product-lat-long rules apply to N=3 only")
-        m = int(rule.split("-")[-1])
-        klat = max(m // 2, 2)
-        c, wlat = leggauss(klat)          # cos(phi) in [-1, 1]
-        theta = 2.0 * math.pi * np.arange(m) / m
-        s = np.sqrt(1.0 - c ** 2)
-        nodes = np.stack([
-            np.outer(s, np.cos(theta)).ravel(),
-            np.outer(s, np.sin(theta)).ravel(),
-            np.outer(c, np.ones(m)).ravel(),
-        ], axis=-1)
-        weights = np.outer(wlat, np.full(m, 2.0 * math.pi / m)).ravel()
-        return nodes, weights
-    raise InputError(f"unknown sphere rule {rule!r}")
+    if n != 3:
+        raise CapabilityError(f"no sphere rule for dimension {n}")
+    c, wlat = leggauss(max(m // 2, 2))          # cos(phi) in [-1, 1]
+    s = np.sqrt(1.0 - c ** 2)
+    nodes = np.stack([
+        np.outer(s, np.cos(theta)).ravel(),
+        np.outer(s, np.sin(theta)).ravel(),
+        np.outer(c, np.ones(m)).ravel(),
+    ], axis=-1)
+    weights = np.outer(wlat, np.full(m, 2.0 * math.pi / m)).ravel()
+    return nodes, weights
 
 
-def default_sphere_rule(n: int, m: int = 64) -> str:
-    return {1: "exact-2pt", 2: f"trapezoid-{m}", 3: f"product-lat-long-{m}"}[n]
-
-
-def _halve_rule(rule: str) -> Optional[str]:
-    if rule == "exact-2pt":
-        return None
-    head, m = rule.rsplit("-", 1)
-    m = int(m)
-    if m < 8:
-        return None
-    return f"{head}-{m // 2}"
-
-
-def integrate_sphere(g: Callable, n: int, rule: str) -> QuadResult:
-    """Unnormalized integral of g over S^{N-1}; divide by sphere_measure(N)
-    for the averaged form."""
-    nodes, weights = sphere_rule(n, rule)
-    vals = np.asarray(g(nodes), dtype=float)
-    value = float(weights @ vals)
-    evals = len(weights)
-    coarse = _halve_rule(rule)
-    if coarse is None:
-        return QuadResult(value, 0.0, evals)
-    cn, cw = sphere_rule(n, coarse)
-    cvals = np.asarray(g(cn), dtype=float)
-    err = abs(value - float(cw @ cvals))
-    return QuadResult(value, err, evals + len(cw))
+def integrate_sphere(g: Callable, n: int) -> QuadResult:
+    """Unnormalized integral of g over S^{N-1}, N = 2 or 3, on the rule of
+    _SPHERE_NODES; divide by sphere_measure(N) for the averaged form."""
+    nodes, weights = sphere_rule(n, _SPHERE_NODES)
+    value = float(weights @ np.asarray(g(nodes), dtype=float))
+    cnodes, cweights = sphere_rule(n, _SPHERE_NODES // 2)
+    err = abs(value - float(cweights @ np.asarray(g(cnodes), dtype=float)))
+    return QuadResult(value, err, len(weights) + len(cweights))
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +269,7 @@ def _symdiff_measure(region: RegionSpec, h: np.ndarray) -> np.ndarray:
         r = region.radius
         # past |h| = 2r the shifted balls are disjoint; each formula is 0 there
         d = np.minimum(np.linalg.norm(h, axis=-1), 2.0 * r)
-        if n == 1:
-            overlap = 2.0 * r - d
-        elif n == 2:
+        if n == 2:
             # math.acos: numpy's SIMD arccos can differ from it in the last bit
             acos = np.vectorize(math.acos, otypes=[float])
             overlap = 2.0 * r * r * acos(d / (2.0 * r)) \
@@ -316,7 +277,7 @@ def _symdiff_measure(region: RegionSpec, h: np.ndarray) -> np.ndarray:
         elif n == 3:
             overlap = math.pi * (4.0 * r + d) * (2.0 * r - d) ** 2 / 12.0
         else:
-            raise CapabilityError("symmetric difference only for N <= 3")
+            raise CapabilityError("symmetric difference of balls only for N = 2, 3")
         return 2.0 * (region.measure() - overlap)
     if region.kind == "box":
         side = np.asarray(region.hi) - np.asarray(region.lo)
@@ -699,8 +660,8 @@ def _pair_integral_indicator(f: Field, region, weight: PiecewisePower, a: float,
     S(t) the sphere integral of the closed-form symmetric difference, by
     panel Gauss-Legendre in t over [t0, b], t0 = max(a, b 1e-9), split where
     S kinks.  The symmetric difference grows like t, so the core (a, t0) is
-    _core with p = N.  A box's S comes from the default sphere rule, whose
-    error is the integral's change on the rule of half its nodes."""
+    _core with p = N.  A box's S comes from the sphere rule of _SPHERE_NODES,
+    whose error is the integral's change on the rule of half as many."""
     n = f.dim_in
     shape, amp = _indicator(f, region, b)
     if shape.kind == "ball":
@@ -712,8 +673,7 @@ def _pair_integral_indicator(f: Field, region, weight: PiecewisePower, a: float,
     else:
         side = np.asarray(shape.hi) - np.asarray(shape.lo)
         kinks = list(side) + [float(np.linalg.norm(side))]
-        rule = default_sphere_rule(n)
-        rules = [sphere_rule(n, rule), sphere_rule(n, _halve_rule(rule))]
+        rules = [sphere_rule(n, _SPHERE_NODES), sphere_rule(n, _SPHERE_NODES // 2)]
 
         def sphere_sum(ts, k):
             nodes, wts = rules[k]

@@ -15,17 +15,16 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import CapabilityError, InputError
 from .fields import (Field, RegionSpec, default_region, eval_field,
-                     jump_set_of, knots_1d, support_bbox, unit_ball_volume)
+                     jump_set_of, knots_1d, sphere_measure, support_bbox,
+                     unit_ball_volume)
 from .jumps import jump_variation
 from .kernels import RadialKernelFamily, kernel_profile, kernel_window
 from .mollifiers import MollifierSpec, mollify
-from .quadrature import (PiecewisePower, QuadBudget, QuadResult, _indicator,
-                         default_sphere_rule, integrate_sphere, pair_integral,
-                         shift_integral, sphere_measure)
+from .quadrature import (PiecewisePower, QuadBudget, QuadResult, _distinct, _indicator,
+                         _panel_nodes, integrate_sphere, pair_integral, shift_integral)
 
 __all__ = [
     "FunctionalParams",
@@ -120,15 +119,11 @@ def lq_norm_q(f: Field, q: float) -> float:
         # 256 equal panels, split at the knots so each panel lies on one
         # smooth piece of u
         lo, hi = support_bbox(f)
-        xg, wg = leggauss(16)
         edges = np.linspace(lo[0], hi[0], 257)
         knots = knots_1d(f)
         if knots is not None:
-            edges = np.union1d(edges, knots[(knots > lo[0]) & (knots < hi[0])])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * np.diff(edges)
-        nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        weights = (half[:, None] * wg[None, :]).ravel()
+            edges = _distinct(np.concatenate([edges, knots[(knots > lo[0]) & (knots < hi[0])]]))
+        nodes, weights = _panel_nodes(edges[:-1], edges[1:], 16)
         vals = np.linalg.norm(eval_field(f, nodes[:, None]), axis=-1) ** q
         return float(weights @ vals)
     raise CapabilityError(f"no L^q norm path for field {f.name!r}")
@@ -231,7 +226,6 @@ def directional_variation(f: Field, params: FunctionalParams, n_vec, eps: float,
 
 
 def spherical_variation(f: Field, params: FunctionalParams, eps: float,
-                        rule: Optional[str] = None,
                         budget: Optional[QuadBudget] = None) -> FunctionalValue:
     """Sphere-integrated (unnormalized) directional variation; divide by
     sphere_measure(N) for the averaged form."""
@@ -239,15 +233,17 @@ def spherical_variation(f: Field, params: FunctionalParams, eps: float,
         raise InputError("eps must be positive")
     region = _resolve_region(f, params)
     n = f.dim_in
-    rule = rule or default_sphere_rule(n)
     tag = (f"spherical_variation[f={f.name},q={params.q:g},rq={params.rq:g},"
-           f"eps={eps:g},rule={rule}]")
+           f"eps={eps:g}]")
+    scale = eps ** -params.rq
     ind = _indicator(f, region, eps)
-    if ind is not None and ind[0].kind == "ball":
-        # an unclipped ball indicator varies alike in every direction
-        dv = directional_variation(f, params, np.eye(n)[0], eps, budget=budget)
+    if n == 1 or (ind is not None and ind[0].kind == "ball"):
+        # S^0 = {+1, -1} and F(h) = F(-h); an unclipped ball indicator varies
+        # alike in every direction.  Either way F is one value on the sphere
+        val, err = shift_integral(f, region, eps * np.eye(n)[0], params.q,
+                                  budget=budget, stream=_stream_of(tag))
         h = sphere_measure(n)
-        return FunctionalValue(h * dv.value, h * dv.error_estimate, tag)
+        return FunctionalValue(h * (val * scale), h * (err * scale), tag)
 
     # largest node error of each rule integrate_sphere applies, fine rule first
     node_errs = []
@@ -261,8 +257,7 @@ def spherical_variation(f: Field, params: FunctionalParams, eps: float,
         node_errs.append(float(np.max(errs)))
         return out
 
-    qr = integrate_sphere(g, n, rule)
-    scale = eps ** -params.rq
+    qr = integrate_sphere(g, n)
     err = (qr.error_estimate + sphere_measure(n) * node_errs[0]) * scale
     return FunctionalValue(qr.value * scale, err, tag)
 

@@ -1,14 +1,18 @@
 """Importing besovlab and running a chain's grid path load no scipy
 submodule: they cost most of the package's start-up time.  Once its config
-is validated, a chain run loads no module but numpy.fft: an import inside
-the run is paid in every run's wall time."""
+is validated, a chain run loads no module but numpy.fft, and a default
+experiment none: an import inside the run is paid in every run's wall
+time."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import besovlab
+from besovlab.experiments import EXPERIMENT_KINDS
 
 HEAVY = ("integrate", "ndimage", "fft", "special", "optimize", "sparse", "linalg")
 
@@ -43,11 +47,22 @@ for cfg in (chain_1d, chain_2d):
 """
 
 
-def _run(script: str) -> str:
+KIND_SCRIPT = """
+import sys, tempfile
+from besovlab import experiments
+cfg = experiments.validate_config(experiments.default_config(sys.argv[1]).to_dict())
+before = set(sys.modules)
+with tempfile.TemporaryDirectory() as out:
+    experiments.run(cfg, out)
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def _run(script: str, *args: str) -> str:
     env = dict(os.environ)
     src = str(Path(besovlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -63,3 +78,10 @@ def test_chain_runs_load_no_module_but_numpy_fft():
     new_1d, new_2d = _run(RUN_SCRIPT).split("\n")[:2]
     assert new_1d == ""
     assert all(m == "numpy.fft" or m.startswith("numpy.fft.") for m in new_2d.split()), new_2d
+
+
+# constants is left out: its cross-check of the closed forms by scipy.integrate
+# is the point of that experiment
+@pytest.mark.parametrize("kind", [k for k in EXPERIMENT_KINDS if k != "constants"])
+def test_default_experiment_runs_load_no_module(kind):
+    assert _run(KIND_SCRIPT, kind).strip() == ""

@@ -19,11 +19,13 @@ from besovlab.mollifiers import make_mollifier, mollify
 from besovlab.quadrature import (PiecewisePower, QuadBudget, _distinct, _merged_edges_1d,
                                  _region_1d_edges, _shift_breaks_1d, _shift_integral_1d,
                                  _smooth_shift_integrals_1d, _symdiff_measure,
-                                 _t_integral, default_sphere_rule, integrate_sphere,
+                                 _t_integral, integrate_sphere,
                                  pair_integral, radial_integral,
                                  shift_integral, sphere_measure, sphere_rule)
 
 from oracles import mc_symdiff, riemann_pair_1d, riemann_shift_1d
+
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
 
 def test_sphere_measure_values():
@@ -35,32 +37,60 @@ def test_sphere_measure_values():
 
 
 def test_integrate_sphere_constant():
-    r = integrate_sphere(lambda n: np.ones(n.shape[0]), 2, "trapezoid-64")
+    r = integrate_sphere(lambda n: np.ones(n.shape[0]), 2)
     assert abs(r.value - 2.0 * math.pi) <= 1e-12
-    r3 = integrate_sphere(lambda n: np.ones(n.shape[0]), 3, "product-lat-long-32")
+    assert r.evaluations_used == 64 + 32
+    r3 = integrate_sphere(lambda n: np.ones(n.shape[0]), 3)
     assert abs(r3.value - 4.0 * math.pi) <= 1e-10
+    assert r3.evaluations_used == 32 * 64 + 16 * 32
 
 
 def test_integrate_sphere_abs_first_coordinate():
-    # int_0^{2pi} |cos theta| d theta = 4
-    r = integrate_sphere(lambda n: np.abs(n[:, 0]), 2, "trapezoid-16384")
-    assert abs(r.value - 4.0) <= 1e-6
-    # N=3: int |z1| dH^2 = 2 pi
-    r3 = integrate_sphere(lambda n: np.abs(n[:, 0]), 3, "product-lat-long-2048")
-    assert abs(r3.value - 2.0 * math.pi) <= 5e-6
+    # int_0^{2pi} |cos theta| d theta = 4 and, for N=3, int |z1| dH^2 = 2 pi;
+    # the kinks of |z1| keep a rule's error at O(m^-2), so integrate_sphere's
+    # error (its change on the rule of half the nodes) covers its miss
+    for n, m, exact, tol in ((2, 16384, 4.0, 1e-6), (3, 2048, 2.0 * math.pi, 5e-6)):
+        nodes, weights = sphere_rule(n, m)
+        assert abs(weights @ np.abs(nodes[:, 0]) - exact) <= tol
+        r = integrate_sphere(lambda nd: np.abs(nd[:, 0]), n)
+        assert abs(r.value - exact) <= r.error_estimate
 
 
 def test_integrate_sphere_odd_vanishes():
-    for n_dim, rule in ((1, "exact-2pt"), (2, "trapezoid-64"), (3, "product-lat-long-16")):
-        r = integrate_sphere(lambda n: n[:, 0], n_dim, rule)
+    for n_dim in (2, 3):
+        r = integrate_sphere(lambda n: n[:, 0], n_dim)
         assert abs(r.value) <= 1e-12
 
 
 def test_integrate_sphere_rule_mismatch():
-    with pytest.raises(InputError):
-        integrate_sphere(lambda n: np.ones(n.shape[0]), 2, "exact-2pt")
-    with pytest.raises(InputError):
-        integrate_sphere(lambda n: np.ones(n.shape[0]), 1, "trapezoid-8")
+    # N = 1 has no sphere rule: its two directions are summed where needed
+    for n_dim in (1, 4):
+        with pytest.raises(CapabilityError):
+            sphere_rule(n_dim, 64)
+        with pytest.raises(CapabilityError):
+            integrate_sphere(lambda n: np.ones(n.shape[0]), n_dim)
+
+
+@PROPERTY
+@given(m=st.integers(1, 512), data=st.data())
+def test_circle_rule_integrates_cosines_exactly(m, data):
+    # the m-point trapezoid rule is exact for cos(k theta), k < m
+    k = data.draw(st.integers(0, m - 1))
+    nodes, weights = sphere_rule(2, m)
+    got = weights @ np.cos(k * np.arctan2(nodes[:, 1], nodes[:, 0]))
+    assert got == pytest.approx(2.0 * math.pi if k == 0 else 0.0, abs=1e-12)
+
+
+@PROPERTY
+@given(half=st.integers(1, 128), data=st.data())
+def test_sphere_rule_integrates_even_powers_of_z3_exactly(half, data):
+    # m // 2 Gauss-Legendre latitudes are exact in z3 through degree m - 1 for
+    # even m: int z3^(2j) dH^2 = 4 pi / (2j + 1) for 2j < m
+    m = 2 * half
+    j = data.draw(st.integers(0, half - 1))
+    nodes, weights = sphere_rule(3, m)
+    assert weights @ nodes[:, 2] ** (2 * j) == pytest.approx(4.0 * math.pi / (2 * j + 1),
+                                                            rel=1e-12)
 
 
 def test_radial_integral_kernel_mass():
@@ -276,8 +306,6 @@ def test_mc_respects_evaluation_budget(disk, tent2):
 # the exact 1D piecewise engine: property tests
 # ---------------------------------------------------------------------------
 
-PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
-
 
 @PROPERTY
 @given(st.lists(st.one_of(st.floats(allow_nan=False),
@@ -463,10 +491,10 @@ def test_batched_smooth_engine_empty_support():
 
 def _sphere_rule_pair_integral(f, weight, a, b):
     """The indicator pair integral with the symmetric difference at every
-    node of the default sphere rule, as for boxes."""
+    node of the sphere rule of _SPHERE_NODES, as for boxes."""
     n = f.dim_in
     ball = f.payload["pieces"][0][0]
-    nodes, wts = sphere_rule(n, default_sphere_rule(n))
+    nodes, wts = sphere_rule(n, quadrature._SPHERE_NODES)
 
     def tfunc(ts):
         sym = _symdiff_measure(ball, ts[:, None, None] * nodes[None, :, :])
@@ -523,7 +551,7 @@ def test_box_indicator_counts_its_sphere_rule_error(rq, monkeypatch):
     weight = PiecewisePower.power_law(2.0 + rq)
     got = pair_integral(box, None, weight, (0.0, 2.0), 1.0)
     assert got.path == "indicator"
-    monkeypatch.setattr(quadrature, "default_sphere_rule", lambda n: "trapezoid-4096")
+    monkeypatch.setattr(quadrature, "_SPHERE_NODES", 4096)
     ref = pair_integral(box, None, weight, (0.0, 2.0), 1.0).value
     miss = abs(got.value - ref)
     assert miss <= got.error_estimate <= 100.0 * miss

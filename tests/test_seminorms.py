@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from besovlab.errors import DivergenceError, InputError
-from besovlab.fields import Field, RegionSpec, make_field, scale_field, truncate
+from besovlab.fields import (Field, RegionSpec, default_region, make_field, scale_field,
+                             truncate)
 from besovlab.kernels import RadialKernelFamily
-from besovlab.mollifiers import mollify
-from besovlab.quadrature import shift_integral, sphere_measure
+from besovlab.mollifiers import make_mollifier, mollify
+from besovlab.quadrature import _symdiff_measure, shift_integral, sphere_measure, sphere_rule
 from besovlab.seminorms import (FunctionalParams, besov_constant_at,
                                 besov_seminorm_q, brq_double_integral,
                                 directional_variation, gagliardo_constant_at,
@@ -386,7 +387,6 @@ def test_gagliardo_limit_mollifier_independent(step):
     # the extrapolated mollified-seminorm limit does not depend on which
     # unit-mass mollifier produced it
     from besovlab.limits import EpsilonGrid, epsilon_sweep
-    from besovlab.mollifiers import make_mollifier
     gauss = make_mollifier("truncated-gaussian")
     sweep = epsilon_sweep(
         lambda e: gagliardo_constant_at(step, gauss, P2, e),
@@ -414,7 +414,9 @@ def test_spherical_variation_reports_fine_rule_node_errors(monkeypatch, tent2):
     # integrate_sphere evaluates the fine rule, then the coarse one; the node
     # error the estimate carries must be the fine rule's
     import besovlab.seminorms as sem
+    from besovlab import quadrature
     from besovlab.quadrature import QuadBudget
+    monkeypatch.setattr(quadrature, "_SPHERE_NODES", 16)
     calls = []
 
     def spy(*args, **kwargs):
@@ -425,7 +427,7 @@ def test_spherical_variation_reports_fine_rule_node_errors(monkeypatch, tent2):
     monkeypatch.setattr(sem, "shift_integral", spy)
     u = mollify(make_field("box_2d"), tent2, 0.1)
     eps = 0.05
-    v = spherical_variation(u, P2, eps, rule="trapezoid-16",
+    v = spherical_variation(u, P2, eps,
                             budget=QuadBudget(max_evaluations=4_000, rng_seed=7))
     assert len(calls) == 16 + 8
     fine, coarse = np.array(calls[:16]), np.array(calls[16:])
@@ -433,6 +435,32 @@ def test_spherical_variation_reports_fine_rule_node_errors(monkeypatch, tent2):
     expect = (rule_err + 2.0 * math.pi * fine[:, 1].max()) / eps
     assert fine[:, 1].max() != coarse[:, 1].max()
     assert v.error_estimate == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, m", [("disk_2d", 4096), ("ball_3d", 512)])
+@pytest.mark.parametrize("eps", [0.3, 0.05, 0.004])
+def test_ball_spherical_variation_matches_a_fine_sphere_rule(name, m, eps):
+    # an unclipped ball's variation is |S^(N-1)| times one direction's; the
+    # closed-form symmetric difference at every node of a fine rule agrees
+    f = make_field(name)
+    ball, amp = f.payload["pieces"][0]
+    nodes, weights = sphere_rule(f.dim_in, m)
+    ref = float(np.linalg.norm(amp)) ** 2 * float(weights @ _symdiff_measure(ball, eps * nodes))
+    got = spherical_variation(f, P2, eps)
+    assert got.value == pytest.approx(ref * eps ** -P2.rq, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["gauss", "bump", "signed-test"])
+@pytest.mark.parametrize("eps", [0.3, 0.05, 0.004])
+def test_1d_spherical_variation_is_twice_one_direction(step, kind, eps):
+    # S^0 = {+1, -1} and F(h) = F(-h): the one-direction value agrees with
+    # the sum over both directions up to rounding
+    u = mollify(step, make_mollifier(kind), 0.1)
+    region = default_region(u)
+    f_plus, _ = shift_integral(u, region, [eps], 2.0)
+    f_minus, _ = shift_integral(u, region, [-eps], 2.0)
+    got = spherical_variation(u, P2, eps)
+    assert got.value == pytest.approx((f_plus + f_minus) * eps ** -P2.rq, rel=1e-14, abs=0)
 
 
 def test_besov_constant_beyond_float_range_is_a_divergence(step):
