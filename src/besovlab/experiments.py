@@ -159,9 +159,10 @@ def validate_config(d: dict) -> ExperimentConfig:
     if idx is not None:
         _require(type(idx) is int and 0 <= idx < len(merged["kernels"]),
                  "params.kernel_index", "must be an integer index into kernels")
-    grid = merged["eps_grid"]
-    _require(0.0 < float(grid["ratio"]) < 1.0, "eps_grid.ratio", "must lie in (0, 1)")
-    _require(int(grid["count"]) >= 4, "eps_grid.count", "must be >= 4")
+    for key in ("eps_grid", "gagliardo_grid"):
+        grid = merged[key]
+        _require(0.0 < float(grid["ratio"]) < 1.0, f"{key}.ratio", "must lie in (0, 1)")
+        _require(int(grid["count"]) >= 4, f"{key}.count", "must be >= 4")
     merged["field_spec"] = merged.pop("field")
     merged.update(seed=int(merged["seed"]), tolerance=float(merged["tolerance"]),
                   pair_tolerance=float(merged["pair_tolerance"]))

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy  # its submodules load on first use, on the paths that need them
 
 from .errors import CapabilityError, InputError
 from .fields import JumpPatch, JumpSetSpec, RegionSpec, sphere_measure
+from .quadrature import _panel_nodes
 
 __all__ = [
     "ConstantsTable",
@@ -73,17 +73,16 @@ class ConstantsTable:
 
 
 def _flat_moment_integral(n: int) -> float:
-    """int over R^{N-1} of 2 (1 + |v|^2)^{-(N+1)/2} dv by direct quadrature."""
-    if n == 2:
-        val, _ = scipy.integrate.quad(lambda v: 2.0 * (1.0 + v * v) ** -1.5,
-                                      -math.inf, math.inf, limit=400)
-        return float(val)
-    if n == 3:
-        val, _ = scipy.integrate.dblquad(lambda y, x: 2.0 * (1.0 + x * x + y * y) ** -2.0,
-                                         -math.inf, math.inf, -math.inf, math.inf,
-                                         epsabs=1e-10, epsrel=1e-10)
-        return float(val)
-    raise CapabilityError("flat moment cross-check defined for N = 2, 3")
+    """int over R^{N-1} of 2 (1 + |v|^2)^{-(N+1)/2} dv by direct quadrature:
+    in the radius r = |v| (flat polar coordinates for N = 3), with
+    r = u / (1 - u) and 32 Gauss-Legendre nodes in u on (0, 1)."""
+    if n not in (2, 3):
+        raise CapabilityError("flat moment cross-check defined for N = 2, 3")
+    u, w = _panel_nodes(np.array([0.0]), np.array([1.0]), 32)
+    r = u / (1.0 - u)
+    # dv = |S^(N-2)| r^(N-2) dr, dr = du / (1 - u)^2, |S^0| = 2, |S^1| = 2 pi
+    dv = sphere_measure(n - 1) * r ** (n - 2) / (1.0 - u) ** 2
+    return float(w @ (2.0 * (1.0 + r * r) ** (-(n + 1) / 2.0) * dv))
 
 
 def dimensional_constants(n: int, q_list=(1.0, 2.0)) -> ConstantsTable:

@@ -35,7 +35,7 @@ class MollifierSpec:
     abs_mass: float               # int |eta|
     grad_mass: float              # int |grad eta|
     pdf: Callable = field(repr=False)          # eta(v), radial arg for dim >= 2
-    grad_abs: Callable = field(repr=False)     # |eta'(v)| (1D) or |d/dr profile| (radial)
+    grad: Callable = field(repr=False)         # eta'(v) (1D) or d/dr profile (radial)
     cdf: Optional[Callable] = field(repr=False, default=None)  # 1D only
     # 1D only: (A, kinks), the autocorrelation eta * eta(-.) as a piecewise
     # cubic with kinks at +-kinks
@@ -43,7 +43,7 @@ class MollifierSpec:
 
     def weighted_grad(self, rq: float) -> float:
         """int |grad eta(v)| (|v| + 2)^{rq} dv."""
-        return self._radial_moment(self.grad_abs, lambda r: (r + 2.0) ** rq)
+        return self._radial_moment(lambda r: np.abs(self.grad(r)), lambda r: (r + 2.0) ** rq)
 
     def abs_weighted_moment(self, rq: float) -> float:
         """int |eta(v)| |v|^{rq} dv."""
@@ -68,6 +68,11 @@ class MollifierSpec:
 def _tent_pdf(v):
     v = np.abs(np.asarray(v, dtype=float))
     return np.maximum(0.0, 1.0 - v)
+
+
+def _tent_grad(v):
+    v = np.asarray(v, dtype=float)
+    return -np.sign(v) * (np.abs(v) < 1.0)
 
 
 def _tent_cdf(w):
@@ -147,7 +152,7 @@ def make_mollifier(kind: str, dim: int = 1, **params) -> MollifierSpec:
     if kind == "tent":
         if dim == 1:
             return MollifierSpec("tent", 1, 1.0, 1.0, 1.0, 2.0,
-                                 pdf=_tent_pdf, grad_abs=lambda v: 1.0 * (np.asarray(v) < 1.0),
+                                 pdf=_tent_pdf, grad=_tent_grad,
                                  cdf=_tent_cdf, autocorr=(_bspline, (0.0, 1.0, 2.0)))
         # radial tent c (1 - r)+ normalized to unit mass:
         # int_0^1 (1 - r) r^(N-1) dr = 1 / (N (N + 1))
@@ -155,7 +160,7 @@ def make_mollifier(kind: str, dim: int = 1, **params) -> MollifierSpec:
         c = dim * (dim + 1.0) / h
         return MollifierSpec("tent", dim, 1.0, 1.0, 1.0, c * h / dim,
                              pdf=lambda r: c * np.maximum(0.0, 1.0 - np.asarray(r, dtype=float)),
-                             grad_abs=lambda r: c * (np.asarray(r) < 1.0))
+                             grad=lambda r: -c * (np.asarray(r) < 1.0))
     if kind in ("truncated-gaussian", "gauss"):
         if dim != 1:
             raise CapabilityError("truncated gaussian is shipped in 1D only")
@@ -164,14 +169,14 @@ def make_mollifier(kind: str, dim: int = 1, **params) -> MollifierSpec:
         grad = 2.0 * (phi0 - phic)
         return MollifierSpec("truncated-gaussian", 1, _GAUSS_CUT, 1.0, 1.0, grad,
                              pdf=_gauss_pdf,
-                             grad_abs=lambda v: np.abs(np.asarray(v)) * _gauss_pdf(v),
+                             grad=lambda v: -np.asarray(v, dtype=float) * _gauss_pdf(v),
                              cdf=_gauss_cdf)
     if kind in ("smooth-bump", "bump"):
         if dim != 1:
             raise CapabilityError("smooth bump is shipped in 1D only")
         grad = 2.0 * float(_bump_pdf(0.0))
         return MollifierSpec("smooth-bump", 1, 1.0, 1.0, 1.0, grad,
-                             pdf=_bump_pdf, grad_abs=lambda v: np.abs(_bump_grad(v)),
+                             pdf=_bump_pdf, grad=_bump_grad,
                              cdf=_TableCDF(_bump_pdf, 1.0))
     if kind in ("signed-test", "signed_bump"):
         if dim != 1:
@@ -180,7 +185,7 @@ def make_mollifier(kind: str, dim: int = 1, **params) -> MollifierSpec:
         grad_mass, _ = scipy.integrate.quad(lambda v: abs(_d_bump_grad(v)), -1.0, 1.0,
                                             points=[0.0], limit=200)
         return MollifierSpec("signed-test", 1, 1.0, 0.0, abs_mass, float(grad_mass),
-                             pdf=_bump_grad, grad_abs=lambda v: np.abs(_d_bump_grad(v)),
+                             pdf=_bump_grad, grad=np.vectorize(_d_bump_grad),
                              cdf=_bump_pdf)
     if kind == "mix":
         comps = params["components"]      # iterable of (weight, MollifierSpec)
@@ -192,13 +197,12 @@ def make_mollifier(kind: str, dim: int = 1, **params) -> MollifierSpec:
         def pdf(v):
             return sum(w * c.pdf(v) for w, c in comps)
 
-        def grad_signed(v):
-            # only valid when components carry signed gradients; used via abs
-            return sum(w * _signed_grad(c)(v) for w, c in comps)
+        def grad(v):
+            return sum(w * c.grad(v) for w, c in comps)
 
         abs_mass, _ = scipy.integrate.quad(lambda v: abs(float(pdf(v))), -hw, hw,
                                            points=[0.0], limit=400)
-        grad_mass, _ = scipy.integrate.quad(lambda v: abs(float(grad_signed(v))), -hw, hw,
+        grad_mass, _ = scipy.integrate.quad(lambda v: abs(float(grad(v))), -hw, hw,
                                             points=[-1.0, 0.0, 1.0], limit=400)
         cdf = None
         if all(c.cdf is not None for _, c in comps):
@@ -206,7 +210,7 @@ def make_mollifier(kind: str, dim: int = 1, **params) -> MollifierSpec:
                 return sum(wt * c.cdf(w) for wt, c in _comps)
         return MollifierSpec("mix", dim, hw, float(total), float(abs_mass),
                              float(grad_mass), pdf=pdf,
-                             grad_abs=lambda v: np.abs(grad_signed(v)), cdf=cdf)
+                             grad=grad, cdf=cdf)
     raise InputError(f"unknown mollifier kind {kind!r}")
 
 
@@ -219,18 +223,6 @@ def _d_bump_grad(v):
     e = math.exp(-1.0 / s)
     # d/dv [ -2v / s^2 * e ] = e * ( (-2/s^2 - 8v^2/s^3) + (4 v^2 / s^4) )
     return _bump_norm() * e * (-2.0 / s ** 2 - 8.0 * v * v / s ** 3 + 4.0 * v * v / s ** 4)
-
-
-def _signed_grad(m: MollifierSpec) -> Callable:
-    if m.kind == "tent":
-        return lambda v: -np.sign(np.asarray(v, dtype=float)) * (np.abs(np.asarray(v)) < 1.0)
-    if m.kind == "truncated-gaussian":
-        return lambda v: -np.asarray(v, dtype=float) * _gauss_pdf(v)
-    if m.kind == "smooth-bump":
-        return _bump_grad
-    if m.kind == "signed-test":
-        return lambda v: np.vectorize(_d_bump_grad)(v)
-    raise CapabilityError(f"no signed gradient for mollifier kind {m.kind!r}")
 
 
 # ---------------------------------------------------------------------------

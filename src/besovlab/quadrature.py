@@ -164,55 +164,34 @@ class PiecewisePower:
         return out
 
     def moment(self, a, b: float, extra_power: float):
-        """Exact integral of profile(r) * r^extra_power over [a, b].  An array
-        of lower bounds a against a finite b gives one integral per bound, 0
-        where the bound is at or past b."""
-        if np.ndim(a):
-            return self._moments_from(np.asarray(a, dtype=float), b, extra_power)
-        total = 0.0
+        """Exact integral of profile(r) * r^extra_power over [a, b], b finite
+        or inf.  A scalar a gives a float; an array of lower bounds gives one
+        integral per bound, 0 where the bound is at or past b."""
+        lows = np.asarray(a, dtype=float)
+        flat = lows.ravel()
+        total = np.zeros(flat.size)
         for lo, hi, coef, power in self.pieces:
-            p0 = max(a, lo)
-            p1 = min(b, hi)
-            if p1 <= p0:
-                continue
-            p = power + extra_power
-            if p1 == math.inf:
-                if coef != 0.0 and p >= -1.0:
-                    raise DivergenceError("divergent tail in radial integral")
-                total += -coef * p0 ** (p + 1.0) / (p + 1.0)
-            elif abs(p + 1.0) < 1e-14:
-                if p0 == 0.0 and coef != 0.0:
-                    raise DivergenceError("divergent core in radial integral")
-                total += coef * (math.log(p1) - math.log(p0))
-            else:
-                if p0 == 0.0 and p < -1.0 and coef != 0.0:
-                    raise DivergenceError("divergent core in radial integral")
-                total += coef * (p1 ** (p + 1.0) - p0 ** (p + 1.0)) / (p + 1.0)
-        return total
-
-    def _moments_from(self, a: np.ndarray, b: float, extra_power: float) -> np.ndarray:
-        """moment over [a_i, b] for each bound a_i, piece by piece as the
-        scalar path takes them."""
-        if not math.isfinite(b):
-            raise InputError("array moments need a finite upper bound")
-        total = np.zeros_like(a)
-        for lo, hi, coef, power in self.pieces:
-            p0 = np.maximum(a, lo)
+            p0 = np.maximum(flat, lo)
             p1 = min(b, hi)
             live = p0 < p1
-            p0 = p0[live]
+            # Python's log and pow per bound: numpy's differ from them in the
+            # last bit for some bounds
+            xs = p0[live].tolist()
+            if coef == 0.0 or not xs:
+                continue
             p = power + extra_power
-            if coef != 0.0 and (p < -1.0 or abs(p + 1.0) < 1e-14) and np.any(p0 == 0.0):
+            if (p < -1.0 or abs(p + 1.0) < 1e-14) and 0.0 in xs:
                 raise DivergenceError("divergent core in radial integral")
-            # Python's log and pow, as the scalar path takes them: numpy's
-            # differ from them in the last bit for some bounds
-            if abs(p + 1.0) < 1e-14:
-                total[live] += coef * np.array([math.log(p1) - math.log(x)
-                                                for x in p0.tolist()])
+            if p1 == math.inf:
+                if p >= -1.0:
+                    raise DivergenceError("divergent tail in radial integral")
+                total[live] += -coef * np.array([x ** (p + 1.0) for x in xs]) / (p + 1.0)
+            elif abs(p + 1.0) < 1e-14:
+                total[live] += coef * np.array([math.log(p1) - math.log(x) for x in xs])
             else:
                 total[live] += coef * np.array([p1 ** (p + 1.0) - x ** (p + 1.0)
-                                                for x in p0.tolist()]) / (p + 1.0)
-        return total
+                                                for x in xs]) / (p + 1.0)
+        return total.reshape(lows.shape) if lows.ndim else float(total[0])
 
 
 def radial_integral(profile: PiecewisePower, n: int,
@@ -341,9 +320,14 @@ def shift_integral(f: Field, region: Optional[RegionSpec], h, q: float,
     ind = _indicator(f, region, hnorm)
     if ind is not None:
         return ind[1] ** q * float(_symdiff_measure(ind[0], h)), 0.0
-    if f.dim_in == 1:
-        return _shift_integral_1d(f, region, float(h[0]), q)
-    return _shift_integral_mc(f, region, h, q, budget or QuadBudget(), stream)
+    if f.dim_in > 1:
+        return _shift_integral_mc(f, region, h, q, budget or QuadBudget(), stream)
+    # 1D: exact for piecewise-constant fields, else panel Gauss-Legendre of
+    # orders 12 and 6 with the error their difference
+    if f.kind == "piecewise":
+        return float(_piecewise_shifts_1d(f, region, h, q)[0]), 0.0
+    vhi, vlo = _smooth_shift_integrals_1d(f, region, h, q, 64, (12, 6))[0]
+    return float(vhi), abs(float(vhi) - float(vlo))
 
 
 def _edge_points_1d(f: Field, region) -> np.ndarray:
@@ -380,16 +364,6 @@ def _quality_1d(f: Field) -> dict:
     if f.kind == "grid":
         return {"t_panels": 36, "t_order": 8, "x_div": 64, "x_order": 6}
     return {"t_panels": 48, "t_order": 12, "x_div": 64, "x_order": 12}
-
-
-def _shift_integral_1d(f: Field, region, t: float, q: float):
-    """F(t) with an error estimate: exact for piecewise-constant fields,
-    else panel Gauss-Legendre of orders 12 and 6 with the error their
-    difference."""
-    if f.kind == "piecewise":
-        return float(_piecewise_shifts_1d(f, region, np.array([t]), q)[0]), 0.0
-    vhi, vlo = _smooth_shift_integrals_1d(f, region, np.array([t]), q, 64, (12, 6))[0]
-    return float(vhi), abs(float(vhi) - float(vlo))
 
 
 def _piecewise_shifts_1d(f: Field, region, ts: np.ndarray, q: float) -> np.ndarray:
@@ -465,7 +439,7 @@ def _smooth_shift_integrals_1d(f: Field, region, ts: np.ndarray, q: float,
             xs.append(nodes)
             weights.append(w)
             shifts.append(np.repeat(ts[prow], order))
-        vals = _pair_values(f, region, np.concatenate(xs),
+        vals = _pair_values(f, region, np.concatenate(xs)[:, None],
                             np.concatenate(shifts)[:, None], q)
         p1 = np.cumsum(npan[r0:r1])
         off = 0
@@ -477,14 +451,13 @@ def _smooth_shift_integrals_1d(f: Field, region, ts: np.ndarray, q: float,
     return out
 
 
-def _pair_values(f: Field, region, xs: np.ndarray, t, q: float):
-    """|u(x+t)-u(x)|^q chi_E(x) chi_E(x+t) at the points xs; t is a scalar or
-    a column of one shift per point."""
-    pts = xs[:, None]
-    du = eval_field(f, pts + t) - eval_field(f, pts)
+def _pair_values(f: Field, region, x: np.ndarray, shift: np.ndarray, q: float):
+    """|u(x+h)-u(x)|^q chi_E(x) chi_E(x+h) at the points x (M, N), for one
+    shift h (N,) or one per point (M, N)."""
+    du = eval_field(f, x + shift) - eval_field(f, x)
     vals = np.linalg.norm(du, axis=-1) ** q
     if region is not None:
-        vals = vals * region.contains(pts) * region.contains(pts + t)
+        vals = vals * region.contains(x) * region.contains(x + shift)
     return vals
 
 
@@ -522,11 +495,7 @@ def _shift_integral_mc(f: Field, region, h: np.ndarray, q: float,
         m = min(_SHIFT_CHUNK, budget.max_evaluations - start)
         rng = _stream_rng(budget.rng_seed, stream, k)
         x = lo + (hi - lo) * rng.random((m, f.dim_in))
-        du = eval_field(f, x + h) - eval_field(f, x)
-        vals = np.linalg.norm(du, axis=-1) ** q
-        if region is not None:
-            vals = vals * region.contains(x) * region.contains(x + h)
-        chunks.append(vals)
+        chunks.append(_pair_values(f, region, x, h, q))
     vals = np.concatenate(chunks)
     value = vol * float(np.mean(vals))
     err = 2.0 * vol * float(np.std(vals)) / math.sqrt(len(vals))
@@ -537,32 +506,31 @@ def _shift_integral_mc(f: Field, region, h: np.ndarray, q: float,
 # The radially-weighted pair integral engine
 # ---------------------------------------------------------------------------
 
-def _t_integral(tfunc: Callable, a: float, b: float, kinks: Sequence[float] = (),
-                n_panels: int = 48, order: int = 12):
-    """Panel Gauss-Legendre of tfunc over log-spaced panels of [a, b].
+def _t_integral(g: Callable, weight: PiecewisePower, a: float, b: float, p: float,
+                kinks: Sequence[float] = (), n_panels: int = 48, order: int = 12):
+    """(value, err) of int_a^b w(t) g(t) dt.
 
-    tfunc maps an array of radii to integrand values.  Returns (value, err)
-    with err from an embedded lower-order rule."""
-    if b <= a:
-        return 0.0, 0.0
-    edges = np.geomspace(a, b, n_panels + 1)
-    inner = [k for k in kinks if a < k < b]
+    Panel Gauss-Legendre over log-spaced panels of [t0, b], t0 =
+    max(a, b 1e-9), split at the kinks, with err from an embedded
+    lower-order rule.  When a < t0, g(t) ~ c t^p on the core (a, t0): c is
+    read at t0, the core is c times a moment of w, and the change of c to
+    2 t0 is its error."""
+    t0 = max(a, b * 1e-9)
+    edges = np.geomspace(t0, b, n_panels + 1)
+    inner = [k for k in kinks if t0 < k < b]
     if inner:
         edges = _distinct(np.concatenate([edges, np.asarray(inner, dtype=float)]))
     nhi, whi = _panel_nodes(edges[:-1], edges[1:], order)
     nlo, wlo = _panel_nodes(edges[:-1], edges[1:], max(order // 2, 2))
-    vhi = float(whi @ np.asarray(tfunc(nhi), dtype=float))
-    vlo = float(wlo @ np.asarray(tfunc(nlo), dtype=float))
-    return vhi, abs(vhi - vlo)
-
-
-def _core(g: Callable, weight: PiecewisePower, a: float, t0: float, p: float):
-    """(value, err) of int_a^t0 w(t) g(t) dt when g(t) ~ c t^p on the core
-    (a, t0): c is read at t0, and its change to 2 t0 is the core's error."""
-    ts = np.array([t0, 2.0 * t0])
-    c = g(ts) / ts ** p
-    moment = weight.moment(a, t0, p)
-    return float(c[0] * moment), float(abs((c[0] - c[1]) * moment))
+    value = float(whi @ np.asarray(g(nhi) * weight(nhi), dtype=float))
+    err = abs(value - float(wlo @ np.asarray(g(nlo) * weight(nlo), dtype=float)))
+    if a < t0:
+        ts = np.array([t0, 2.0 * t0])
+        c = g(ts) / ts ** p
+        moment = weight.moment(a, t0, p)
+        value += float(c[0] * moment)
+        err += float(abs((c[0] - c[1]) * moment))
+    return value, err
 
 
 def _shift_breaks_1d(f: Field, region) -> np.ndarray:
@@ -613,11 +581,10 @@ def _amplitude(f: Field) -> Optional[float]:
 
 def _pair_integral_smooth_1d(f: Field, region, weight: PiecewisePower, a: float,
                              b: float, q: float, budget, stream) -> QuadResult:
-    """2 int_a^b w(t) F(t) dt for a continuous 1D field: panel Gauss-Legendre
-    in t over [t0, b], t0 = max(a, b 1e-9), with the error from a lower-order
-    t-rule, over F(t) from the batched x-rule of _smooth_shift_integrals_1d.
-    When a < t0, F(t) ~ c t^q on the core (a, t0), integrated by _core.
-    evaluations_used counts x-nodes.
+    """2 int_a^b w(t) F(t) dt for a continuous 1D field: _t_integral, split
+    where F kinks and with F(t) ~ c t^q on the core, over F(t) from the
+    batched x-rule of _smooth_shift_integrals_1d.  evaluations_used counts
+    x-nodes.
 
     A rounded x + t shifts F(t) by up to ulp(x) / t relative, which grows
     without bound as t -> 0.  So F is evaluated at t rounded to a multiple of
@@ -643,14 +610,8 @@ def _pair_integral_smooth_1d(f: Field, region, weight: PiecewisePower, a: float,
         return 2.0 * (_smooth_shift_integrals_1d(f, region, snapped, q, quality["x_div"],
                                                  (quality["x_order"],), nodes)[:, 0]
                       * (ts / snapped) ** q)
-    t0 = max(a, b * 1e-9)
-    value, err = _t_integral(lambda ts: pair_sums(ts) * weight(ts), t0, b,
-                             _shift_breaks_1d(f, region), n_panels=quality["t_panels"],
-                             order=quality["t_order"])
-    if a < t0:
-        core, core_err = _core(pair_sums, weight, a, t0, q)
-        value += core
-        err += core_err
+    value, err = _t_integral(pair_sums, weight, a, b, q, _shift_breaks_1d(f, region),
+                             n_panels=quality["t_panels"], order=quality["t_order"])
     return QuadResult(value, float(err + 16.0 * np.finfo(float).eps * abs(value)), sum(nodes))
 
 
@@ -658,10 +619,10 @@ def _pair_integral_indicator(f: Field, region, weight: PiecewisePower, a: float,
                              b: float, q: float, budget, stream) -> QuadResult:
     """A 2D/3D ball or box indicator: int_a^b t^(N-1) w(t) |amp|^q S(t) dt,
     S(t) the sphere integral of the closed-form symmetric difference, by
-    panel Gauss-Legendre in t over [t0, b], t0 = max(a, b 1e-9), split where
-    S kinks.  The symmetric difference grows like t, so the core (a, t0) is
-    _core with p = N.  A box's S comes from the sphere rule of _SPHERE_NODES,
-    whose error is the integral's change on the rule of half as many."""
+    _t_integral split where S kinks.  The symmetric difference grows like t,
+    so the core's power is p = N.  A box's S comes from the sphere rule of
+    _SPHERE_NODES, whose error is the integral's change on the rule of half
+    as many."""
     n = f.dim_in
     shape, amp = _indicator(f, region, b)
     if shape.kind == "ball":
@@ -679,17 +640,9 @@ def _pair_integral_indicator(f: Field, region, weight: PiecewisePower, a: float,
             nodes, wts = rules[k]
             return _symdiff_measure(shape, ts[:, None, None] * nodes[None, :, :]) @ wts
 
-    t0 = max(a, b * 1e-9)
-
     def integral(k):
-        def g(ts):
-            return ts ** (n - 1) * amp ** q * sphere_sum(ts, k)
-        value, err = _t_integral(lambda ts: g(ts) * weight(ts), t0, b, kinks)
-        if a < t0:
-            core, core_err = _core(g, weight, a, t0, n)
-            value += core
-            err += core_err
-        return value, err
+        return _t_integral(lambda ts: ts ** (n - 1) * amp ** q * sphere_sum(ts, k),
+                           weight, a, b, n, kinks)
     value, err = integral(0)
     if shape.kind == "box":
         err += abs(value - integral(1)[0])
@@ -914,11 +867,7 @@ def _pair_integral_mc(f: Field, region, weight: PiecewisePower, a: float, b: flo
         t = lo_t * np.exp(ln_ratio * rng.random(per))
         dirs = _unit_directions(rng, per, n)
         x = lo_x + (hi_x - lo_x) * rng.random((per, n))
-        shift = t[:, None] * dirs
-        du = eval_field(f, x + shift) - eval_field(f, x)
-        vals = np.linalg.norm(du, axis=-1) ** q
-        if region is not None:
-            vals = vals * region.contains(x) * region.contains(x + shift)
+        vals = _pair_values(f, region, x, t[:, None] * dirs, q)
         # 1/p(t) = t * ln_ratio for the log-uniform radial draw
         vals = vals * weight(t) * t ** (n - 1) \
             * (t * ln_ratio) * h_meas * vol

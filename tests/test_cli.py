@@ -81,6 +81,12 @@ def test_validate_config_paths():
     with pytest.raises(InputError, match="eps_grid.count"):
         validate_config({"kind": "jump_chain",
                          "eps_grid": {"eps0": 0.2, "ratio": 0.5, "count": 2}})
+    with pytest.raises(InputError, match="gagliardo_grid.ratio"):
+        validate_config({"kind": "jump_chain",
+                         "gagliardo_grid": {"eps0": 0.1, "ratio": 1.5, "count": 8}})
+    with pytest.raises(InputError, match="gagliardo_grid.count"):
+        validate_config({"kind": "jump_chain",
+                         "gagliardo_grid": {"eps0": 0.1, "ratio": 0.5, "count": 3}})
     with pytest.raises(InputError, match="unknown config key"):
         validate_config({"kind": "jump_chain", "mystery": 1})
     # every kind that pins r = 1/q rejects another r

@@ -80,8 +80,6 @@ def test_chain_runs_load_no_module_but_numpy_fft():
     assert all(m == "numpy.fft" or m.startswith("numpy.fft.") for m in new_2d.split()), new_2d
 
 
-# constants is left out: its cross-check of the closed forms by scipy.integrate
-# is the point of that experiment
-@pytest.mark.parametrize("kind", [k for k in EXPERIMENT_KINDS if k != "constants"])
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
 def test_default_experiment_runs_load_no_module(kind):
     assert _run(KIND_SCRIPT, kind).strip() == ""

@@ -254,6 +254,15 @@ def test_mix_mollifier_cdf(step, tent):
     assert eval_field(u, 0.07)[0] == pytest.approx(oracle, abs=1e-5)
 
 
+def test_nested_mix_has_a_gradient(tent):
+    # a mix reads each component's signed derivative, mixes included
+    inner = make_mollifier("mix", components=[(0.5, tent), (0.5, tent)])
+    nested = make_mollifier("mix", components=[(1.0, inner)])
+    assert nested.grad_mass == pytest.approx(2.0, abs=1e-12)
+    assert nested.weighted_grad(1.0) == pytest.approx(tent.weighted_grad(1.0), rel=1e-12)
+    assert nested.grad(0.5) == tent.grad(0.5) == -1.0
+
+
 def test_smooth_field_mollification(bump, tent):
     u = mollify(bump, tent, 0.1)
     for x in (0.2, 0.5, 1.1):

@@ -17,7 +17,7 @@ from besovlab.fields import (Field, GridSpec, RegionSpec, eval_field, knots_1d,
 from besovlab.kernels import RadialKernelFamily, kernel_profile, kernel_window
 from besovlab.mollifiers import make_mollifier, mollify
 from besovlab.quadrature import (PiecewisePower, QuadBudget, _distinct, _merged_edges_1d,
-                                 _region_1d_edges, _shift_breaks_1d, _shift_integral_1d,
+                                 _region_1d_edges, _shift_breaks_1d,
                                  _smooth_shift_integrals_1d, _symdiff_measure,
                                  _t_integral, integrate_sphere,
                                  pair_integral, radial_integral,
@@ -114,6 +114,57 @@ def test_radial_integral_zero_and_divergent():
         radial_integral(PiecewisePower(pieces=((0.0, 1.0, 1.0, -2.0),)), 1, (0.0, 1.0))
     with pytest.raises(InputError):
         radial_integral(PiecewisePower.power_law(-1.0), 1, (2.0, 1.0))
+
+
+def test_divergent_core_is_checked_before_the_tail():
+    # t^-3 t^1 on (0, inf) diverges at 0 before the tail's 0.0 ** -1 is taken
+    with pytest.raises(DivergenceError, match="core"):
+        PiecewisePower.power_law(3.0).moment(0.0, math.inf, 1.0)
+    with pytest.raises(DivergenceError, match="core"):
+        radial_integral(PiecewisePower.power_law(3), 2, (0.0, math.inf))
+    assert isinstance(PiecewisePower.power_law(3.0).moment(0.5, math.inf, 1.0), float)
+
+
+# powers at, near and away from the log case -1, before extra_power is added
+_POWERS = st.sampled_from([-1.0, -1.0 + 1e-15, -1.0 - 1e-15, -1.0 + 1e-13, -2.0, 0.0]) \
+    | st.floats(-3.0, 2.0)
+
+
+@st.composite
+def piecewise_powers(draw):
+    k = draw(st.integers(1, 3))
+    cuts = sorted(draw(st.lists(st.floats(0.01, 4.0), min_size=k, max_size=k, unique=True)))
+    edges = [draw(st.sampled_from([0.0, cuts[0] / 2.0]))] + cuts
+    if draw(st.booleans()):
+        edges[-1] = math.inf
+    coefs = st.just(0.0) | st.floats(-3.0, 3.0)
+    return PiecewisePower(tuple((lo, hi, draw(coefs), draw(_POWERS))
+                                for lo, hi in zip(edges[:-1], edges[1:])))
+
+
+@PROPERTY
+@given(weight=piecewise_powers(), b=st.just(math.inf) | st.floats(0.05, 5.0),
+       extra=st.sampled_from([0.0, 1.0, 2.0, -0.5]), data=st.data())
+def test_array_moments_are_the_per_bound_moments(weight, b, extra, data):
+    # one routine serves scalar and array bounds: each bound of an array
+    # gives the scalar value bit for bit (0 at and past b), and the array
+    # raises DivergenceError exactly when some bound does
+    past = min(b, 6.0) * 1.5
+    lows = data.draw(st.lists(st.just(0.0) | st.floats(0.01, past) | st.just(min(b, 6.0)),
+                              min_size=1, max_size=8))
+
+    def scalar(x):
+        try:
+            return weight.moment(x, b, extra)
+        except DivergenceError:
+            return None
+    want = [scalar(x) for x in lows]
+    if None in want:
+        with pytest.raises(DivergenceError):
+            weight.moment(np.array(lows), b, extra)
+        return
+    got = weight.moment(np.array(lows), b, extra)
+    assert got.tolist() == want
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +295,16 @@ def test_mc_low_confidence_flag(disk, tent2):
 
 
 def test_polar_consistency():
-    # the shared t-integrator against radial_integral on a radial weight
+    # the shared t-integrator against radial_integral on a radial weight,
+    # with the window's lower end above the core and at 0
+    weight = PiecewisePower.power_law(0.5)
     for n in (1, 2, 3):
-        def tfunc(ts, _n=n):
-            return ts ** (_n - 1) * ts ** -0.5 * sphere_measure(_n)
-        val, err = _t_integral(tfunc, 1e-6, 2.0)
-        ref = radial_integral(PiecewisePower.power_law(0.5), n, (1e-6, 2.0))
-        assert abs(val - ref) <= max(3.0 * err, 1e-9 * abs(ref))
+        def g(ts, _n=n):
+            return ts ** (_n - 1) * sphere_measure(_n)
+        for a in (1e-6, 0.0):
+            val, err = _t_integral(g, weight, a, 2.0, n - 1.0)
+            ref = radial_integral(weight, n, (a, 2.0))
+            assert abs(val - ref) <= max(3.0 * err, 1e-9 * abs(ref))
 
 
 def test_error_estimate_honesty_randomized():
@@ -446,7 +500,7 @@ def test_batched_smooth_engine_is_the_per_radius_rule(kind, eps, box, ts, q, x_d
     assert got.tolist() == ref
     both = _smooth_shift_integrals_1d(f, region, ts, q, 64, (12, 6))
     for t, (vhi, vlo) in zip(ts, both):
-        assert _shift_integral_1d(f, region, float(t), q) == (vhi, abs(vhi - vlo))
+        assert shift_integral(f, region, float(t), q) == (vhi, abs(vhi - vlo))
         assert vhi == _loop_shift_integral(f, region, float(t), q, 64, 12)
 
 
@@ -480,7 +534,7 @@ def test_batched_smooth_engine_empty_support():
     assert (hi <= lo).tolist() == [True, False, False, True]
     out = _smooth_shift_integrals_1d(f, region, ts, 2.0, 64, (12, 6))
     assert np.array_equal(out, np.zeros((4, 2)))
-    assert _shift_integral_1d(f, region, 0.5, 2.0) == (0.0, 0.0)
+    assert shift_integral(f, region, 0.5, 2.0) == (0.0, 0.0)
     empty = _smooth_shift_integrals_1d(f, region, np.array([0.5, 1.0]), 2.0, 64, (12,))
     assert np.array_equal(empty, np.zeros((2, 1)))
 
@@ -496,10 +550,10 @@ def _sphere_rule_pair_integral(f, weight, a, b):
     ball = f.payload["pieces"][0][0]
     nodes, wts = sphere_rule(n, quadrature._SPHERE_NODES)
 
-    def tfunc(ts):
+    def g(ts):
         sym = _symdiff_measure(ball, ts[:, None, None] * nodes[None, :, :])
-        return ts ** (n - 1) * weight(ts) * (sym @ wts)
-    return _t_integral(tfunc, a if a > 0.0 else b * 1e-9, b, [2.0 * ball.radius])[0]
+        return ts ** (n - 1) * (sym @ wts)
+    return _t_integral(g, weight, a, b, n, [2.0 * ball.radius])[0]
 
 
 @pytest.mark.parametrize("name", ["disk_2d", "ball_3d"])
