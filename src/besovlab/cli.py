@@ -123,7 +123,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     which = "gagliardo_grid" if args.functional == "gagliardo-constant" else "eps_grid"
     sweep = epsilon_sweep(_functional(args.functional, cfg), cfg.build_eps_grid(which),
-                          threads=args.threads, functional_id=args.functional)
+                          functional_id=args.functional)
     _emit_csv(args.out, f"sweep_{args.functional}.csv", *sweep_table(sweep))
     return 0
 
@@ -131,7 +131,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = _load_config(args)
     out_dir = args.out or "out"
-    report = run(cfg, out_dir, threads=args.threads)
+    report = run(cfg, out_dir)
     for verdict in report.verdicts:
         status = "PASS" if verdict["pass"] else "FAIL"
         print(f"{status} {verdict['chain']}: worst_violation="
@@ -143,8 +143,6 @@ def _cmd_experiment(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="besovlab",
                                  description="nonlocal-seminorm limit laboratory")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker threads for sweep rows (outputs are invariant)")
     ap.add_argument("--seed", type=int, default=None, help="override config seed")
     sub = ap.add_subparsers(dest="command", required=True)
 

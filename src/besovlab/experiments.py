@@ -6,7 +6,7 @@ relative tolerances into absolute ones through the chain's reference scale,
 and writes: one CSV per sweep (epsilon,value,error,flag), plot-data CSVs
 (x,y,label) and a summary.json with every verdict, each number carrying its
 error estimate and provenance.  Outputs are byte-identical for identical
-configs (seed included) regardless of the thread count.
+configs (seed included).
 """
 
 from __future__ import annotations
@@ -288,10 +288,9 @@ class _ChainTerm(NamedTuple):
     factor: float
     factor_label: str  # the factor in the term's provenance
 
-    def sweep(self, cfg: ExperimentConfig, threads: int):
+    def sweep(self, cfg: ExperimentConfig):
         return epsilon_sweep(self.functional, cfg.build_eps_grid(self.grid),
-                             model=self.model, threads=threads,
-                             functional_id=self.sweep_id)
+                             model=self.model, functional_id=self.sweep_id)
 
 
 def _chain_terms(s: Setup, f: Field) -> list:
@@ -345,7 +344,7 @@ def _region_clears_jumps(region: RegionSpec, f: Field) -> bool:
     return True
 
 
-def _run_chain(cfg: ExperimentConfig, out_dir: str, threads: int) -> ExperimentReport:
+def _run_chain(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
     s = cfg.setup()
     f = s.field
     if s.region is not None and not _region_clears_jumps(s.region, f):
@@ -353,7 +352,7 @@ def _run_chain(cfg: ExperimentConfig, out_dir: str, threads: int) -> ExperimentR
                          "need H^(N-1)(boundary of E cap J_u) = 0")
     files, sweeps, terms = [], {}, {}
     for row in _chain_terms(s, f):
-        sw = row.sweep(cfg, threads)
+        sw = row.sweep(cfg)
         sweeps[row.sweep_id] = sw
         files += _sweep_files(out_dir, row.sweep_id, sw)
         terms[row.term] = _term(row.factor * sw.extrapolated.limit,
@@ -393,7 +392,7 @@ def _run_chain(cfg: ExperimentConfig, out_dir: str, threads: int) -> ExperimentR
                             {k: _sweep_summary(sw) for k, sw in sweeps.items()}, files)
 
 
-def _run_constants(cfg: ExperimentConfig, out_dir: str, threads: int) -> ExperimentReport:
+def _run_constants(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
     verdicts, terms, rows = [], {}, []
     for n in cfg.dims:
         table = dimensional_constants(n, tuple(cfg.q_list))
@@ -428,7 +427,7 @@ def kernel_audit_table(k: RadialKernelFamily, cfg: ExperimentConfig) -> tuple:
     return header, [[r[h] for h in header] for r in rows]
 
 
-def _run_kernel_audit(cfg: ExperimentConfig, out_dir: str, threads: int) -> ExperimentReport:
+def _run_kernel_audit(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
     verdicts, files, terms = [], [], {}
     for n in cfg.dims:
         for k in cfg.build_kernels(n):
@@ -454,7 +453,7 @@ def _run_kernel_audit(cfg: ExperimentConfig, out_dir: str, threads: int) -> Expe
     return ExperimentReport("kernel_audit", verdicts, terms, {}, files)
 
 
-def _run_interpolation(cfg: ExperimentConfig, out_dir: str, threads: int) -> ExperimentReport:
+def _run_interpolation(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
     s = cfg.setup()
     q = s.params.q
     lhs, rhs = interpolation_check(s.field, q, s.params.p)
@@ -466,7 +465,7 @@ def _run_interpolation(cfg: ExperimentConfig, out_dir: str, threads: int) -> Exp
     return ExperimentReport("interpolation", [verdict], terms, {}, [])
 
 
-def _run_truncation(cfg: ExperimentConfig, out_dir: str, threads: int) -> ExperimentReport:
+def _run_truncation(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
     s = cfg.setup()
     sup_amp = sup_amplitude(s.field)
     levels = list(cfg.truncation_levels) + [None]   # None = untruncated
@@ -505,7 +504,7 @@ def _run_truncation(cfg: ExperimentConfig, out_dir: str, threads: int) -> Experi
     return ExperimentReport("truncation_convergence", verdicts, terms, {}, [path])
 
 
-def _run_bounds_audit(cfg: ExperimentConfig, out_dir: str, threads: int) -> ExperimentReport:
+def _run_bounds_audit(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
     s = cfg.setup()
     f, params, m = s.field, s.params, s.mollifier
     verdicts, terms = [], {}
@@ -535,7 +534,7 @@ def _run_bounds_audit(cfg: ExperimentConfig, out_dir: str, threads: int) -> Expe
              + m.grad_mass ** q * 2.0 ** q * unorm * h / (q - rq))
     terms["uniform_bound_rhs"] = _term(rhs74, 0.0,
                                        "closed form from mollifier moments and field norms")
-    gag = _chain_terms(s, f)[-1].sweep(cfg, threads)
+    gag = _chain_terms(s, f)[-1].sweep(cfg)
     worst = max(max(r.value - rhs74 for r in gag.valid_rows()), 0.0)
     verdicts.append(_audit_verdict("uniform_bound", worst, 0.0,
                                    {"rhs": rhs74,
@@ -572,11 +571,12 @@ EXPERIMENT_KINDS = tuple(_KINDS)
 def run(config, out_dir: str, threads: int = 1) -> ExperimentReport:
     """Execute the experiment named by the config; write CSV sweeps, plot
     data and summary.json under out_dir.  Returns the report; the CLI maps
-    report.passed to the process exit status."""
+    report.passed to the process exit status.  Sweep rows run in grid order
+    on the calling thread; threads is accepted and ignored."""
     if isinstance(config, dict):
         config = validate_config(config)
     os.makedirs(out_dir, exist_ok=True)
-    report = _KINDS[config.kind][0](config, out_dir, threads)
+    report = _KINDS[config.kind][0](config, out_dir)
     summary = {"config": config.to_dict()} | report.to_dict()
     spath = os.path.join(out_dir, "summary.json")
     with open(spath, "w", encoding="utf-8", newline="\n") as fh:

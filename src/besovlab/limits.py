@@ -10,7 +10,6 @@ fit against eps.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -92,21 +91,16 @@ def _eval_row(functional: Callable, eps: float) -> SweepRow:
 
 
 def epsilon_sweep(functional: Callable, grid: EpsilonGrid,
-                  model: str = "constant-tail", threads: int = 1,
+                  model: str = "constant-tail",
                   functional_id: str = "") -> EpsilonSweepResult:
     """Evaluate functional(eps) on a geometric grid (eps strictly decreasing)
     and extrapolate the eps -> 0 limit.
 
     Rows that raise a package error are flagged and skipped by the tail
-    statistics; if every row fails the sweep fails.  Rows are mapped in grid
-    order regardless of thread count, so outputs are thread-invariant.
+    statistics; if every row fails the sweep fails.  Rows run in grid order
+    on the calling thread.
     """
-    eps_values = grid.values()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda e: _eval_row(functional, float(e)), eps_values))
-    else:
-        rows = [_eval_row(functional, float(e)) for e in eps_values]
+    rows = [_eval_row(functional, float(e)) for e in grid.values()]
     valid = [r for r in rows if r.ok]
     if not valid:
         raise SweepError(f"every row of sweep {functional_id!r} failed")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -200,17 +200,22 @@ def make_mollifier(kind: str, dim: int = 1, **params) -> MollifierSpec:
         def grad(v):
             return sum(w * c.grad(v) for w, c in comps)
 
-        abs_mass, _ = scipy.integrate.quad(lambda v: abs(float(pdf(v))), -hw, hw,
-                                           points=[0.0], limit=400)
-        grad_mass, _ = scipy.integrate.quad(lambda v: abs(float(grad(v))), -hw, hw,
-                                            points=[-1.0, 0.0, 1.0], limit=400)
         cdf = None
         if all(c.cdf is not None for _, c in comps):
             def cdf(w, _comps=tuple(comps)):
                 return sum(wt * c.cdf(w) for wt, c in _comps)
-        return MollifierSpec("mix", dim, hw, float(total), float(abs_mass),
-                             float(grad_mass), pdf=pdf,
-                             grad=grad, cdf=cdf)
+        spec = MollifierSpec("mix", dim, hw, float(total), math.nan, math.nan,
+                             pdf=pdf, grad=grad, cdf=cdf)
+        if dim == 1:
+            abs_mass, _ = scipy.integrate.quad(lambda v: abs(float(pdf(v))), -hw, hw,
+                                               points=[0.0], limit=400)
+            grad_mass, _ = scipy.integrate.quad(lambda v: abs(float(grad(v))), -hw, hw,
+                                                points=[-1.0, 0.0, 1.0], limit=400)
+        else:
+            # H^(N-1) int_0^hw |.| r^(N-1) dr of the radial profiles
+            abs_mass = spec._radial_moment(lambda r: np.abs(pdf(r)), lambda r: 1.0)
+            grad_mass = spec._radial_moment(lambda r: np.abs(grad(r)), lambda r: 1.0)
+        return replace(spec, abs_mass=float(abs_mass), grad_mass=float(grad_mass))
     raise InputError(f"unknown mollifier kind {kind!r}")
 
 

@@ -27,8 +27,8 @@ that row in `QuadResult.path`:
   within the window; closed-form symmetric differences and panel
   Gauss-Legendre in t;
 - `mc`: everything else; stratified Monte Carlo over (x, t, n), with
-  log-radial strata and a counter-based RNG stream per stratum, so parallel
-  and serial runs reduce identically.
+  log-radial strata and a counter-based RNG stream per stratum, so a
+  stratum's draws depend only on the seed, the stream and the stratum.
 
 Every engine takes (f, region, weight, a, b, q, budget, stream) and returns a
 `QuadResult`; `pair_integral` alone applies the overflow guard and the
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -920,8 +919,6 @@ def _pair_integral_mc(f: Field, region, weight: PiecewisePower, a: float, b: flo
 
 _KERNEL_NEAR = 32
 _KERNEL_CACHE: dict = {}
-# held while a table is built, so rows on parallel threads build it once
-_KERNEL_LOCK = threading.Lock()
 # frequency columns per axis-0 transform and lag rows per kernel dot; they
 # bound the engine's temporaries
 _LATTICE_COLS = 64
@@ -1005,21 +1002,20 @@ def _kernel_table(n: int, s: float):
     relative error bound for _kernel_far beyond the table (twice its largest
     relative miss on the table's outer shell)."""
     key = (n, float(s))
-    with _KERNEL_LOCK:
-        if key not in _KERNEL_CACHE:
-            m = _KERNEL_NEAR
-            ms = np.array([c for c in itertools.combinations_with_replacement(range(m + 1), n)])
-            hi = _kernel_values(n, s, ms, 10)
-            lo = _kernel_values(n, s, ms, 5)
-            table = np.empty((m + 1,) * n)
-            for perm in itertools.permutations(range(n)):
-                table[tuple(ms[:, perm].T)] = hi
-            shell = ms[:, -1] == m
-            msf = ms[shell].astype(float)
-            far = _kernel_far(np.sum(msf ** 2, axis=1), np.sum(msf ** 4, axis=1), n, s)
-            far_rel = 2.0 * float(np.max(np.abs(far - hi[shell]) / np.abs(hi[shell])))
-            _KERNEL_CACHE[key] = (table, float(np.max(np.abs(hi - lo))), far_rel)
-        return _KERNEL_CACHE[key]
+    if key not in _KERNEL_CACHE:
+        m = _KERNEL_NEAR
+        ms = np.array([c for c in itertools.combinations_with_replacement(range(m + 1), n)])
+        hi = _kernel_values(n, s, ms, 10)
+        lo = _kernel_values(n, s, ms, 5)
+        table = np.empty((m + 1,) * n)
+        for perm in itertools.permutations(range(n)):
+            table[tuple(ms[:, perm].T)] = hi
+        shell = ms[:, -1] == m
+        msf = ms[shell].astype(float)
+        far = _kernel_far(np.sum(msf ** 2, axis=1), np.sum(msf ** 4, axis=1), n, s)
+        far_rel = 2.0 * float(np.max(np.abs(far - hi[shell]) / np.abs(hi[shell])))
+        _KERNEL_CACHE[key] = (table, float(np.max(np.abs(hi - lo))), far_rel)
+    return _KERNEL_CACHE[key]
 
 
 def _lattice_form(f: Field, region, weight: PiecewisePower, a: float, b: float,

@@ -2,7 +2,8 @@
 submodule: they cost most of the package's start-up time.  Once its config
 is validated, a chain run loads no module but numpy.fft, and a default
 experiment none: an import inside the run is paid in every run's wall
-time."""
+time.  Sweep rows run on the calling thread, so neither loads a thread pool
+nor starts a thread."""
 
 import os
 import subprocess
@@ -31,14 +32,18 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
 
 
-RUN_SCRIPT = """
+# a small 2D chain on the grid path, as the source of a script
+CHAIN_2D = """experiments.validate_config({
+    "kind": "jump_chain", "field": {"name": "disk_2d"}, "params": {"q": 2.0},
+    "gagliardo_grid": {"eps0": math.exp(-1.0), "ratio": math.exp(-0.5), "count": 4},
+    "budget": {"max_evaluations": 20_000, "target_rel_error": 0.2}})"""
+
+
+RUN_SCRIPT = f"""
 import math, sys, tempfile
 from besovlab import experiments
 chain_1d = experiments.validate_config(experiments.default_config("jump_chain").to_dict())
-chain_2d = experiments.validate_config({
-    "kind": "jump_chain", "field": {"name": "disk_2d"}, "params": {"q": 2.0},
-    "gagliardo_grid": {"eps0": math.exp(-1.0), "ratio": math.exp(-0.5), "count": 4},
-    "budget": {"max_evaluations": 20_000, "target_rel_error": 0.2}})
+chain_2d = {CHAIN_2D}
 for cfg in (chain_1d, chain_2d):
     before = set(sys.modules)
     with tempfile.TemporaryDirectory() as out:
@@ -55,6 +60,22 @@ before = set(sys.modules)
 with tempfile.TemporaryDirectory() as out:
     experiments.run(cfg, out)
 print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+# sweep rows run on the calling thread, whatever threads says
+SERIAL_SCRIPT = f"""
+import math, sys, tempfile, threading
+from besovlab import experiments
+print("concurrent.futures" in sys.modules)
+chain_2d = {CHAIN_2D}
+
+def refuse(self):
+    raise RuntimeError("a run started a thread")
+
+threading.Thread.start = refuse
+with tempfile.TemporaryDirectory() as out:
+    experiments.run(chain_2d, out, threads=2)
 """
 
 
@@ -83,3 +104,7 @@ def test_chain_runs_load_no_module_but_numpy_fft():
 @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
 def test_default_experiment_runs_load_no_module(kind):
     assert _run(KIND_SCRIPT, kind).strip() == ""
+
+
+def test_runs_load_no_pool_and_start_no_thread():
+    assert _run(SERIAL_SCRIPT).split() == ["False"]

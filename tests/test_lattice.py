@@ -2,9 +2,7 @@
 Monte Carlo, its invariances, its region term, and which inputs reach it."""
 
 import math
-import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -259,10 +257,9 @@ def test_lattice_engine_dispatch(disk, tent2):
         assert pair_integral(u, region, weight, window, q, budget).path == "mc"
 
 
-def test_kernel_table_is_built_once_across_threads(monkeypatch, disk, tent2, jump_params):
-    # the 2D chain's four Gagliardo rows on two threads: the first two reach
-    # the empty table cache together, and one order-10 and one order-5 rule
-    # must build it
+def test_kernel_table_is_built_once_per_sweep(monkeypatch, disk, tent2, jump_params):
+    # the 2D chain's four Gagliardo rows share one (N, s): the first row finds
+    # the table cache empty, and one order-10 and one order-5 rule build it
     monkeypatch.setattr(quadrature, "_KERNEL_CACHE", {})
     orders = []
     values = quadrature._kernel_values
@@ -273,33 +270,9 @@ def test_kernel_table_is_built_once_across_threads(monkeypatch, disk, tent2, jum
 
     monkeypatch.setattr(quadrature, "_kernel_values", counted)
     sweep = epsilon_sweep(lambda e: gagliardo_constant_at(disk, tent2, jump_params, e),
-                          EpsilonGrid(math.exp(-2.0), math.exp(-1.0), 4), threads=2)
+                          EpsilonGrid(math.exp(-2.0), math.exp(-1.0), 4))
     assert all(r.ok for r in sweep.rows)
     assert orders == [10, 5]
-
-
-def test_kernel_table_is_built_once_under_contention(monkeypatch):
-    # more threads than cores ask for one missing table at a short switch
-    # interval: one pair of rules builds it, and every caller gets that table
-    monkeypatch.setattr(quadrature, "_KERNEL_CACHE", {})
-    orders = []
-    values = quadrature._kernel_values
-
-    def counted(n, s, ms, order):
-        orders.append(order)
-        return values(n, s, ms, order)
-
-    monkeypatch.setattr(quadrature, "_kernel_values", counted)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(quadrature._kernel_table, 2, 3.3) for _ in range(4)]
-            tables = [fut.result(timeout=60) for fut in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert orders == [10, 5]
-    assert all(t is tables[0] for t in tables)
 
 
 def test_fast_len_is_the_next_5_smooth_length():

@@ -109,19 +109,6 @@ def test_gagliardo_sweep_monotone_to_four(step, tent):
     assert sweep.extrapolated.limit == pytest.approx(4.0, rel=0.10)
 
 
-def test_sweep_thread_invariance(step):
-    params = FunctionalParams.jump_regime(2.0)
-    k = RadialKernelFamily("trivial", 1)
-    grid = EpsilonGrid(0.2, 0.5, 8)
-
-    def fn(e):
-        return besov_constant_at(step, params, k, e)
-
-    s1 = epsilon_sweep(fn, grid, threads=1)
-    s4 = epsilon_sweep(fn, grid, threads=4)
-    assert [r.value for r in s1.rows] == [r.value for r in s4.rows]
-
-
 def test_tail_estimator_stability():
     # rows differing by at most delta => tail stats differ by at most delta
     rng = np.random.default_rng(17)

@@ -263,6 +263,18 @@ def test_nested_mix_has_a_gradient(tent):
     assert nested.grad(0.5) == tent.grad(0.5) == -1.0
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_one_component_mix_has_its_components_masses(dim):
+    # the 2D/3D masses are H^(N-1) int_0^1 |.| r^(N-1) dr of the radial
+    # profiles: the tent reads 1 and N + 1 there
+    tent = make_mollifier("tent", dim=dim)
+    mix = make_mollifier("mix", dim=dim, components=[(1.0, tent)])
+    assert (tent.total, tent.abs_mass, tent.grad_mass) == \
+        pytest.approx((1.0, 1.0, 2.0 if dim == 1 else dim + 1.0), rel=1e-14)
+    for name in ("total", "abs_mass", "grad_mass"):
+        assert getattr(mix, name) == pytest.approx(getattr(tent, name), rel=1e-8), name
+
+
 def test_smooth_field_mollification(bump, tent):
     u = mollify(bump, tent, 0.1)
     for x in (0.2, 0.5, 1.1):
