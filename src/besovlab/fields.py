@@ -214,6 +214,9 @@ class RegionSpec:
 # cell centers per eval_field call when a grid is sampled a block of rows at
 # a time; it bounds the temporaries of sampling
 _SAMPLE_POINTS = 1 << 16
+# points per block of a grid evaluation (and x-nodes per field evaluation of
+# quadrature's batched 1D shift integrals); it bounds their temporaries
+_BLOCK_POINTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -264,9 +267,6 @@ class Field:
     support_radius: float
     name: str = ""
 
-    def __call__(self, x):
-        return eval_field(self, x)
-
 
 def _as_points(f: Field, x) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=float)
@@ -297,29 +297,33 @@ def _grid_eval(spec: GridSpec, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     Per axis, a point lies between the cells i and i + 1, i = floor(u); a
     cell outside the grid keeps a clipped index and weight 0, so the value
     falls linearly to zero over the ring one cell wide around the grid.
-    Each axis is worked from its own column of x, so every pass is
-    contiguous."""
+    The points are taken _BLOCK_POINTS at a time, each block's corners
+    summed into its rows of the output, so the per-point indices and
+    weights never span more than one block."""
     ext = values.shape[:-1]
-    stride = 1
-    axes = []           # per axis, the two neighbouring cells as (flat index, weight)
-    for k in reversed(range(len(ext))):
-        u = (x[:, k] - spec.origin[k]) / spec.spacing[k] - 0.5
-        lo = np.floor(u)
-        frac = u - lo
-        pair = []
-        for i, w in ((lo, 1.0 - frac), (lo + 1.0, frac)):
-            inside = (i >= 0.0) & (i <= ext[k] - 1.0)
-            index = np.clip(i, 0.0, ext[k] - 1.0).astype(np.intp) * stride
-            pair.append((index, np.where(inside, w, 0.0)))
-        axes.insert(0, pair)
-        stride *= ext[k]
     flat = values.reshape(-1, values.shape[-1])
-    out = 0.0
-    for corner in itertools.product(*axes):
-        index, weight = corner[0]
-        for i, w in corner[1:]:
-            index, weight = index + i, weight * w
-        out = out + weight[:, None] * flat.take(index, axis=0)
+    out = np.zeros((len(x), flat.shape[1]))
+    for p0 in range(0, len(x), _BLOCK_POINTS):
+        xb = x[p0:p0 + _BLOCK_POINTS]
+        stride = 1
+        axes = []       # per axis, the two neighbouring cells as (flat index, weight)
+        for k in reversed(range(len(ext))):
+            u = (xb[:, k] - spec.origin[k]) / spec.spacing[k] - 0.5
+            lo = np.floor(u)
+            frac = u - lo
+            pair = []
+            for i, w in ((lo, 1.0 - frac), (lo + 1.0, frac)):
+                inside = (i >= 0.0) & (i <= ext[k] - 1.0)
+                index = np.clip(i, 0.0, ext[k] - 1.0).astype(np.intp) * stride
+                pair.append((index, np.where(inside, w, 0.0)))
+            axes.insert(0, pair)
+            stride *= ext[k]
+        acc = out[p0:p0 + len(xb)]
+        for corner in itertools.product(*axes):
+            index, weight = corner[0]
+            for i, w in corner[1:]:
+                index, weight = index + i, weight * w
+            acc += weight[:, None] * flat.take(index, axis=0)
     return out
 
 

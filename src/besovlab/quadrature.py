@@ -46,8 +46,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import CapabilityError, DivergenceError, InputError
-from .fields import (Field, RegionSpec, eval_field, knots_1d, sample_rows, scale_field,
-                     sphere_measure, sup_amplitude, support_bbox)
+from .fields import (_BLOCK_POINTS, _SAMPLE_POINTS, Field, RegionSpec, eval_field, knots_1d,
+                     sample_rows, scale_field, sphere_measure, sup_amplitude, support_bbox)
 
 __all__ = [
     "QuadBudget",
@@ -388,11 +388,6 @@ def _piecewise_shifts_1d(f: Field, region, ts: np.ndarray, q: float) -> np.ndarr
     length = np.minimum(np.minimum(b[j] - a[j], b[i] - a[i]),
                         np.minimum(b[i] - a[j] + t, b[j] - a[i] - t))
     return np.sum(c[i, j] * np.maximum(length, 0.0), axis=1)
-
-
-# x-nodes per field evaluation when shift integrals are batched over radii;
-# it bounds the size of the evaluation's temporaries
-_BLOCK_POINTS = 1 << 13
 
 
 def _smooth_shift_integrals_1d(f: Field, region, ts: np.ndarray, q: float,
@@ -919,8 +914,9 @@ def _pair_integral_mc(f: Field, region, weight: PiecewisePower, a: float, b: flo
 
 _KERNEL_NEAR = 32
 _KERNEL_CACHE: dict = {}
-# frequency columns per axis-0 transform and lag rows per kernel dot; they
-# bound the engine's temporaries
+# columns and rows per block of mollifiers._convolve's transforms; the lattice
+# sums reduce their per-row parts a block of _LATTICE_ROWS rows per dot, and
+# bound their own scratch by fields._SAMPLE_POINTS values per block
 _LATTICE_COLS = 64
 _LATTICE_ROWS = 64
 # Chebyshev degree per axis of the Phi_E interpolant, Gauss-Legendre order of
@@ -1054,36 +1050,55 @@ def _fast_len(n: int) -> int:
     return best
 
 
+def _lattice_power(spec: np.ndarray, length) -> None:
+    """Replace spec[0] by the rfft along axis 0 of the power summed over
+    components, its lags m_0 = 0 .. n_0 - 1, a block of frequency columns at
+    a time: each component's columns are copied transposed into one
+    zero-padded buffer and transformed in place, and |.|^2 accumulates into
+    one power buffer.  The blocks hold about _SAMPLE_POINTS values, and the
+    columns are independent, so the width changes no bit."""
+    n0, l0 = spec.shape[1], length[0]
+    width = max(1, _SAMPLE_POINTS // l0)
+    buf = np.empty((width, l0), dtype=complex)
+    power = np.empty((width, l0))
+    out = np.empty((width, l0 // 2 + 1), dtype=complex)
+    for j0 in range(0, spec.shape[2], width):
+        w = min(width, spec.shape[2] - j0)
+        cols, z = slice(j0, j0 + w), buf[:w]
+        power[:w] = 0.0
+        for comp in spec:
+            z[:, :n0] = comp[:, cols].T
+            z[:, n0:] = 0.0
+            np.fft.fft(z, axis=-1, out=z)
+            power[:w] += z.real ** 2
+            power[:w] += z.imag ** 2
+        np.fft.rfft(power[:w], axis=-1, out=out[:w])
+        spec[0, :, cols] = out[:w, :n0].T
+
+
 def _lattice_sums(spec: np.ndarray, length, s: float):
     """Sums over the lags m of R(m) K(m), |R(m) K(m)|, |K(m)|, and of |R(m)|
     over the table's lags; and R at the lags with |m|_inf <= 1, as
     {m: R(m)} for m_0 in (0, 1).
 
-    R comes from a blocked transform of the row spectra: per block of
-    frequency columns, copied so that axis 0 is contiguous, an fft along
-    axis 0 and |.|^2 accumulated over components in place.  The rfft of
-    that real power over the transform length is l_0 times its inverse at
-    -m_0, and its lags m_0 = 0 .. n_0 - 1 are written back into spec[0] in
-    place, so the irfft of a block of rows holds l_0 R(-m_0, m') =
-    l_0 R(m_0, -m'), m' the trailing lags: no conjugate and no division per
-    block.  K, the table's window and B are even in every lag, so each sum
-    reads that array as R and is divided by l_0 once at the end.  A block of
-    rows is dotted with K, rows m_0 > 0 counted twice since R(-m) = R(m).
-    _kernel_far is evaluated on the trailing lags m_i >= 0 and gathered for
-    +-m_i."""
+    R comes from a blocked transform of the row spectra (_lattice_power).
+    The rfft of the real power over the transform length is l_0 times its
+    inverse at -m_0, and its lags m_0 = 0 .. n_0 - 1 are written back into
+    spec[0] in place, so the irfft of a block of rows holds
+    l_0 R(-m_0, m') = l_0 R(m_0, -m'), m' the trailing lags: no conjugate
+    and no division per block.  K, the table's window and B are even in
+    every lag, so each sum reads that array as R and is divided by l_0 once
+    at the end.  A few rows at a time (about _SAMPLE_POINTS lags) are
+    transformed and multiplied with K, and their sums over the trailing lags
+    kept per row; each block of _LATTICE_ROWS rows is then dotted with its
+    weights, rows m_0 > 0 counted twice since R(-m) = R(m).  _kernel_far is
+    evaluated on the trailing lags m_i >= 0 and gathered for +-m_i."""
     n, near = len(length), _KERNEL_NEAR
     table, _, _ = _kernel_table(n, s)
     n0, l0 = spec.shape[1], length[0]
     trail = tuple(range(1, n))
     fshape = tuple(length[1:-1]) + (length[-1] // 2 + 1,)
-    for j0 in range(0, spec.shape[2], _LATTICE_COLS):
-        cols = slice(j0, j0 + _LATTICE_COLS)
-        z = np.fft.fft(np.ascontiguousarray(spec[:, :, cols].swapaxes(1, 2)), n=l0, axis=-1)
-        power = np.zeros(z.shape[1:])
-        for zc in z:
-            power += zc.real ** 2
-            power += zc.imag ** 2
-        spec[0, :, cols] = np.fft.rfft(power, axis=-1)[:, :n0].T
+    _lattice_power(spec, length)
     spec = spec[0]
     # lags on the torus of the trailing axes, their absolute values, and
     # the table's part of them
@@ -1095,10 +1110,12 @@ def _lattice_sums(spec: np.ndarray, length, s: float):
     near_half = tuple(slice(0, near + 1) for _ in trail)
     tab = table[(slice(None),) + tuple(slice(0, ell // 2 + 1) for ell in length[1:])]
     idx = np.ix_(*[np.flatnonzero(np.abs(g) <= near) for g in lags])
-    axes_t = tuple(range(1, n))
-    sums = np.zeros(4)
-    for r0 in range(0, n0, _LATTICE_ROWS):
-        r = np.arange(r0, min(r0 + _LATTICE_ROWS, n0), dtype=float)
+    # per row m_0, the sums over the trailing lags of R K, |R K|, |K| and
+    # of |R| on the table; rows 0 and 1 come in the first step
+    part = np.zeros((4, n0))
+    step = max(2, _SAMPLE_POINTS // math.prod(length[1:]))
+    for r0 in range(0, n0, step):
+        r = np.arange(r0, min(r0 + step, n0), dtype=float)
         rr = r.reshape((-1,) + (1,) * (n - 1))
         rows = np.fft.irfftn(spec[r0:r0 + len(r)].reshape((len(r),) + fshape),
                              s=length[1:], axes=trail)
@@ -1110,13 +1127,20 @@ def _lattice_sums(spec: np.ndarray, length, s: float):
         if kn:
             k[(slice(0, kn),) + near_half] = tab[r0:r0 + kn]
         k = k[(slice(None),) + gather]
-        wrow = np.where(r > 0, 2.0, 1.0)
         rk = rows * k
-        sums[0] += wrow @ np.sum(rk, axis=axes_t)
-        sums[1] += wrow @ np.sum(np.abs(rk), axis=axes_t)
-        sums[2] += wrow @ np.sum(np.abs(k), axis=axes_t)
+        sl = slice(r0, r0 + len(r))
+        part[0, sl] = np.sum(rk, axis=trail)
+        part[1, sl] = np.sum(np.abs(rk), axis=trail)
+        part[2, sl] = np.sum(np.abs(k), axis=trail)
         if kn:
-            sums[3] += wrow[:kn] @ np.sum(np.abs(rows[(slice(0, kn),) + idx]), axis=axes_t)
+            part[3, r0:r0 + kn] = np.sum(np.abs(rows[(slice(0, kn),) + idx]), axis=trail)
+    wrow = np.where(np.arange(n0) > 0, 2.0, 1.0)
+    sums = np.zeros(4)
+    for r0 in range(0, n0, _LATTICE_ROWS):
+        r1 = min(r0 + _LATTICE_ROWS, n0)
+        for i, stop in enumerate((r1, r1, r1, min(r1, near + 1))):
+            if stop > r0:
+                sums[i] += wrow[r0:stop] @ part[i, r0:stop]
     sums[[0, 1, 3]] /= l0
     return sums, unit
 
@@ -1278,10 +1302,10 @@ def _pair_integral_lattice(f: Field, region, weight: PiecewisePower, a: float,
     ext = tuple(grid.extent)
     length = [_fast_len(2 * e - 1) for e in ext]
     fshape = tuple(length[1:-1]) + (length[-1] // 2 + 1,)
-    spec = np.empty((f.dim_out, ext[0], math.prod(fshape)), dtype=complex)
     j_term = err_phi = 0.0
-    if region is not None:
+    if region is not None:    # before the spectra, so its matrices never sit on them
         phi, moments, err_phi = _region_weights(f, region, s, b)
+    spec = np.empty((f.dim_out, ext[0], math.prod(fshape)), dtype=complex)
     for r0, block in sample_rows(f, grid):
         block = np.moveaxis(block, -1, 0)
         r1 = r0 + block.shape[1]

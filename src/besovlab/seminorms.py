@@ -87,9 +87,6 @@ class FunctionalValue:
     error_estimate: float
     provenance: str
 
-    def __float__(self):
-        return self.value
-
 
 def _stream_of(tag: str) -> int:
     return zlib.crc32(tag.encode("utf-8"))

@@ -19,8 +19,9 @@ from besovlab.fields import eval_field
 
 def grid_eval_rowmajor(spec, values, x):
     """Multilinear interpolation over cell centers with a zero ring, worked on
-    the (P, N) point array as a whole: the reference for fields._grid_eval,
-    which must match it bit for bit."""
+    the (P, N) point array as a whole, in one pass over all points: the
+    reference for fields._grid_eval, which takes the points a block at a
+    time and must match it bit for bit."""
     ext = values.shape[:-1]
     u = (x - np.asarray(spec.origin)) / np.asarray(spec.spacing) - 0.5
     lo = np.floor(u)

@@ -1,13 +1,16 @@
+import fcntl
 import json
 import math
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from besovlab import seminorms
 from besovlab.cli import FUNCTIONALS, main
-from besovlab.experiments import default_config, validate_config
+from besovlab.experiments import default_config, json_text, validate_config
 from besovlab.errors import InputError
 
 
@@ -119,6 +122,33 @@ def test_installed_entry_point():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert json.loads(out.stdout)["kind"] == "constants"
+
+
+def test_closed_pipe_ends_quietly():
+    # the reader takes one line and closes the pipe while the command still
+    # writes: a one-page pipe cannot hold the 8.7 kB of all default configs,
+    # so the command is blocked in its write when the reader goes
+    read, write = os.pipe()
+    fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen([sys.executable, "-m", "besovlab.cli", "print-defaults"],
+                            stdout=write, stderr=subprocess.PIPE)
+    os.close(write)
+    line = b""
+    while not line.endswith(b"\n"):
+        line += os.read(read, 1)
+    os.close(read)
+    _, err = proc.communicate(timeout=60)
+    assert line == b"{\n"
+    assert (proc.returncode, err) == (0, b"")
+
+
+def test_json_text_writes_numpy_values_as_plain_json():
+    obj = {"f": np.float64(0.25), "i": np.int64(3), "b": np.bool_(True),
+           "a": np.array([[1.5, 2.0]]), "n": [np.int64(-1), np.bool_(False)]}
+    text = json_text(obj)
+    assert text == '{"a": [[1.5, 2.0]], "b": true, "f": 0.25, "i": 3, "n": [-1, false]}'
+    assert json.loads(text) == {"a": [[1.5, 2.0]], "b": True, "f": 0.25, "i": 3,
+                                "n": [-1, False]}
 
 
 def test_default_config_rejects_unknown_kind():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from besovlab import fields
 from besovlab.errors import CapabilityError, InputError
 from besovlab.fields import (Field, GridSpec, RegionSpec, default_region,
                              eval_field, jump_set_of, knots_1d, make_field, sample,
@@ -299,6 +300,36 @@ def test_grid_eval_matches_rowmajor_reference(n, dim_out, seed, h, spread):
     x = np.asarray(spec.origin) + h * cells
     f = Field(n, dim_out, "grid", {"spec": spec, "values": values}, support_radius=10.0)
     assert np.array_equal(eval_field(f, x), grid_eval_rowmajor(spec, values, x))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("dim_out", [1, 2])
+def test_blocked_grid_eval_matches_single_pass(n, dim_out):
+    # eval_field takes a grid's points fields._BLOCK_POINTS at a time; the
+    # counts fall short of, just past and well past a block.  In cell units
+    # the centers span [0.5, ext - 0.5]; every third point sits inside, in
+    # the one-cell zero ring along one axis, or beyond it
+    rng = np.random.default_rng(10 * n + dim_out)
+    ext = np.array([int(e) for e in rng.integers(2, 9, n)])
+    h = 0.3
+    spec = GridSpec(origin=tuple(rng.uniform(-2.0, 2.0, n)), spacing=(h,) * n,
+                    extent=tuple(int(e) for e in ext))
+    values = rng.standard_normal(tuple(ext) + (dim_out,))
+    f = Field(n, dim_out, "grid", {"spec": spec, "values": values}, support_radius=10.0)
+    block = fields._BLOCK_POINTS
+    for count in (0, 1, block - 1, block + 1, 3 * block + 5):
+        cells = rng.uniform(0.5, ext - 0.5, (count, n))
+        axis = rng.integers(0, n, count)
+        depth = np.where(np.arange(count) % 3 == 1, rng.uniform(0.0, 1.0, count),
+                         rng.uniform(1.0, 3.0, count))
+        upper = rng.random(count) < 0.5
+        edge = np.where(upper, ext[axis] - 0.5 + depth, 0.5 - depth)
+        moved = np.arange(count) % 3 != 0
+        cells[moved, axis[moved]] = edge[moved]
+        x = np.asarray(spec.origin) + h * cells
+        got = eval_field(f, x)
+        assert got.shape == (count, dim_out)
+        assert np.array_equal(got, grid_eval_rowmajor(spec, values, x))
 
 
 @st.composite

@@ -284,9 +284,10 @@ def test_fast_len_is_the_next_5_smooth_length():
 @pytest.mark.parametrize("boxed", [False, True])
 def test_lattice_engine_memory_stays_near_its_spectra(monkeypatch, boxed):
     # the engine holds one array of row spectra and transforms it in place;
-    # every other temporary spans a block of 64 columns or rows, or one read
-    # of the grid.  Reads of 2^12 points keep the last small next to the
-    # spectra, so a second spectrum-sized array would show.
+    # every other temporary spans a block of about fields._SAMPLE_POINTS
+    # values (columns or rows of the transforms), or one read of the grid.
+    # Reads of 2^12 points keep the last small next to the spectra, so a
+    # second spectrum-sized array would show.
     monkeypatch.setattr(fields, "_SAMPLE_POINTS", 1 << 12)
     ext, dim_out, h = (300, 300), 2, 0.01
     f = _grid(np.random.default_rng(3).standard_normal(ext + (dim_out,)), h)
@@ -303,3 +304,33 @@ def test_lattice_engine_memory_stays_near_its_spectra(monkeypatch, boxed):
         tracemalloc.stop()
     assert r.evaluations_used == math.prod(ext)
     assert peak <= 2.5 * spec_bytes
+
+
+@pytest.mark.parametrize("case", ["chain_2d_e-4", "grid_3d"])
+def test_lattice_scratch_is_a_fixed_block(disk, tent2, case):
+    # at the default read size, what the engine holds beyond its spectra is
+    # a fixed block of scratch: grid reads of fields._SAMPLE_POINTS points,
+    # evaluated fields._BLOCK_POINTS at a time, and transforms of about
+    # _SAMPLE_POINTS values; none of it grows with the grid
+    if case == "grid_3d":
+        ext = (80, 40, 40)
+        f = _grid(np.random.default_rng(5).standard_normal(ext + (1,)), 0.01)
+        args = (f, None, PiecewisePower.power_law(4.0), (0.0, 10.0), 2.0)
+    else:
+        # the 2D chain's e^-4 Gagliardo row: its region is the disk's box
+        f = mollify(disk, tent2, math.exp(-4.0))
+        region = fields.default_region(disk)
+        lo, hi = region.bbox()
+        args = (f, region, PiecewisePower.power_law(3.0),
+                (0.0, float(np.linalg.norm(hi - lo))), 2.0)
+    ext = f.payload["spec"].extent
+    length = [quadrature._fast_len(2 * e - 1) for e in ext]
+    spec_bytes = 16 * f.dim_out * ext[0] * math.prod(length[1:-1]) * (length[-1] // 2 + 1)
+    assert pair_integral(*args).path == "lattice"     # fills the kernel table's cache
+    tracemalloc.start()
+    try:
+        pair_integral(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - spec_bytes <= 6 * 2 ** 20
