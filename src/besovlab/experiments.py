@@ -104,8 +104,8 @@ class ExperimentConfig:
                                            region=region)
         mspec = dict(self.mollifier)
         m = make_mollifier(mspec.pop("kind"), dim=f.dim_in, **mspec)
-        budget = QuadBudget(max_evaluations=int(self.budget.get("max_evaluations", 200_000)),
-                            target_rel_error=float(self.budget.get("target_rel_error", 1e-3)),
+        budget = QuadBudget(max_evaluations=int(self.budget["max_evaluations"]),
+                            target_rel_error=float(self.budget["target_rel_error"]),
                             rng_seed=int(self.seed))
         return Setup(f, region, params, m, self.build_kernels(f.dim_in), budget)
 
@@ -138,6 +138,15 @@ def validate_config(d: dict) -> ExperimentConfig:
     for key, value in d.items():
         if key not in merged:
             raise InputError(f"{key}: unknown config key")
+        if key in ("params", "budget", "eps_grid", "gagliardo_grid"):
+            _require(isinstance(value, dict), key, "must be an object")
+            known = ("q", "r", "p", "kernel_index", "direction") if key == "params" \
+                else merged[key]
+            for sub in value:
+                _require(sub in known, f"{key}.{sub}", "unknown config key")
+            if key != "params":
+                # omitted keys take the kind's defaults; params is replaced whole
+                value = {**merged[key], **value}
         merged[key] = value
     params = merged["params"]
     q = params.get("q", 2.0)

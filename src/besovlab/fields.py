@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -359,7 +359,7 @@ def _eval_smooth(f: Field, pts: np.ndarray) -> np.ndarray:
     if formula == "steps_cdf":
         # closed-form mollification of a 1D step sum: sum_j amp_j *
         # (H((x-a_j)/eps) - H((x-b_j)/eps)) with H the mollifier CDF
-        cdf: Callable = f.payload["cdf"]
+        cdf = f.payload["mollifier"].cdf
         eps = float(p["eps"])
         xs = pts[:, 0]
         out = np.zeros((m, f.dim_out))
@@ -587,9 +587,9 @@ def support_bbox(f: Field):
         lo = np.asarray(spec.origin) - 0.5 * h
         return lo, lo + h * (np.asarray(spec.extent) + 1.0)
     if f.kind == "smooth" and f.payload.get("formula") == "steps_cdf":
-        p = f.payload["params"]
-        lo = min(s[0] for s in p["steps"]) - p["eps"] * f.payload["cdf_halfwidth"]
-        hi = max(s[1] for s in p["steps"]) + p["eps"] * f.payload["cdf_halfwidth"]
+        p, w = f.payload["params"], f.payload["mollifier"].halfwidth
+        lo = min(s[0] for s in p["steps"]) - p["eps"] * w
+        hi = max(s[1] for s in p["steps"]) + p["eps"] * w
         return np.array([lo]), np.array([hi])
     r = f.support_radius
     return -r * np.ones(f.dim_in), r * np.ones(f.dim_in)
@@ -609,7 +609,7 @@ def knots_1d(f: Field):
         return _pieces_1d_breaks(f.payload["pieces"])
     if f.kind == "smooth" and f.payload.get("formula") == "steps_cdf":
         p = f.payload["params"]
-        w = f.payload["cdf_halfwidth"]
+        w = f.payload["mollifier"].halfwidth
         eps = p["eps"]
         ks = []
         for a, b, _ in p["steps"]:

@@ -147,8 +147,7 @@ def kernel_profile(k: RadialKernelFamily, eps: EpsLike) -> PiecewisePower:
     return PiecewisePower(pieces=((e - sig, e + sig, coef, -(n - 1.0)),))
 
 
-def kernel_mass(k: RadialKernelFamily, eps: EpsLike,
-                budget=None) -> QuadResult:
+def kernel_mass(k: RadialKernelFamily, eps: EpsLike) -> QuadResult:
     """Mass of the kernel over R^N via the analytic radial path; expected 1."""
     L = k.check_eps(eps)
     n = k.dim

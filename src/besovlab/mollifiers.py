@@ -21,7 +21,8 @@ import scipy  # its submodules load on first use, on the paths that need them
 
 from .errors import CapabilityError, InputError, ResolutionError
 from .fields import Field, GridSpec, eval_field, sample, sphere_measure, support_bbox
-from .quadrature import _LATTICE_COLS, _LATTICE_ROWS, _bspline, _fast_len, _panel_nodes
+from .quadrature import (_LATTICE_COLS, _LATTICE_ROWS, _bspline, _fast_len, _panel_nodes,
+                         shift_integral)
 
 __all__ = ["MollifierSpec", "make_mollifier", "mollify", "mollifier_bound_check"]
 
@@ -34,8 +35,8 @@ class MollifierSpec:
     total: float                  # int eta
     abs_mass: float               # int |eta|
     grad_mass: float              # int |grad eta|
-    pdf: Callable = field(repr=False)          # eta(v), radial arg for dim >= 2
-    grad: Callable = field(repr=False)         # eta'(v) (1D) or d/dr profile (radial)
+    pdf: Callable = field(repr=False)          # eta(v) at signed v (1D), eta(r) (2D/3D)
+    grad: Callable = field(repr=False)         # eta'(v) (1D) or d/dr of the profile
     cdf: Optional[Callable] = field(repr=False, default=None)  # 1D only
     # 1D only: (A, kinks), the autocorrelation eta * eta(-.) as a piecewise
     # cubic with kinks at +-kinks
@@ -51,7 +52,7 @@ class MollifierSpec:
 
     def _radial_moment(self, g: Callable, w: Callable) -> float:
         if self.dim == 1:
-            val, _ = scipy.integrate.quad(lambda v: g(abs(v)) * w(abs(v)),
+            val, _ = scipy.integrate.quad(lambda v: g(v) * w(abs(v)),
                                           -self.halfwidth, self.halfwidth,
                                           points=[0.0], limit=200)
             return float(val)
@@ -264,9 +265,7 @@ def mollify(f: Field, m: MollifierSpec, eps: float) -> Field:
         if steps is not None:
             payload = {"formula": "steps_cdf",
                        "params": {"steps": tuple(steps), "eps": float(eps)},
-                       "cdf": m.cdf, "cdf_halfwidth": m.halfwidth}
-            if m.autocorr is not None:
-                payload["autocorr"] = m.autocorr
+                       "mollifier": m}
             rad = f.support_radius + eps * m.halfwidth
             return Field(1, f.dim_out, "smooth", payload, support_radius=rad,
                          name=f"{f.name}*[{m.kind}@{eps:g}]")
@@ -279,8 +278,7 @@ def _mollify_smooth_quadrature(f: Field, m: MollifierSpec, eps: float) -> Field:
     """Evaluate u_eps(x) = int eta(z) u(x - eps z) dz by fixed panel GL."""
     panels = np.linspace(-m.halfwidth, m.halfwidth, 9)
     z, w = _panel_nodes(panels[:-1], panels[1:], 12)
-    w = w * np.asarray(m.pdf(np.abs(z)) if m.kind != "signed-test" else m.pdf(z),
-                       dtype=float)
+    w = w * np.asarray(m.pdf(z), dtype=float)
 
     base = f
 
@@ -327,11 +325,8 @@ def _taps(m: MollifierSpec, eps: float, h: float, n: int) -> np.ndarray:
     reach = int(math.ceil(eps * m.halfwidth / h))
     axes = [np.arange(-reach, reach + 1) * h for _ in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    radii = np.sqrt(sum(mm ** 2 for mm in mesh))
-    if n == 1 and m.kind == "signed-test":
-        taps = m.pdf(mesh[0] / eps) / eps * h ** n
-    else:
-        taps = m.pdf(radii / eps) / eps ** n * h ** n
+    offsets = mesh[0] if n == 1 else np.sqrt(sum(mm ** 2 for mm in mesh))
+    taps = m.pdf(offsets / eps) / eps ** n * h ** n
     if m.total != 0.0:
         taps = taps * (m.total / taps.sum())
     return taps
@@ -379,11 +374,10 @@ def _convolve(values: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return values
 
 
-def mollifier_bound_check(f: Field, m: MollifierSpec, eps: float, r: float,
+def mollifier_bound_check(f: Field, m: MollifierSpec, eps: float,
                           q: float, h) -> tuple[float, float]:
     """Shifted L^q mass of the mollified field against the contraction bound
     abs_mass^q times the same mass of the raw field."""
-    from .quadrature import shift_integral
     u_eps = mollify(f, m, eps)
     lhs, _ = shift_integral(u_eps, None, h, q)
     raw, _ = shift_integral(f, None, h, q)

@@ -654,7 +654,7 @@ def _pair_integral_indicator(f: Field, region, weight: PiecewisePower, a: float,
 #
 # F_u the shift integral of u, piecewise linear with kinks at the knot
 # differences d, and A_eps(tau) = A(tau / eps) / eps the autocorrelation of
-# eta_eps, which the steps_cdf payload carries as (A, kinks): A piecewise
+# eta_eps, which the payload's MollifierSpec carries as (A, kinks): A piecewise
 # cubic, its kinks at +-kinks.  So Gauss-Legendre of order 3 between the kinks
 # of both factors is exact in tau, and F_eps is a quintic in t between the
 # points |d +- eps k|.  F_eps is even and C^4 (A is C^2), so on [0, t1], t1
@@ -675,7 +675,7 @@ _CORE_CHECK = 0.625
 def _steps_form(f: Field, region, q: float) -> bool:
     """True when the mollified-step engine serves these inputs."""
     if f.kind != "smooth" or f.payload.get("formula") != "steps_cdf" \
-            or "autocorr" not in f.payload or q != 2.0:
+            or f.payload["mollifier"].autocorr is None or q != 2.0:
         return False
     if region is None:
         return True
@@ -758,7 +758,7 @@ def _pair_integral_steps(f: Field, region, weight: PiecewisePower, a: float,
     ratio 2 the order-8 rule misses t^-2 by about 1e-12 of a panel, which
     would dominate the error.)"""
     eps = float(f.payload["params"]["eps"])
-    autocorr = f.payload["autocorr"]
+    autocorr = f.payload["mollifier"].autocorr
     d, fd, scale = _step_shift_table(f)
     k = eps * np.asarray(autocorr[1])
     breaks = np.abs(d[:, None] + np.concatenate([-k, k])).ravel()

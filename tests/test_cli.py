@@ -92,6 +92,8 @@ def test_validate_config_paths():
                          "gagliardo_grid": {"eps0": 0.1, "ratio": 0.5, "count": 3}})
     with pytest.raises(InputError, match="unknown config key"):
         validate_config({"kind": "jump_chain", "mystery": 1})
+    with pytest.raises(InputError, match="budget: must be an object"):
+        validate_config({"kind": "jump_chain", "budget": 5})
     # every kind that pins r = 1/q rejects another r
     for kind in ("sandwich", "kernel_equivalence", "jump_chain",
                  "truncation_convergence"):
@@ -101,6 +103,34 @@ def test_validate_config_paths():
         validate_config({"kind": "jump_chain", "params": {"q": 2.0, "kernel_index": 1.0}})
     cfg = validate_config({"kind": "jump_chain", "params": {"q": 2.0, "r": 0.5}})
     assert cfg.tolerance == 0.10
+
+
+def test_config_sections_take_the_omitted_defaults(tmp_path, capsys):
+    cfg = validate_config({"kind": "jump_chain", "eps_grid": {"ratio": 0.5, "count": 6},
+                           "budget": {"target_rel_error": 0.02}})
+    assert cfg.eps_grid == {"eps0": 0.2, "ratio": 0.5, "count": 6}
+    budget = cfg.setup().budget
+    assert (budget.max_evaluations, budget.target_rel_error) == (200_000, 0.02)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "jump_chain",
+                                "eps_grid": {"ratio": 0.5, "count": 6}}))
+    assert main(["sweep", "--functional", "spherical-variation", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 7 and float(lines[1].split(",")[0]) == 0.2
+
+
+@pytest.mark.parametrize("section, path", [
+    ({"budget": {"max_evals": 5}}, "budget.max_evals"),
+    ({"params": {"q": 2.0, "rr": 0.3}}, "params.rr"),
+    ({"eps_grid": {"eps_0": 0.1}}, "eps_grid.eps_0"),
+    ({"gagliardo_grid": {"size": 4}}, "gagliardo_grid.size"),
+])
+def test_config_sections_reject_unknown_keys(section, path, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "jump_chain", **section}))
+    rc = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"{path}: unknown config key" in capsys.readouterr().err
 
 
 def test_experiment_interpolation_roundtrip(tmp_path, capsys):

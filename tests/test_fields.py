@@ -55,6 +55,31 @@ def test_truncate_inactive_and_zero(step3):
     assert eval_field(zero, 0.3)[0] == 0.0
 
 
+def test_truncate_smooth_field_clips_a_grid_sample(bump):
+    # no closed form under clamping: 512 cells over the support and 5% margins
+    t = truncate(bump, 0.5)
+    spec = t.payload["spec"]
+    lo, hi = support_bbox(bump)
+    margin = 0.05 * float(hi[0] - lo[0])
+    assert t.kind == "grid" and spec.extent == (512,)
+    assert spec.origin[0] == lo[0] - margin
+    assert spec.spacing[0] == pytest.approx((hi[0] - lo[0] + 2.0 * margin) / 512, rel=1e-15)
+    samples = sample(bump, spec).payload["values"]
+    assert samples.max() > 0.9
+    assert np.array_equal(t.payload["values"], np.clip(samples, -0.5, 0.5))
+
+
+def test_truncate_grid_field_clips_its_values():
+    values = np.random.default_rng(5).standard_normal((6, 4, 2))
+    spec = GridSpec(origin=(0.0, -1.0), spacing=(0.25, 0.5), extent=(6, 4))
+    f = Field(2, 2, "grid", {"spec": spec, "values": values, "source": "noise"},
+              support_radius=3.0, name="noise")
+    t = truncate(f, 0.7)
+    assert t.kind == "grid" and t.payload["spec"] is spec and t.payload["source"] == "noise"
+    assert np.array_equal(t.payload["values"], np.clip(values, -0.7, 0.7))
+    assert np.array_equal(f.payload["values"], values)
+
+
 def test_truncate_rejects_negative(step):
     with pytest.raises(InputError):
         truncate(step, -0.5)

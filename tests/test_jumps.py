@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate as sciint
 
 from besovlab.errors import CapabilityError, InputError
-from besovlab.fields import RegionSpec, jump_set_of, make_field, truncate
+from besovlab.fields import Field, RegionSpec, jump_set_of, make_field, truncate
 from besovlab.jumps import (dimensional_constants, directional_jump_variation,
                             jump_variation, sphere_moment)
 from besovlab.quadrature import sphere_rule
@@ -31,6 +31,33 @@ def test_jump_variation_region_clip(step):
     jsd = jump_set_of(make_field("disk_2d"))
     with pytest.raises(CapabilityError):
         jump_variation(jsd, 2.0, RegionSpec.box([0.0, 0.0], [2.0, 2.0]))
+
+
+def _two_boxes(n):
+    """Two disjoint boxes in R^n: the unit cube at the origin with amplitude
+    1, and its copy moved by 2 along axis 0 with amplitude 2."""
+    lo = np.zeros(n)
+    shift = np.eye(n)[0] * 2.0
+    pieces = ((RegionSpec.box(lo, lo + 1.0), np.array([1.0])),
+              (RegionSpec.box(lo + shift, lo + shift + 1.0), np.array([2.0])))
+    return Field(n, 1, "piecewise", {"pieces": pieces}, support_radius=4.0, name="boxes")
+
+
+@pytest.mark.parametrize("n, geometry", [(2, "segment"), (3, "rect")])
+def test_jump_variation_box_patches_clipped_by_a_region(n, geometry):
+    js = jump_set_of(_two_boxes(n))
+    assert {p.geometry for p in js.patches} == {geometry}
+    faces = 2 * n   # of unit measure each; jumps 1 and 2
+    assert jump_variation(js, 2.0) == faces * (1.0 + 4.0)
+    # a region holding the first box's faces and none of the second's
+    lo, hi, shift = np.full(n, -0.5), np.full(n, 1.5), 2.0 * np.eye(n)[0]
+    assert jump_variation(js, 2.0, RegionSpec.box(lo, hi)) == faces * 1.0
+    second = RegionSpec.box(lo + shift, hi + shift)
+    assert jump_variation(js, 2.0, second) == faces * 4.0
+    assert jump_variation(js, 2.0, RegionSpec.box(np.full(n, 5.0), np.full(n, 6.0))) == 0.0
+    # a region through the middle of the first box cuts faces in part
+    with pytest.raises(CapabilityError):
+        jump_variation(js, 2.0, RegionSpec.box(-np.ones(n), 0.5 * np.ones(n)))
 
 
 def test_directional_jump_variation_step(step):

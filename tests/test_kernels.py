@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate as sciint
 
 from besovlab.errors import InputError
+from besovlab.experiments import default_config, run
 from besovlab.kernels import (LOG_EPS_MAX, NegLogEps, RadialKernelFamily,
                               audit_rows, generic_moment, kernel_mass,
                               kernel_profile, kernel_window,
@@ -170,3 +171,14 @@ def test_piecewise_power_profile_matches_direct():
               RadialKernelFamily("sigma_approx", 2, sigma_ratio=0.5)):
         assert np.allclose(kernel_profile(k, eps)(rs), direct[k.kind](rs),
                            rtol=1e-12, atol=0.0)
+
+
+def test_default_kernel_audit_experiment(tmp_path):
+    report = run(default_config("kernel_audit"), str(tmp_path))
+    assert report.passed and len(report.verdicts) == 15
+    written = sorted(p.name for p in tmp_path.glob("kernel_audit_N*.csv"))
+    assert written == sorted(f"kernel_audit_N{n}_{k}.csv" for n in (1, 2, 3)
+                             for k in ("trivial", "logarithmic_w0.5"))
+    for name in written:
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0].startswith("neg_log_eps,epsilon,mass,") and len(lines) == 11

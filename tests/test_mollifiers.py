@@ -199,9 +199,9 @@ def test_mollify_resolution_error(step, tent):
 
 def test_mollifier_bound_check_cases(step, tent):
     const = make_field("constant", value=1.5)
-    lhs, rhs = mollifier_bound_check(const, tent, 0.1, 0.5, 2.0, [0.2])
+    lhs, rhs = mollifier_bound_check(const, tent, 0.1, 2.0, [0.2])
     assert lhs == pytest.approx(0.0, abs=1e-12) and rhs == pytest.approx(0.0, abs=1e-12)
-    lhs, rhs = mollifier_bound_check(step, tent, 0.1, 0.5, 2.0, [0.05])
+    lhs, rhs = mollifier_bound_check(step, tent, 0.1, 2.0, [0.05])
     assert rhs == pytest.approx(0.1, abs=1e-12)   # 1^q * 2 min(|h|, 1)
     assert lhs <= rhs + 1e-12
 
@@ -209,8 +209,8 @@ def test_mollifier_bound_check_cases(step, tent):
 def test_mollifier_bound_scaling_homogeneity(step, tent):
     # doubling eta scales both sides by 2^q
     double = make_mollifier("mix", components=[(2.0, tent)])
-    l1, r1 = mollifier_bound_check(step, tent, 0.1, 0.5, 2.0, [0.05])
-    l2, r2 = mollifier_bound_check(step, double, 0.1, 0.5, 2.0, [0.05])
+    l1, r1 = mollifier_bound_check(step, tent, 0.1, 2.0, [0.05])
+    l2, r2 = mollifier_bound_check(step, double, 0.1, 2.0, [0.05])
     assert l2 == pytest.approx(4.0 * l1, rel=1e-9)
     assert r2 == pytest.approx(4.0 * r1, rel=1e-9)
 
@@ -273,6 +273,43 @@ def test_one_component_mix_has_its_components_masses(dim):
         pytest.approx((1.0, 1.0, 2.0 if dim == 1 else dim + 1.0), rel=1e-14)
     for name in ("total", "abs_mass", "grad_mass"):
         assert getattr(mix, name) == pytest.approx(getattr(tent, name), rel=1e-8), name
+
+
+@pytest.mark.parametrize("kind", ["tent", "truncated-gaussian", "smooth-bump", "signed-test"])
+def test_one_component_mix_mollifies_as_its_component(step, bump, kind):
+    # a 1D kernel is read at signed offsets on every path, so a mix with an
+    # odd part (the signed-test) is not mirrored: taps, the quadrature path
+    # of a smooth field, the grid path and the closed form of a step sum
+    m = make_mollifier(kind)
+    mix = make_mollifier("mix", components=[(1.0, m)])
+    eps = 0.1
+    np.testing.assert_array_equal(_taps(mix, eps, eps / 8.0, 1), _taps(m, eps, eps / 8.0, 1))
+    grid = sample(bump, GridSpec(origin=(-3.0,), spacing=(0.01,), extent=(700,)))
+    xs = np.linspace(-0.5, 1.5, 41)[:, None]
+    for f in (bump, grid, step):
+        np.testing.assert_array_equal(eval_field(mollify(f, mix, eps), xs),
+                                      eval_field(mollify(f, m, eps), xs))
+
+
+def test_mix_with_an_odd_part_reads_signed_offsets(tent):
+    signed = make_mollifier("signed-test")
+    mix = make_mollifier("mix", components=[(0.5, tent), (0.5, signed)])
+    # the midpoint rule on 2e5 cells, whose edges hold the kinks at 0 and
+    # +-1: its O(h^2) error is about 1e-9 of either moment
+    n = 200_000
+    v = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
+    grad = np.abs(0.5 * tent.grad(v) + 0.5 * signed.grad(v))
+    pdf = np.abs(0.5 * tent.pdf(v) + 0.5 * signed.pdf(v))
+    assert mix.weighted_grad(1.0) == pytest.approx(np.sum(grad * (np.abs(v) + 2.0)) * 2.0 / n,
+                                                   rel=1e-8)
+    assert mix.abs_weighted_moment(1.0) == pytest.approx(np.sum(pdf * np.abs(v)) * 2.0 / n,
+                                                         rel=1e-8)
+
+
+def test_mollified_step_sum_carries_its_mollifier(step, tent):
+    u = mollify(step, tent, 0.2)
+    assert u.payload["mollifier"] is tent
+    assert set(u.payload) == {"formula", "params", "mollifier"}
 
 
 def test_smooth_field_mollification(bump, tent):
