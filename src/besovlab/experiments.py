@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import statistics
 from dataclasses import dataclass, field, fields
@@ -104,10 +105,7 @@ class ExperimentConfig:
                                            region=region)
         mspec = dict(self.mollifier)
         m = make_mollifier(mspec.pop("kind"), dim=f.dim_in, **mspec)
-        budget = QuadBudget(max_evaluations=int(self.budget["max_evaluations"]),
-                            target_rel_error=float(self.budget["target_rel_error"]),
-                            rng_seed=int(self.seed))
-        return Setup(f, region, params, m, self.build_kernels(f.dim_in), budget)
+        return Setup(f, region, params, m, self.build_kernels(f.dim_in), self.build_budget())
 
     def build_kernels(self, dim: int) -> list:
         out = []
@@ -119,13 +117,39 @@ class ExperimentConfig:
 
     def build_eps_grid(self, which: str = "eps_grid") -> EpsilonGrid:
         g = self.eps_grid if which == "eps_grid" else self.gagliardo_grid
-        return EpsilonGrid(eps0=float(g["eps0"]), ratio=float(g["ratio"]),
-                           count=int(g["count"]))
+        return _built(which, EpsilonGrid, eps0=_number(g["eps0"], f"{which}.eps0"),
+                      ratio=_number(g["ratio"], f"{which}.ratio"),
+                      count=_number(g["count"], f"{which}.count", int))
+
+    def build_budget(self) -> QuadBudget:
+        b = self.budget
+        return _built("budget", QuadBudget,
+                      max_evaluations=_number(b["max_evaluations"], "budget.max_evaluations", int),
+                      target_rel_error=_number(b["target_rel_error"], "budget.target_rel_error"),
+                      rng_seed=_number(self.seed, "seed", int))
 
 
 def _require(cond: bool, path: str, message: str):
     if not cond:
         raise InputError(f"{path}: {message}")
+
+
+def _number(value, path: str, kind=float):
+    """value as kind when it is a JSON number, an integral one for int;
+    else an InputError naming path."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool) \
+        and (kind is float or float(value).is_integer())
+    _require(ok, path, "must be an integer" if kind is int else "must be a number")
+    return kind(value)
+
+
+def _built(path: str, cls, **values):
+    """cls(**values); the InputError of cls, which names the argument at
+    fault, names path.argument."""
+    try:
+        return cls(**values)
+    except InputError as exc:
+        raise InputError(f"{path}.{exc}") from None
 
 
 def validate_config(d: dict) -> ExperimentConfig:
@@ -168,14 +192,16 @@ def validate_config(d: dict) -> ExperimentConfig:
     if idx is not None:
         _require(type(idx) is int and 0 <= idx < len(merged["kernels"]),
                  "params.kernel_index", "must be an integer index into kernels")
-    for key in ("eps_grid", "gagliardo_grid"):
-        grid = merged[key]
-        _require(0.0 < float(grid["ratio"]) < 1.0, f"{key}.ratio", "must lie in (0, 1)")
-        _require(int(grid["count"]) >= 4, f"{key}.count", "must be >= 4")
     merged["field_spec"] = merged.pop("field")
-    merged.update(seed=int(merged["seed"]), tolerance=float(merged["tolerance"]),
-                  pair_tolerance=float(merged["pair_tolerance"]))
-    return ExperimentConfig(**merged)
+    merged.update(seed=_number(merged["seed"], "seed", int),
+                  tolerance=_number(merged["tolerance"], "tolerance"),
+                  pair_tolerance=_number(merged["pair_tolerance"], "pair_tolerance"))
+    cfg = ExperimentConfig(**merged)
+    # every grid and budget value is checked before anything runs
+    cfg.build_eps_grid("eps_grid")
+    cfg.build_eps_grid("gagliardo_grid")
+    cfg.build_budget()
+    return cfg
 
 
 def default_config(kind: str) -> ExperimentConfig:

@@ -255,7 +255,8 @@ class Field:
     with pairwise disjoint regions; the value is the amplitude of the region
     containing x, zero outside every region.
     kind "smooth": payload["formula"] names a closed form, payload["params"]
-    holds its parameters (payload may carry a private callable).
+    holds its parameters; formula "mollified" is u * eta_eps of a 1D step sum
+    or smooth field u, held as payload["field"], ["mollifier"] and ["eps"].
     kind "grid": payload holds a GridSpec and a value array; evaluation is
     multilinear interpolation over cell centers, zero outside the grid.
     """
@@ -356,18 +357,20 @@ def _eval_smooth(f: Field, pts: np.ndarray) -> np.ndarray:
         amp = np.asarray(p["amplitude"], dtype=float)
         r2 = np.sum((pts - c) ** 2, axis=-1)
         return np.exp(-r2 / (2.0 * w * w))[:, None] * amp
-    if formula == "steps_cdf":
-        # closed-form mollification of a 1D step sum: sum_j amp_j *
-        # (H((x-a_j)/eps) - H((x-b_j)/eps)) with H the mollifier CDF
-        cdf = f.payload["mollifier"].cdf
-        eps = float(p["eps"])
+    if formula == "mollified":
+        u, mol, eps = f.payload["field"], f.payload["mollifier"], f.payload["eps"]
         xs = pts[:, 0]
-        out = np.zeros((m, f.dim_out))
-        for a, b, amp in p["steps"]:
-            out += (cdf((xs - a) / eps) - cdf((xs - b) / eps))[:, None] * np.asarray(amp)
-        return out
-    if formula == "callable_1d":
-        return f.payload["call"](pts[:, 0])
+        if u.kind == "piecewise":
+            # a step sum: sum_j amp_j (H((x-a_j)/eps) - H((x-b_j)/eps)), H the
+            # mollifier's CDF
+            out = np.zeros((m, f.dim_out))
+            for a, b, amp in step_intervals(u):
+                out += (mol.cdf((xs - a) / eps) - mol.cdf((xs - b) / eps))[:, None] * amp
+            return out
+        # a smooth field: int eta(z) u(x - eps z) dz by the mollifier's fixed rule
+        z, w = mol.smoothing_rule
+        vals = eval_field(u, (xs[:, None] - eps * z[None, :]).reshape(-1, 1))
+        return np.einsum("k,mkd->md", w, vals.reshape(m, z.size, u.dim_out))
     raise InputError(f"unknown smooth formula {formula!r}")
 
 
@@ -405,16 +408,16 @@ class JumpSetSpec:
         return sum(p.measure for p in self.patches)
 
 
-def _pieces_1d_breaks(pieces):
-    """Sorted breakpoints and per-open-interval values for 1D piecewise fields."""
-    bps = set()
-    for region, _ in pieces:
+def step_intervals(f: Field):
+    """Yield the steps (a, b, amp) of a 1D piecewise field, piece by piece
+    and a union part by part; CapabilityError for a region that is neither an
+    interval nor a union of intervals."""
+    for region, amp in f.payload["pieces"]:
+        amp = np.asarray(amp, dtype=float)
         for r in (region.parts if region.kind == "union" else (region,)):
             if r.kind != "box":
-                raise CapabilityError("1D jump extraction needs interval regions")
-            bps.add(r.lo[0])
-            bps.add(r.hi[0])
-    return np.array(sorted(bps))
+                raise CapabilityError("a 1D piecewise field needs interval regions")
+            yield r.lo[0], r.hi[0], amp
 
 
 def jump_set_of(f: Field) -> JumpSetSpec:
@@ -423,14 +426,13 @@ def jump_set_of(f: Field) -> JumpSetSpec:
         return JumpSetSpec(patches=())
     if f.kind != "piecewise":
         raise InputError("jump_set_of requires a piecewise-constant field")
-    pieces = f.payload["pieces"]
     if f.dim_in == 1:
-        return _jump_set_1d(f, pieces)
-    return _jump_set_nd(f, pieces)
+        return _jump_set_1d(f)
+    return _jump_set_nd(f, f.payload["pieces"])
 
 
-def _jump_set_1d(f: Field, pieces) -> JumpSetSpec:
-    bps = _pieces_1d_breaks(pieces)
+def _jump_set_1d(f: Field) -> JumpSetSpec:
+    bps = knots_1d(f)
     patches = []
     for b in bps:
         # open-interval values adjacent to the breakpoint; adjacent regions
@@ -586,11 +588,11 @@ def support_bbox(f: Field):
         h = np.asarray(spec.spacing)
         lo = np.asarray(spec.origin) - 0.5 * h
         return lo, lo + h * (np.asarray(spec.extent) + 1.0)
-    if f.kind == "smooth" and f.payload.get("formula") == "steps_cdf":
-        p, w = f.payload["params"], f.payload["mollifier"].halfwidth
-        lo = min(s[0] for s in p["steps"]) - p["eps"] * w
-        hi = max(s[1] for s in p["steps"]) + p["eps"] * w
-        return np.array([lo]), np.array([hi])
+    u = mollified_source(f)
+    if u is not None and u.kind == "piecewise":
+        reach = f.payload["eps"] * f.payload["mollifier"].halfwidth
+        lo, hi = support_bbox(u)
+        return lo - reach, hi + reach
     r = f.support_radius
     return -r * np.ones(f.dim_in), r * np.ones(f.dim_in)
 
@@ -606,22 +608,26 @@ def knots_1d(f: Field):
     if f.dim_in != 1:
         return None
     if f.kind == "piecewise":
-        return _pieces_1d_breaks(f.payload["pieces"])
-    if f.kind == "smooth" and f.payload.get("formula") == "steps_cdf":
-        p = f.payload["params"]
-        w = f.payload["mollifier"].halfwidth
-        eps = p["eps"]
-        ks = []
-        for a, b, _ in p["steps"]:
-            # a pdf may have a kink at 0 (the tent's does), so the steps
-            # themselves are knots too
-            ks.extend((a - w * eps, a, a + w * eps, b - w * eps, b, b + w * eps))
-        return np.array(sorted(set(ks)))
+        return np.array(sorted({e for a, b, _ in step_intervals(f) for e in (a, b)}))
+    u = mollified_source(f)
+    if u is not None and u.kind == "piecewise":
+        # a pdf may have a kink at 0 (the tent's does), so the steps
+        # themselves are knots too
+        reach = f.payload["mollifier"].halfwidth * f.payload["eps"]
+        return np.array(sorted({k + s for k in knots_1d(u) for s in (-reach, 0.0, reach)}))
     if f.kind == "grid":
         # the cell centers and the outer ends of the zero ring
         spec = f.payload["spec"]
         c = spec.centers()[0]
         return np.concatenate([[c[0] - spec.spacing[0]], c, [c[-1] + spec.spacing[0]]])
+    return None
+
+
+def mollified_source(f: Field) -> Optional[Field]:
+    """The field u of a mollified field u * eta_eps of formula "mollified",
+    else None."""
+    if f.kind == "smooth" and f.payload["formula"] == "mollified":
+        return f.payload["field"]
     return None
 
 
@@ -637,18 +643,17 @@ def scale_field(f: Field, lam: float) -> Field:
         return replace(f, payload=payload, name=f"{lam:g}*{f.name}")
     if f.kind == "smooth":
         formula = f.payload["formula"]
-        params = dict(f.payload.get("params", {}))
-        if formula == "constant":
-            params["value"] = lam * np.asarray(params["value"], dtype=float)
-        elif formula == "gaussian_bump":
-            params["amplitude"] = lam * np.asarray(params["amplitude"], dtype=float)
-        elif formula == "steps_cdf":
-            params["steps"] = tuple((a, b, lam * np.asarray(amp, dtype=float))
-                                    for a, b, amp in params["steps"])
+        if formula == "mollified":
+            payload = dict(f.payload, field=scale_field(f.payload["field"], lam))
         else:
-            raise CapabilityError(f"cannot scale smooth formula {formula!r}")
-        payload = dict(f.payload)
-        payload["params"] = params
+            params = dict(f.payload["params"])
+            if formula == "constant":
+                params["value"] = lam * np.asarray(params["value"], dtype=float)
+            elif formula == "gaussian_bump":
+                params["amplitude"] = lam * np.asarray(params["amplitude"], dtype=float)
+            else:
+                raise CapabilityError(f"cannot scale smooth formula {formula!r}")
+            payload = dict(f.payload, params=params)
         return replace(f, payload=payload, name=f"{lam:g}*{f.name}")
     raise CapabilityError(f"cannot scale field kind {f.kind!r}")
 

@@ -37,11 +37,11 @@ class EpsilonGrid:
 
     def __post_init__(self):
         if not (0.0 < self.ratio < 1.0):
-            raise InputError("ratio must lie in (0, 1)")
+            raise InputError("ratio: must lie in (0, 1)")
         if self.count < 4:
-            raise InputError("sweep needs at least 4 points")
-        if self.eps0 <= 0.0:
-            raise InputError("eps0 must be positive")
+            raise InputError("count: must be >= 4")
+        if not (self.eps0 > 0.0 and math.isfinite(self.eps0)):
+            raise InputError("eps0: must be positive and finite")
 
     def values(self) -> np.ndarray:
         return self.eps0 * self.ratio ** np.arange(self.count)

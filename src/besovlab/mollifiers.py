@@ -3,10 +3,11 @@
 Shipped kinds: "tent", "truncated-gaussian" (cut at 6 sigma, renormalized to
 unit mass), "smooth-bump", "signed-test" (derivative of the bump, zero total
 mass), and "mix" (an affine combination, used to perturb a mollifier).  All
-kinds carry closed-form or precomputed CDFs in 1D, so mollifying a 1D step
-field stays a closed-form expression; everything else is sampled at
-resolution eps/8 and convolved with the mollifier's taps through a
-zero-padded FFT.
+kinds carry closed-form or precomputed CDFs in 1D.  Mollifying a 1D step sum
+or a 1D smooth field gives the lazy form u * eta_eps, which fields evaluates:
+a sum of CDFs for the steps, a fixed quadrature rule for a smooth field.
+Every other field is sampled at resolution eps/8 and convolved with the
+mollifier's taps through a zero-padded FFT.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 import scipy  # its submodules load on first use, on the paths that need them
 
 from .errors import CapabilityError, InputError, ResolutionError
-from .fields import Field, GridSpec, eval_field, sample, sphere_measure, support_bbox
+from .fields import Field, GridSpec, sample, sphere_measure, step_intervals, support_bbox
 from .quadrature import (_LATTICE_COLS, _LATTICE_ROWS, _bspline, _fast_len, _panel_nodes,
                          shift_integral)
 
@@ -41,6 +42,15 @@ class MollifierSpec:
     # 1D only: (A, kinks), the autocorrelation eta * eta(-.) as a piecewise
     # cubic with kinks at +-kinks
     autocorr: Optional[tuple] = field(repr=False, default=None)
+
+    @functools.cached_property
+    def smoothing_rule(self) -> tuple:
+        """(z, w): 8 panels of 12 Gauss-Legendre nodes on [-halfwidth,
+        halfwidth], the weights times eta(z), so that w @ g(z) is the rule's
+        int eta(z) g(z) dz."""
+        panels = np.linspace(-self.halfwidth, self.halfwidth, 9)
+        z, w = _panel_nodes(panels[:-1], panels[1:], 12)
+        return z, w * np.asarray(self.pdf(z), dtype=float)
 
     def weighted_grad(self, rq: float) -> float:
         """int |grad eta(v)| (|v| + 2)^{rq} dv."""
@@ -235,24 +245,26 @@ def _d_bump_grad(v):
 # Mollification
 # ---------------------------------------------------------------------------
 
-def _steps_of_1d_piecewise(f: Field):
-    steps = []
-    for region, amp in f.payload["pieces"]:
-        regions = region.parts if region.kind == "union" else (region,)
-        for r in regions:
-            if r.kind != "box":
-                return None
-            steps.append((r.lo[0], r.hi[0], np.asarray(amp, dtype=float)))
-    return steps
+def _is_step_sum(f: Field) -> bool:
+    """True for a 1D piecewise field of intervals and unions of them."""
+    if f.kind != "piecewise":
+        return False
+    try:
+        list(step_intervals(f))
+    except CapabilityError:
+        return False
+    return True
 
 
 def mollify(f: Field, m: MollifierSpec, eps: float) -> Field:
-    """u_eps = u * eta_(eps); closed form for 1D step sums, grid convolution
-    otherwise: the field sampled at resolution eps/8 and convolved in place
-    with the taps, through a zero-padded FFT taken in blocks, so that
-    besides the samples it holds one complex array of about their size."""
-    if eps <= 0.0:
-        raise InputError("mollification scale must be positive")
+    """u_eps = u * eta_(eps).  A 1D step sum (when m has a CDF) or a 1D
+    smooth field gives the lazy form {"formula": "mollified", "field": u,
+    "mollifier": m, "eps": eps}; any other field is sampled at resolution
+    eps/8 and convolved in place with the taps, through a zero-padded FFT
+    taken in blocks, so that besides the samples it holds one complex array
+    of about their size."""
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise InputError(f"mollification scale must be positive and finite, got {eps!r}")
     if m.dim != f.dim_in:
         raise InputError("mollifier dimension does not match the field")
     if f.kind == "smooth" and f.payload.get("formula") == "constant":
@@ -260,37 +272,12 @@ def mollify(f: Field, m: MollifierSpec, eps: float) -> Field:
         payload = {"formula": "constant", "params": {"value": value}}
         return Field(f.dim_in, f.dim_out, "smooth", payload,
                      support_radius=f.support_radius, name=f"{f.name}*[{m.kind}]")
-    if f.dim_in == 1 and f.kind == "piecewise" and m.cdf is not None:
-        steps = _steps_of_1d_piecewise(f)
-        if steps is not None:
-            payload = {"formula": "steps_cdf",
-                       "params": {"steps": tuple(steps), "eps": float(eps)},
-                       "mollifier": m}
-            rad = f.support_radius + eps * m.halfwidth
-            return Field(1, f.dim_out, "smooth", payload, support_radius=rad,
-                         name=f"{f.name}*[{m.kind}@{eps:g}]")
-    if f.dim_in == 1 and f.kind == "smooth":
-        return _mollify_smooth_quadrature(f, m, eps)
+    if f.dim_in == 1 and (f.kind == "smooth" or m.cdf is not None and _is_step_sum(f)):
+        payload = {"formula": "mollified", "field": f, "mollifier": m, "eps": float(eps)}
+        return Field(1, f.dim_out, "smooth", payload,
+                     support_radius=f.support_radius + eps * m.halfwidth,
+                     name=f"{f.name}*[{m.kind}@{eps:g}]")
     return _mollify_grid(f, m, eps)
-
-
-def _mollify_smooth_quadrature(f: Field, m: MollifierSpec, eps: float) -> Field:
-    """Evaluate u_eps(x) = int eta(z) u(x - eps z) dz by fixed panel GL."""
-    panels = np.linspace(-m.halfwidth, m.halfwidth, 9)
-    z, w = _panel_nodes(panels[:-1], panels[1:], 12)
-    w = w * np.asarray(m.pdf(z), dtype=float)
-
-    base = f
-
-    def evaluate(xs: np.ndarray) -> np.ndarray:
-        pts = (xs[:, None] - eps * z[None, :]).reshape(-1, 1)
-        vals = eval_field(base, pts).reshape(xs.shape[0], z.size, base.dim_out)
-        return np.einsum("k,mkd->md", w, vals)
-
-    payload = {"formula": "callable_1d", "params": {"eps": eps}, "call": evaluate}
-    rad = f.support_radius + eps * m.halfwidth
-    return Field(1, f.dim_out, "smooth", payload, support_radius=rad,
-                 name=f"{f.name}*[{m.kind}@{eps:g}]")
 
 
 def _mollify_grid(f: Field, m: MollifierSpec, eps: float) -> Field:

@@ -47,7 +47,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import CapabilityError, DivergenceError, InputError
 from .fields import (_BLOCK_POINTS, _SAMPLE_POINTS, Field, RegionSpec, eval_field, knots_1d,
-                     sample_rows, scale_field, sphere_measure, sup_amplitude, support_bbox)
+                     mollified_source, sample_rows, scale_field, sphere_measure, sup_amplitude,
+                     support_bbox)
 
 __all__ = [
     "QuadBudget",
@@ -72,9 +73,9 @@ class QuadBudget:
 
     def __post_init__(self):
         if self.max_evaluations < 1:
-            raise InputError("max_evaluations must be >= 1")
+            raise InputError("max_evaluations: must be >= 1")
         if not (0.0 < self.target_rel_error < 1.0):
-            raise InputError("target_rel_error must lie in (0, 1)")
+            raise InputError("target_rel_error: must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -358,7 +359,8 @@ def _merged_edges_1d(f: Field, region, ts: np.ndarray):
 def _quality_1d(f: Field) -> dict:
     """Panel counts/orders per field cost class: closed-form fields get the
     dense settings, nested-quadrature fields the cheap ones."""
-    if f.kind == "smooth" and f.payload.get("formula") == "callable_1d":
+    u = mollified_source(f)
+    if u is not None and u.kind == "smooth":
         return {"t_panels": 28, "t_order": 8, "x_div": 40, "x_order": 8}
     if f.kind == "grid":
         return {"t_panels": 36, "t_order": 8, "x_div": 64, "x_order": 6}
@@ -565,8 +567,9 @@ def _amplitude(f: Field) -> Optional[float]:
     """The largest amplitude of a field that fields.scale_field can scale:
     of its steps for a mollified step sum, else fields.sup_amplitude; None
     for any other field."""
-    if f.kind == "smooth" and f.payload.get("formula") == "steps_cdf":
-        return max(float(np.linalg.norm(amp)) for *_, amp in f.payload["params"]["steps"])
+    u = mollified_source(f)
+    if u is not None and u.kind == "piecewise":
+        return max(float(np.linalg.norm(amp)) for _, amp in u.payload["pieces"])
     try:
         return sup_amplitude(f)
     except CapabilityError:
@@ -674,8 +677,9 @@ _CORE_CHECK = 0.625
 
 def _steps_form(f: Field, region, q: float) -> bool:
     """True when the mollified-step engine serves these inputs."""
-    if f.kind != "smooth" or f.payload.get("formula") != "steps_cdf" \
-            or f.payload["mollifier"].autocorr is None or q != 2.0:
+    u = mollified_source(f)
+    if u is None or u.kind != "piecewise" or f.payload["mollifier"].autocorr is None \
+            or q != 2.0:
         return False
     if region is None:
         return True
@@ -688,14 +692,9 @@ def _step_shift_table(f: Field):
     sum, from 0 up, and its shift integral F_u (q = 2, E = R) with every
     amplitude divided by scale, the least power of 2 above the largest one.
     So F_u neither underflows nor overflows, and multiplying by scale^2 is
-    exact.  The steps come from the disjoint pieces of a piecewise field."""
-    steps = f.payload["params"]["steps"]
-    knots = np.array([e for a, b, _ in steps for e in (a, b)])
+    exact, as is dividing by it."""
     scale = 2.0 ** math.frexp(_amplitude(f))[1]
-    src = Field(1, f.dim_out, "piecewise",
-                {"pieces": tuple((RegionSpec.interval(a, b), np.asarray(amp) / scale)
-                                 for a, b, amp in steps)},
-                support_radius=float(np.max(np.abs(knots))))
+    src = scale_field(f.payload["field"], 1.0 / scale)
     d = _shift_breaks_1d(src, None)
     return d, _piecewise_shifts_1d(src, None, d, 2.0), scale
 
@@ -757,7 +756,7 @@ def _pair_integral_steps(f: Field, region, weight: PiecewisePower, a: float,
     above sqrt(2); each reports |order 12 - order 8| as its error.  (At
     ratio 2 the order-8 rule misses t^-2 by about 1e-12 of a panel, which
     would dominate the error.)"""
-    eps = float(f.payload["params"]["eps"])
+    eps = f.payload["eps"]
     autocorr = f.payload["mollifier"].autocorr
     d, fd, scale = _step_shift_table(f)
     k = eps * np.asarray(autocorr[1])

@@ -133,6 +133,24 @@ def test_config_sections_reject_unknown_keys(section, path, tmp_path, capsys):
     assert f"{path}: unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, message", [
+    ({"gagliardo_grid": {"eps0": -0.1}}, "gagliardo_grid.eps0: must be positive and finite"),
+    ({"eps_grid": {"ratio": "x"}}, "eps_grid.ratio: must be a number"),
+    ({"eps_grid": {"count": 6.5}}, "eps_grid.count: must be an integer"),
+    ({"seed": "x"}, "seed: must be an integer"),
+    ({"budget": {"max_evaluations": 0}}, "budget.max_evaluations: must be >= 1"),
+    ({"budget": {"target_rel_error": "x"}}, "budget.target_rel_error: must be a number"),
+])
+def test_bad_grid_budget_or_seed_exits_2_before_any_file(section, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "jump_chain", **section}))
+    out = tmp_path / "o"
+    rc = main(["experiment", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_interpolation_roundtrip(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "interpolation",

@@ -6,11 +6,12 @@ import pytest
 from scipy import integrate as sciint
 
 from besovlab.errors import InputError, ResolutionError
-from besovlab.fields import Field, GridSpec, RegionSpec, eval_field, make_field, sample
+from besovlab.fields import (Field, GridSpec, RegionSpec, eval_field, jump_set_of, knots_1d,
+                             make_field, sample, scale_field, support_bbox)
 from besovlab import mollifiers
 from besovlab.mollifiers import (_convolve, _mollify_grid, _taps, make_mollifier,
                                  mollifier_bound_check, mollify)
-from besovlab.quadrature import _fast_len
+from besovlab.quadrature import PiecewisePower, _fast_len, pair_integral
 from besovlab.seminorms import FunctionalParams, besov_seminorm_q, lq_norm_q
 
 from oracles import convolve_full_fft, direct_convolution_1d
@@ -309,7 +310,87 @@ def test_mix_with_an_odd_part_reads_signed_offsets(tent):
 def test_mollified_step_sum_carries_its_mollifier(step, tent):
     u = mollify(step, tent, 0.2)
     assert u.payload["mollifier"] is tent
-    assert set(u.payload) == {"formula", "params", "mollifier"}
+    assert u.payload["field"] is step
+    assert set(u.payload) == {"formula", "field", "mollifier", "eps"}
+
+
+def test_union_piece_mollifies_like_its_intervals(tent):
+    parts = (RegionSpec.interval(0.0, 1.0), RegionSpec.interval(1.5, 2.0))
+    union = Field(1, 1, "piecewise", {"pieces": ((RegionSpec.union_of(*parts), np.array([2.0])),)},
+                  support_radius=2.0, name="union")
+    apart = Field(1, 1, "piecewise", {"pieces": tuple((r, np.array([2.0])) for r in parts)},
+                  support_radius=2.0, name="apart")
+    u, v = mollify(union, tent, 0.1), mollify(apart, tent, 0.1)
+    assert u.payload["field"] is union
+    xs = np.linspace(-0.5, 2.5, 301)
+    assert eval_field(u, xs).tobytes() == eval_field(v, xs).tobytes()
+    rows = [pair_integral(w, None, PiecewisePower.power_law(2.0), (0.0, 1.0), 2.0)
+            for w in (u, v)]
+    assert rows[0].path == "steps"
+    assert rows[0] == rows[1]
+
+
+def test_scaled_mollified_smooth_field(bump, tent):
+    u = mollify(bump, tent, 0.1)
+    half = scale_field(u, 0.5)
+    assert half.payload["field"].payload["params"]["amplitude"] == 0.5
+    xs = np.linspace(-1.0, 2.0, 101)
+    assert eval_field(half, xs).tobytes() == (0.5 * eval_field(u, xs)).tobytes()
+
+
+def test_mollified_twice_keeps_the_declared_box(step, tent):
+    u = mollify(step, tent, 0.2)
+    v = mollify(u, make_mollifier("truncated-gaussian"), 0.05)
+    assert v.payload["field"] is u
+    lo, hi = support_bbox(v)
+    assert lo.tolist() == [-v.support_radius] and hi.tolist() == [v.support_radius]
+    assert knots_1d(v) is None
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_mollify_rejects_a_non_finite_scale(step, disk, tent, tent2, eps):
+    for f, m in ((step, tent), (disk, tent2)):
+        with pytest.raises(InputError, match="positive and finite"):
+            mollify(f, m, eps)
+
+
+def _taps_cdf_error(m, delta):
+    """max_k |sum_{j <= k} taps_j - H((k + 1/2) delta)|, the error of the
+    taps at spacing delta (in units of eps), rescaled to the total mass when
+    it is nonzero, as a midpoint rule for the mollifier's CDF H."""
+    reach = math.ceil(m.halfwidth / delta)
+    v = np.arange(-reach, reach + 1) * delta
+    taps = m.pdf(v) * delta
+    if m.total != 0.0:
+        taps = taps * (m.total / taps.sum())
+    return float(np.max(np.abs(np.cumsum(taps) - m.cdf(v + 0.5 * delta))))
+
+
+@pytest.mark.parametrize("kind", ["tent", "truncated-gaussian", "smooth-bump", "signed-test"])
+@pytest.mark.parametrize("eps", [0.2, 0.05])
+@pytest.mark.parametrize("name", ["step_1d", "two_steps_1d"])
+def test_grid_mollification_of_steps_within_its_resolution_bound(name, eps, kind):
+    """The grid path against the lazy closed form on a 1D step sum.  At the
+    resolution h = eps/8 every jump lies on a cell edge, so a cell center
+    holds the midpoint rule of the mollifier's CDF at spacing delta = h/eps,
+    and linear interpolation between centers misses u_eps by at most
+    h^2/8 max|u_eps''|, delta^2/8 max|eta'| a unit jump.  So the gap at x is
+    at most the sum of |jump| over the jumps within eps*halfwidth + h of x,
+    times the taps' CDF error plus delta^2/8 max|eta'|.  At spacing eps/4
+    the tent, truncated-Gaussian and bump gaps exceed this bound; the
+    signed test's gap is as large at eps/8 as at eps/4 (3.1e-2 a unit jump)."""
+    m, f = make_mollifier(kind), make_field(name)
+    delta = 1.0 / 8.0
+    v = np.linspace(-m.halfwidth, m.halfwidth, 20_001)
+    per_jump = _taps_cdf_error(m, delta) + delta ** 2 / 8.0 * float(np.max(np.abs(m.grad(v))))
+    grid = _mollify_grid(f, m, eps)
+    spec = grid.payload["spec"]
+    xs = (spec.centers()[0][:, None] + spec.spacing[0] * np.array([0.0, 0.25, 0.5, 0.75])).ravel()
+    gap = np.abs(eval_field(grid, xs) - eval_field(mollify(f, m, eps), xs))[:, 0]
+    near = sum(p.jump_size * (np.abs(xs - p.params["location"][0]) <= eps * (m.halfwidth + delta))
+               for p in jump_set_of(f).patches)
+    # 1e-12 covers the rounding of the transforms, where no jump is near
+    assert np.all(gap <= near * per_jump + 1e-12)
 
 
 def test_smooth_field_mollification(bump, tent):

@@ -661,16 +661,14 @@ def _moved(region, v):
 
 
 def _translated(f, v):
-    """The field u(. - v), for piecewise, grid and steps_cdf fields."""
+    """The field u(. - v), for piecewise, grid and mollified step-sum fields."""
     if f.kind == "piecewise":
         payload = {"pieces": tuple((_moved(r, v), amp) for r, amp in f.payload["pieces"])}
     elif f.kind == "grid":
         spec = f.payload["spec"]
         payload = dict(f.payload, spec=replace(spec, origin=tuple(np.add(spec.origin, v))))
     else:
-        params = dict(f.payload["params"])
-        params["steps"] = tuple((a + v[0], b + v[0], amp) for a, b, amp in params["steps"])
-        payload = dict(f.payload, params=params)
+        payload = dict(f.payload, field=_translated(f.payload["field"], v))
     return replace(f, payload=payload, support_radius=f.support_radius + float(np.linalg.norm(v)))
 
 
