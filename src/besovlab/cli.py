@@ -40,15 +40,16 @@ FUNCTIONALS = {
 
 
 def _load_config(args) -> ExperimentConfig:
-    """The --config file (default: the jump_chain defaults), with --seed."""
+    """The --config file (default: the jump_chain defaults) with --seed,
+    validated as one dict."""
     if args.config is None:
-        cfg = default_config("jump_chain")
+        d = {"kind": "jump_chain"}
     else:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = validate_config(json.load(fh))
+            d = json.load(fh)
     if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
+        d["seed"] = args.seed
+    return validate_config(d)
 
 
 def _functional(name: str, cfg: ExperimentConfig):

@@ -87,33 +87,24 @@ class ExperimentConfig:
         return d
 
     def setup(self) -> Setup:
-        """Build the field, region, exponents, mollifier, kernels and budget.
-        Kinds whose table row pins r take r = 1/q exactly."""
-        spec = dict(self.field_spec)
-        name = spec.pop("name", None)
-        if name is None:
-            raise InputError("field.name is required")
-        f = make_field(name, **spec)
-        region = None if self.region is None else RegionSpec.from_dict(self.region)
-        q = float(self.params.get("q", 2.0))
-        p = self.params.get("p")
-        p = float(p) if p is not None else None
+        """Build the field, region, exponents, mollifier, kernels and budget;
+        an error names its config path.  Kinds whose table row pins r take
+        r = 1/q exactly."""
+        f = _built("field", make_field, **self.field_spec)
+        region = None if self.region is None else _built("region", RegionSpec.from_dict,
+                                                         self.region)
+        q, p = self.params.get("q", 2.0), self.params.get("p")
         if _KINDS[self.kind][1]:
-            params = FunctionalParams.jump_regime(q, p=p, region=region)
+            params = _built("params", FunctionalParams.jump_regime, q, p=p, region=region)
         else:
-            params = FunctionalParams.make(q, float(self.params.get("r", 0.5)), p=p,
-                                           region=region)
-        mspec = dict(self.mollifier)
-        m = make_mollifier(mspec.pop("kind"), dim=f.dim_in, **mspec)
+            params = _built("params", FunctionalParams.make, q, self.params.get("r", 0.5),
+                            p=p, region=region)
+        m = _built("mollifier", make_mollifier, dim=f.dim_in, **self.mollifier)
         return Setup(f, region, params, m, self.build_kernels(f.dim_in), self.build_budget())
 
     def build_kernels(self, dim: int) -> list:
-        out = []
-        for kspec in self.kernels:
-            kspec = dict(kspec)
-            kind = kspec.pop("kind")
-            out.append(RadialKernelFamily(kind, dim, **kspec))
-        return out
+        return [_built(f"kernels[{i}]", RadialKernelFamily, dim=dim, **k)
+                for i, k in enumerate(self.kernels)]
 
     def build_eps_grid(self, which: str = "eps_grid") -> EpsilonGrid:
         g = self.eps_grid if which == "eps_grid" else self.gagliardo_grid
@@ -134,36 +125,45 @@ def _require(cond: bool, path: str, message: str):
         raise InputError(f"{path}: {message}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _number(value, path: str, kind=float):
     """value as kind when it is a JSON number, an integral one for int;
     else an InputError naming path."""
-    ok = isinstance(value, numbers.Real) and not isinstance(value, bool) \
-        and (kind is float or float(value).is_integer())
+    ok = _is_number(value) and (kind is float or float(value).is_integer())
     _require(ok, path, "must be an integer" if kind is int else "must be a number")
     return kind(value)
 
 
-def _built(path: str, cls, **values):
-    """cls(**values); the InputError of cls, which names the argument at
-    fault, names path.argument."""
+def _built(path: str, build: Callable, /, *args, **values):
+    """build(*args, **values), its errors named by path: an InputError,
+    whose message leads with the argument at fault, as path.argument."""
     try:
-        return cls(**values)
+        return build(*args, **values)
     except InputError as exc:
         raise InputError(f"{path}.{exc}") from None
+    except KeyError as exc:
+        raise InputError(f"{path}: missing key {exc}") from None
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def validate_config(d: dict) -> ExperimentConfig:
-    """Build a config from a dict, naming the offending field path on error."""
+    """Build a config from a dict, and every section from the config, naming
+    the offending field path on error."""
     kind = d.get("kind")
     _require(kind in _KINDS, "kind",
              f"must be one of {EXPERIMENT_KINDS}, got {kind!r}")
-    base = default_config(kind)
-    merged = base.to_dict()
+    merged = default_config(kind).to_dict()
     for key, value in d.items():
         if key not in merged:
             raise InputError(f"{key}: unknown config key")
-        if key in ("params", "budget", "eps_grid", "gagliardo_grid"):
+        if key in ("field", "mollifier", "params", "budget", "eps_grid", "gagliardo_grid") \
+                or (key == "region" and value is not None):
             _require(isinstance(value, dict), key, "must be an object")
+        if key in ("params", "budget", "eps_grid", "gagliardo_grid"):
             known = ("q", "r", "p", "kernel_index", "direction") if key == "params" \
                 else merged[key]
             for sub in value:
@@ -172,35 +172,38 @@ def validate_config(d: dict) -> ExperimentConfig:
                 # omitted keys take the kind's defaults; params is replaced whole
                 value = {**merged[key], **value}
         merged[key] = value
-    params = merged["params"]
-    q = params.get("q", 2.0)
-    _require(isinstance(q, (int, float)) and q >= 1.0, "params.q", "must be >= 1")
-    r = params.get("r")
-    if r is not None:
-        _require(0.0 < float(r) < 1.0, "params.r", "must lie in (0, 1)")
-    p = params.get("p")
-    if p is not None:
-        _require(float(p) > float(q), "params.p", "must exceed params.q")
-    if _KINDS[kind][1] and r is not None:
-        _require(abs(float(r) * float(q) - 1.0) < 1e-12, "params.r",
-                 "jump-regime experiments need r = 1/q exactly")
-    if kind == "interpolation":
-        _require(p is not None, "params.p", "interpolation needs p > q")
-    _require(isinstance(merged["kernels"], list) and len(merged["kernels"]) > 0, "kernels",
+    kernels = merged["kernels"]
+    _require(isinstance(kernels, list) and len(kernels) > 0
+             and all(isinstance(k, dict) for k in kernels), "kernels",
              "must be a non-empty list of kernel specs")
-    idx = params.get("kernel_index")
-    if idx is not None:
-        _require(type(idx) is int and 0 <= idx < len(merged["kernels"]),
-                 "params.kernel_index", "must be an integer index into kernels")
+    for key in ("dims", "q_list", "deltas", "alphas", "truncation_levels", "shifts"):
+        _require(isinstance(merged[key], (list, tuple)), key, "must be a list")
+        for i, v in enumerate(merged[key]):
+            _number(v, f"{key}[{i}]", int if key == "dims" else float)
+    combos = merged["split_combos"]
+    _require(isinstance(combos, (list, tuple)), "split_combos", "must be a list")
+    for i, c in enumerate(combos):
+        _require(isinstance(c, (list, tuple)) and len(c) == 3 and all(map(_is_number, c)),
+                 f"split_combos[{i}]", "must be three numbers")
     merged["field_spec"] = merged.pop("field")
     merged.update(seed=_number(merged["seed"], "seed", int),
                   tolerance=_number(merged["tolerance"], "tolerance"),
                   pair_tolerance=_number(merged["pair_tolerance"], "pair_tolerance"))
     cfg = ExperimentConfig(**merged)
-    # every grid and budget value is checked before anything runs
+    # every section is built before anything runs
     cfg.build_eps_grid("eps_grid")
     cfg.build_eps_grid("gagliardo_grid")
-    cfg.build_budget()
+    params = cfg.setup().params
+    r = cfg.params.get("r")
+    if _KINDS[kind][1] and r is not None:
+        _require(abs(_number(r, "params.r") * params.q - 1.0) < 1e-12, "params.r",
+                 "jump-regime experiments need r = 1/q exactly")
+    if kind == "interpolation":
+        _require(params.p is not None, "params.p", "interpolation needs p > q")
+    idx = cfg.params.get("kernel_index")
+    if idx is not None:
+        _require(type(idx) is int and 0 <= idx < len(kernels),
+                 "params.kernel_index", "must be an integer index into kernels")
     return cfg
 
 

@@ -83,7 +83,7 @@ class RegionSpec:
         lo = tuple(float(v) for v in np.atleast_1d(lo))
         hi = tuple(float(v) for v in np.atleast_1d(hi))
         if len(lo) != len(hi) or any(a >= b for a, b in zip(lo, hi)):
-            raise InputError(f"degenerate box {lo}..{hi}")
+            raise InputError(f"hi: must exceed lo in each of its coordinates, got {lo}..{hi}")
         return RegionSpec("box", lo=lo, hi=hi)
 
     @staticmethod
@@ -93,7 +93,7 @@ class RegionSpec:
     @staticmethod
     def ball(center, radius: float) -> "RegionSpec":
         if radius <= 0:
-            raise InputError("ball radius must be positive")
+            raise InputError("radius: must be positive")
         return RegionSpec("ball", center=tuple(float(v) for v in np.atleast_1d(center)),
                           radius=float(radius))
 
@@ -101,7 +101,7 @@ class RegionSpec:
     def half_space(normal, offset: float) -> "RegionSpec":
         n = np.atleast_1d(np.asarray(normal, dtype=float))
         if not np.all(np.isfinite(n)) or np.linalg.norm(n) == 0:
-            raise InputError("half-space normal must be a nonzero finite vector")
+            raise InputError("normal: must be a nonzero finite vector")
         return RegionSpec("half_space", normal=tuple(n), offset=float(offset))
 
     @staticmethod
@@ -111,7 +111,7 @@ class RegionSpec:
     @staticmethod
     def union_of(*parts: "RegionSpec") -> "RegionSpec":
         if not parts:
-            raise InputError("union needs at least one part")
+            raise InputError("parts: a union needs at least one")
         return RegionSpec("union", parts=tuple(parts))
 
     @property
@@ -204,7 +204,7 @@ class RegionSpec:
             return RegionSpec.complement_of(RegionSpec.from_dict(d["inner"]))
         if kind == "union":
             return RegionSpec.union_of(*(RegionSpec.from_dict(p) for p in d["parts"]))
-        raise InputError(f"unknown region kind {kind!r}")
+        raise InputError(f"kind: unknown region kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +678,23 @@ def sup_amplitude(f: Field) -> float:
 # Shipped field library
 # ---------------------------------------------------------------------------
 
+# the parameters make_field reads for each named field
+_FIELD_PARAMS = {"step_1d": ("amplitude", "a", "b"), "two_steps_1d": ("amp1", "amp2"),
+                 "vector_step_1d": ("angle", "amplitude"),
+                 "disk_2d": ("radius", "amplitude", "center"),
+                 "box_2d": ("lo", "hi", "amplitude"), "ball_3d": ("radius", "amplitude"),
+                 "gaussian_bump_1d": ("width", "amplitude", "center"),
+                 "constant": ("value", "dim", "support_radius")}
+
+
 def make_field(name: str, **params) -> Field:
-    """Construct one of the named test fields used by experiments."""
+    """Construct one of the named test fields used by experiments; a
+    parameter the named field does not read is an error."""
+    if name not in _FIELD_PARAMS:
+        raise InputError(f"name: unknown field name {name!r}")
+    unread = sorted(set(params) - set(_FIELD_PARAMS[name]))
+    if unread:
+        raise InputError(f"{unread[0]}: not a parameter of field {name!r}")
     if name == "step_1d":
         amp = float(params.get("amplitude", 1.0))
         a = float(params.get("a", 0.0))
@@ -733,4 +748,3 @@ def make_field(name: str, **params) -> Field:
         payload = {"formula": "constant", "params": {"value": value}}
         return Field(dim, len(value), "smooth", payload,
                      support_radius=float(params.get("support_radius", 1.0)), name=name)
-    raise InputError(f"unknown field name {name!r}")

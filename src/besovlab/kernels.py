@@ -77,13 +77,13 @@ class RadialKernelFamily:
 
     def __post_init__(self):
         if self.kind not in ("trivial", "logarithmic", "sigma_approx"):
-            raise InputError(f"unknown kernel kind {self.kind!r}")
+            raise InputError(f"kind: unknown kernel kind {self.kind!r}")
         if self.dim not in (1, 2, 3):
-            raise InputError("kernel dimension must be 1, 2 or 3")
+            raise InputError("dim: must be 1, 2 or 3")
         if self.kind == "logarithmic" and not (0.0 < self.omega < 1.0):
-            raise InputError("logarithmic kernel needs omega in (0, 1)")
+            raise InputError("omega: must lie in (0, 1)")
         if self.kind == "sigma_approx" and not (0.0 < self.sigma_ratio < 1.0):
-            raise InputError("sigma rule must give sigma in (0, eps)")
+            raise InputError("sigma_ratio: must lie in (0, 1), so that sigma lies in (0, eps)")
 
     def label(self) -> str:
         if self.kind == "logarithmic":

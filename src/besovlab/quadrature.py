@@ -246,18 +246,19 @@ def _symdiff_measure(region: RegionSpec, h: np.ndarray) -> np.ndarray:
     n = region.dim
     if region.kind == "ball":
         r = region.radius
-        # past |h| = 2r the shifted balls are disjoint; each formula is 0 there
+        # 2 (|B| - lens), written without the difference: the lens is |B|
+        # less a term of order |h|, so the difference loses digits as |h| -> 0
+        # (1e-7 of the value at |h| = 1e-9).  Past |h| = 2r the shifted balls
+        # are disjoint, and each form is 2 |B| there
         d = np.minimum(np.linalg.norm(h, axis=-1), 2.0 * r)
         if n == 2:
-            # math.acos: numpy's SIMD arccos can differ from it in the last bit
-            acos = np.vectorize(math.acos, otypes=[float])
-            overlap = 2.0 * r * r * acos(d / (2.0 * r)) \
-                - 0.5 * d * np.sqrt(4.0 * r * r - d * d)
-        elif n == 3:
-            overlap = math.pi * (4.0 * r + d) * (2.0 * r - d) ** 2 / 12.0
-        else:
-            raise CapabilityError("symmetric difference of balls only for N = 2, 3")
-        return 2.0 * (region.measure() - overlap)
+            # math.asin: numpy's SIMD arcsin can differ from it in the last bit
+            x = d / (2.0 * r)
+            asin = np.vectorize(math.asin, otypes=[float])
+            return 4.0 * r * r * (asin(x) + x * np.sqrt(1.0 - x * x))
+        if n == 3:
+            return 2.0 * math.pi * d * (r * r - d * d / 12.0)
+        raise CapabilityError("symmetric difference of balls only for N = 2, 3")
     if region.kind == "box":
         side = np.asarray(region.hi) - np.asarray(region.lo)
         overlap = np.prod(np.maximum(0.0, side - np.abs(h)), axis=-1)
@@ -612,14 +613,73 @@ def _pair_integral_smooth_1d(f: Field, region, weight: PiecewisePower, a: float,
     return QuadResult(value, float(err + 16.0 * np.finfo(float).eps * abs(value)), sum(nodes))
 
 
+def _box_deficit(s1: float, s2: float, tau: np.ndarray) -> np.ndarray:
+    """pi s1 s2 / 2 less int_0^(pi/2) (s1 - tau cos p)_+ (s2 - tau sin p)_+ dp:
+    over a quarter circle of directions, the overlap a 2D box of sides s1, s2
+    loses when shifted by tau.  The integrand is positive on (acos x, asin y),
+    x = min(1, s1 / tau) and y = min(1, s2 / tau), an empty interval once
+    tau^2 >= s1^2 + s2^2.  The closed form has no difference of the two
+    integrals, which would lose digits as tau -> 0: it is
+    (s1 + s2) tau - tau^2 / 2 for tau <= min(s1, s2)."""
+    u1, u2 = np.minimum(tau, s1), np.minimum(tau, s2)
+    v1, v2 = np.sqrt(tau * tau - u1 * u1), np.sqrt(tau * tau - u2 * u2)
+    # math.acos: numpy's SIMD arccos can differ from it in the last bit
+    acos = np.vectorize(math.acos, otypes=[float])
+
+    def angle(u):
+        return acos(np.divide(u, tau, out=np.ones_like(tau), where=tau > 0.0))
+    d = s1 * s2 * (angle(u1) + angle(u2)) + s1 * (u1 - v2) + s2 * (u2 - v1) \
+        + 0.5 * (v1 * v1 - u2 * u2)
+    return np.where(tau * tau < s1 * s1 + s2 * s2, d, 0.5 * math.pi * s1 * s2)
+
+
+def _box_sphere_sum(side: np.ndarray, ts: np.ndarray, order: int) -> np.ndarray:
+    """S(t) = int_{S^(N-1)} |A sym-diff (A - t n)| dn for a box A of the given
+    sides, N = 2 or 3, at each t of ts.  Per direction the symmetric
+    difference is 2 (|A| - prod_i (side_i - t |n_i|)_+), and the box is
+    symmetric in each axis, so in 2D S = 8 _box_deficit.  In 3D, with
+    c = cos psi, rho = sin psi and h = pi s1 s2 / 2,
+
+        S = 16 int_0^(pi/2) [s3 h - (s3 - t c)_+ (h - D(t rho))] rho dpsi,
+
+    D = _box_deficit(s1, s2, .), whose bracket is s3 D + t c (h - D) while
+    t c < s3.  The integrand kinks where t c = s3 or t rho is s1, s2 or
+    hypot(s1, s2), with square-root edges; between those angles psi runs on
+    Gauss-Legendre panels of the order through psi = lo + span (3u^2 - 2u^3),
+    which makes the edges smooth."""
+    if len(side) == 2:
+        return 8.0 * _box_deficit(side[0], side[1], ts)
+    s1, s2, s3 = side
+    h = 0.5 * math.pi * s1 * s2
+    acos, asin = (np.vectorize(g, otypes=[float]) for g in (math.acos, math.asin))
+    cuts = [acos(np.minimum(1.0, s3 / ts))] + \
+        [asin(np.minimum(1.0, s / ts)) for s in (s1, s2, math.hypot(s1, s2))]
+    edges = np.sort(np.stack([np.zeros_like(ts), *cuts, np.full_like(ts, 0.5 * math.pi)],
+                             axis=-1), axis=-1)
+    x, w = _gl(order)
+    u = 0.5 * (x + 1.0)
+    span = np.diff(edges, axis=-1)[..., None]
+    psi = edges[:, :-1, None] + span * u * u * (3.0 - 2.0 * u)
+    wts = span * 3.0 * u * (1.0 - u) * w
+    t, c, rho = ts[:, None, None], np.cos(psi), np.sin(psi)
+    d = _box_deficit(s1, s2, t * rho)
+    g = np.where(t * c < s3, s3 * d + t * c * (h - d), s3 * h)
+    return 16.0 * np.sum(wts * g * rho, axis=(1, 2))
+
+
+# Gauss-Legendre orders of a 3D box's polar-angle panels; the error is their
+# difference
+_BOX_ORDERS = (24, 16)
+
+
 def _pair_integral_indicator(f: Field, region, weight: PiecewisePower, a: float,
                              b: float, q: float, budget, stream) -> QuadResult:
     """A 2D/3D ball or box indicator: int_a^b t^(N-1) w(t) |amp|^q S(t) dt,
-    S(t) the sphere integral of the closed-form symmetric difference, by
-    _t_integral split where S kinks.  The symmetric difference grows like t,
-    so the core's power is p = N.  A box's S comes from the sphere rule of
-    _SPHERE_NODES, whose error is the integral's change on the rule of half
-    as many."""
+    S(t) the sphere integral of the symmetric difference, by _t_integral
+    split where S kinks.  The symmetric difference grows like t, so the
+    core's power is p = N.  S is closed form for a ball and a 2D box; a 3D
+    box's comes from _box_sphere_sum, whose error is the integral's change on
+    the lower of _BOX_ORDERS."""
     n = f.dim_in
     shape, amp = _indicator(f, region, b)
     if shape.kind == "ball":
@@ -630,18 +690,19 @@ def _pair_integral_indicator(f: Field, region, weight: PiecewisePower, a: float,
             return sphere_measure(n) * _symdiff_measure(shape, ts[:, None] * np.eye(n)[0])
     else:
         side = np.asarray(shape.hi) - np.asarray(shape.lo)
-        kinks = list(side) + [float(np.linalg.norm(side))]
-        rules = [sphere_rule(n, _SPHERE_NODES), sphere_rule(n, _SPHERE_NODES // 2)]
+        # S kinks where t passes the length of a side or of a diagonal of a
+        # face or of the box
+        kinks = [float(np.linalg.norm(side[list(axes)])) for k in range(1, n + 1)
+                 for axes in itertools.combinations(range(n), k)]
 
         def sphere_sum(ts, k):
-            nodes, wts = rules[k]
-            return _symdiff_measure(shape, ts[:, None, None] * nodes[None, :, :]) @ wts
+            return _box_sphere_sum(side, ts, _BOX_ORDERS[k])
 
     def integral(k):
         return _t_integral(lambda ts: ts ** (n - 1) * amp ** q * sphere_sum(ts, k),
                            weight, a, b, n, kinks)
     value, err = integral(0)
-    if shape.kind == "box":
+    if shape.kind == "box" and n == 3:
         err += abs(value - integral(1)[0])
     return QuadResult(value, float(err + 16.0 * np.finfo(float).eps * abs(value)), 0)
 

@@ -62,23 +62,24 @@ class FunctionalParams:
 
     def __post_init__(self):
         if not (self.q >= 1.0):
-            raise InputError("q must be >= 1")
+            raise InputError("q: must be >= 1")
         if not (0.0 < self.r < 1.0):
-            raise InputError("r must lie in (0, 1)")
+            raise InputError("r: must lie in (0, 1)")
         if self.p is not None and not (self.p > self.q):
-            raise InputError("p must exceed q")
+            raise InputError("p: must exceed q")
 
     @staticmethod
     def make(q: float, r: float, p: Optional[float] = None,
              region: Optional[RegionSpec] = None) -> "FunctionalParams":
         return FunctionalParams(q=float(q), r=float(r), rq=float(r) * float(q),
-                                p=p, region=region)
+                                p=None if p is None else float(p), region=region)
 
     @staticmethod
     def jump_regime(q: float, p: Optional[float] = None,
                     region: Optional[RegionSpec] = None) -> "FunctionalParams":
-        return FunctionalParams(q=float(q), r=1.0 / float(q), rq=1.0, p=p,
-                                region=region)
+        # q = 0 takes r = inf, so that the q check, which comes first, refuses it
+        return FunctionalParams(q=float(q), r=1.0 / float(q) if float(q) else math.inf,
+                                rq=1.0, p=None if p is None else float(p), region=region)
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,11 @@ def test_config_sections_reject_unknown_keys(section, path, tmp_path, capsys):
     ({"seed": "x"}, "seed: must be an integer"),
     ({"budget": {"max_evaluations": 0}}, "budget.max_evaluations: must be >= 1"),
     ({"budget": {"target_rel_error": "x"}}, "budget.target_rel_error: must be a number"),
+    ({"field": {"name": "step_1d", "amplitude": "x"}}, "field: could not convert"),
+    ({"region": {"kind": "box", "lo": [-1], "hi": ["x"]}}, "region: could not convert"),
+    ({"kind": "truncation_convergence", "truncation_levels": ["x"]},
+     "truncation_levels[0]: must be a number"),
+    ({"kind": "bounds_audit", "split_combos": [[0.05]]}, "split_combos[0]: must be three numbers"),
 ])
 def test_bad_grid_budget_or_seed_exits_2_before_any_file(section, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -149,6 +154,48 @@ def test_bad_grid_budget_or_seed_exits_2_before_any_file(section, message, tmp_p
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, message", [
+    ({"mollifier": {"kind": "tent", "width": 2}}, "mollifier.width: not a parameter"),
+    ({"field": {"name": "disk_2d", "radus": 0.3}}, "field.radus: not a parameter"),
+])
+def test_a_key_the_constructor_does_not_read_exits_2(section, message, tmp_path, capsys):
+    # before, the typo ran the plain tent and a disk of radius 0.5
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "jump_chain", **section}))
+    out = tmp_path / "o"
+    rc = main(["experiment", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, path", [
+    ({"field": {"name": "nope"}}, "field.name: unknown field name 'nope'"),
+    ({"params": {"q": 0.5}}, "params.q: must be >= 1"),
+    ({"params": {"q": 0}}, "params.q: must be >= 1"),
+    ({"kind": "bounds_audit", "params": {"q": 2.0, "r": 1.5}}, "params.r: must lie in (0, 1)"),
+    ({"mollifier": {"kind": "nope"}}, "mollifier.kind: unknown mollifier kind"),
+    ({"region": {"kind": "box", "lo": [-1.0]}}, "region: missing key 'hi'"),
+    ({"kernels": [{"kind": "trivial"}, {"kind": "logarithmic", "omega": 2.0}]},
+     "kernels[1].omega: must lie in (0, 1)"),
+    ({"field": "step_1d"}, "field: must be an object"),
+])
+def test_validation_builds_every_section(config, path):
+    with pytest.raises(InputError) as exc:
+        validate_config({"kind": "jump_chain", **config})
+    assert str(exc.value).startswith(path)
+
+
+def test_seed_option_passes_through_validation(tmp_path):
+    # the config file and the --seed override are one validated dict
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "constants", "dims": [2], "seed": 3}))
+    assert main(["--seed", "7", "experiment", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["config"]["seed"] == 7
 
 
 def test_experiment_interpolation_roundtrip(tmp_path, capsys):

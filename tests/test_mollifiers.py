@@ -12,7 +12,8 @@ from besovlab import mollifiers
 from besovlab.mollifiers import (_convolve, _mollify_grid, _taps, make_mollifier,
                                  mollifier_bound_check, mollify)
 from besovlab.quadrature import PiecewisePower, _fast_len, pair_integral
-from besovlab.seminorms import FunctionalParams, besov_seminorm_q, lq_norm_q
+from besovlab.seminorms import (FunctionalParams, besov_seminorm_q, gagliardo_constant_at,
+                                lq_norm_q)
 
 from oracles import convolve_full_fft, direct_convolution_1d
 
@@ -47,6 +48,25 @@ def test_bump_and_signed_moments():
     # CDF of the derivative field is the bump itself
     assert s.cdf(0.0) == pytest.approx(float(b.pdf(0.0)), rel=1e-12)
     assert s.cdf(2.0) == 0.0
+
+
+def test_bump_cdf_table_is_exact_to_rounding(monkeypatch):
+    """The bump's CDF table against quad, and the smooth-bump Gagliardo rows
+    of the step at e^-2 and e^-5 against the same rows on a table 16 times
+    finer: each moves by less than its reported error."""
+    b = make_mollifier("smooth-bump")
+    ws = np.linspace(-1.0, 1.0, 41)
+    ref = [sciint.quad(lambda v: float(b.pdf(v)), -1.0, w, epsabs=1e-15, epsrel=1e-13,
+                       limit=200)[0] for w in ws]
+    assert np.max(np.abs(b.cdf(ws) - ref)) <= 1e-13
+    assert b.cdf(-1.5) == 0.0 and b.cdf(1.5) == b.cdf(1.0)
+    step, params = make_field("step_1d"), FunctionalParams.jump_regime(2.0)
+    monkeypatch.setattr(mollifiers, "_CDF_CELLS", 16 * mollifiers._CDF_CELLS)
+    fine = make_mollifier("smooth-bump")
+    for eps in (math.exp(-2.0), math.exp(-5.0)):
+        row = gagliardo_constant_at(step, b, params, eps)
+        assert abs(gagliardo_constant_at(step, fine, params, eps).value - row.value) \
+            < row.error_estimate
 
 
 def test_mollify_constant(tent):
