@@ -734,6 +734,21 @@ def test_indicator_engine_error_is_calibrated(u, s_frac, q, b_frac, a_frac):
     assert got.error_estimate <= max(100.0 * miss, 1e-6 * abs(ref))
 
 
+@pytest.mark.parametrize("rq", [0.1, 0.3, 0.9])
+def test_box_indicator_counts_its_sphere_rule_error(rq):
+    # the W^(r,1) integral of the box indicator over the window (0, 2),
+    # weight t^-(2 + rq), against quad on the box's closed-form sphere sum,
+    # split at the sides and the diagonal; the reported error covers the
+    # miss and is within 100x of it
+    box = make_field("box_2d")
+    shape, amp = box.payload["pieces"][0]
+    got = pair_integral(box, None, PiecewisePower.power_law(2.0 + rq), (0.0, 2.0), 1.0)
+    assert got.path == "indicator"
+    ref = _indicator_reference(shape, float(amp[0]), 1.0, 2.0 + rq, 0.0, 2.0)
+    miss = abs(got.value - ref)
+    assert miss <= got.error_estimate <= 100.0 * miss
+
+
 def test_chain1d_exact_rows_hit_their_closed_forms(tmp_path):
     # the default 1D jump chain's kernel-constant and variation rows are
     # exact sums of interval lengths; each lands within 1e-15 of 2, 2 and 4
