@@ -25,7 +25,7 @@ that row in `QuadResult.path`:
   the radii of a panel Gauss-Legendre rule in t;
 - `indicator`: ball and box indicators in 2D/3D that the region does not clip
   within the window; closed-form symmetric differences and panel
-  Gauss-Legendre in t;
+  Gauss-Legendre in t, graded at the square-root edges of the sphere sum;
 - `mc`: everything else; stratified Monte Carlo over (x, t, n), with
   log-radial strata and a counter-based RNG stream per stratum, so a
   stratum's draws depend only on the seed, the stream and the stratum.
@@ -120,7 +120,11 @@ def sphere_rule(n: int, m: int):
 
 def integrate_sphere(g: Callable, n: int) -> QuadResult:
     """Unnormalized integral of g over S^{N-1}, N = 2 or 3, on the rule of
-    _SPHERE_NODES; divide by sphere_measure(N) for the averaged form."""
+    _SPHERE_NODES; divide by sphere_measure(N) for the averaged form.
+
+    seminorms.spherical_variation takes it for an indicator that its region
+    clips and for any field that is not an indicator; an unclipped ball or
+    box has its own closed form there."""
     nodes, weights = sphere_rule(n, _SPHERE_NODES)
     value = float(weights @ np.asarray(g(nodes), dtype=float))
     cnodes, cweights = sphere_rule(n, _SPHERE_NODES // 2)
@@ -503,22 +507,52 @@ def _shift_integral_mc(f: Field, region, h: np.ndarray, q: float,
 # The radially-weighted pair integral engine
 # ---------------------------------------------------------------------------
 
+def _t_panels(edges: np.ndarray, graded: np.ndarray, npts: int):
+    """_panel_nodes on the panels between edges, except that a graded panel
+    runs through lo + span (3u^2 - 2u^3), u in [0, 1]."""
+    nodes, weights = _panel_nodes(edges[:-1], edges[1:], npts)
+    if np.any(graded):
+        x, w = _gl(npts)
+        u = 0.5 * (x + 1.0)
+        lo, span = edges[:-1][graded, None], np.diff(edges)[graded, None]
+        nodes.reshape(-1, npts)[graded] = lo + span * u * u * (3.0 - 2.0 * u)
+        weights.reshape(-1, npts)[graded] = span * 3.0 * u * (1.0 - u) * w
+    return nodes, weights
+
+
 def _t_integral(g: Callable, weight: PiecewisePower, a: float, b: float, p: float,
-                kinks: Sequence[float] = (), n_panels: int = 48, order: int = 12):
+                kinks: Sequence[float] = (), roots: Sequence[float] = (),
+                n_panels: int = 48, order: int = 12):
     """(value, err) of int_a^b w(t) g(t) dt.
 
     Panel Gauss-Legendre over log-spaced panels of [t0, b], t0 =
-    max(a, b 1e-9), split at the kinks, with err from an embedded
-    lower-order rule.  When a < t0, g(t) ~ c t^p on the core (a, t0): c is
-    read at t0, the core is c times a moment of w, and the change of c to
-    2 t0 is its error."""
+    max(a, b 1e-9), split at the kinks of g, at its square-root edges roots
+    and at the ends of w's pieces, with err from an embedded lower-order
+    rule.  A panel beside a root runs through t = lo + span (3u^2 - 2u^3),
+    which makes the edge smooth.  When a < t0, g(t) ~ c t^p on the core
+    (a, t0): c is read at t0, the core is c times a moment of w, and the
+    change of c to 2 t0 is its error."""
     t0 = max(a, b * 1e-9)
     edges = np.geomspace(t0, b, n_panels + 1)
-    inner = [k for k in kinks if t0 < k < b]
+    roots = np.asarray([r for r in roots if t0 <= r <= b], dtype=float)
+    # a log-spaced edge within half a panel of a root goes, so that no panel
+    # beside one is narrow next to a wide neighbour
+    near = np.abs(np.log(edges[1:-1, None] / roots)) < 0.5 * math.log(b / t0) / n_panels
+    edges = np.concatenate([edges[:1], edges[1:-1][~np.any(near, axis=1)], edges[-1:]])
+    ends = [e for piece in weight.pieces for e in piece[:2]]
+    inner = [k for k in [*kinks, *roots, *ends] if t0 < k < b]
     if inner:
         edges = _distinct(np.concatenate([edges, np.asarray(inner, dtype=float)]))
-    nhi, whi = _panel_nodes(edges[:-1], edges[1:], order)
-    nlo, wlo = _panel_nodes(edges[:-1], edges[1:], max(order // 2, 2))
+
+    def graded(edges):
+        at_root = np.any(edges[:, None] == roots, axis=1)
+        return at_root[:-1] | at_root[1:]
+    # halve the panels beside a root twice: then no other panel is wider
+    # than its distance to the root
+    for _ in range(2):
+        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])[graded(edges)]]))
+    nhi, whi = _t_panels(edges, graded(edges), order)
+    nlo, wlo = _t_panels(edges, graded(edges), max(order // 2, 2))
     value = float(whi @ np.asarray(g(nhi) * weight(nhi), dtype=float))
     err = abs(value - float(wlo @ np.asarray(g(nlo) * weight(nlo), dtype=float)))
     if a < t0:
@@ -676,10 +710,10 @@ def _pair_integral_indicator(f: Field, region, weight: PiecewisePower, a: float,
                              b: float, q: float, budget, stream) -> QuadResult:
     """A 2D/3D ball or box indicator: int_a^b t^(N-1) w(t) |amp|^q S(t) dt,
     S(t) the sphere integral of the symmetric difference, by _t_integral
-    split where S kinks.  The symmetric difference grows like t, so the
-    core's power is p = N.  S is closed form for a ball and a 2D box; a 3D
-    box's comes from _box_sphere_sum, whose error is the integral's change on
-    the lower of _BOX_ORDERS."""
+    with S's kinks as its square-root edges.  The symmetric difference grows
+    like t, so the core's power is p = N.  S is closed form for a ball and a
+    2D box; a 3D box's comes from _box_sphere_sum, whose error is the
+    integral's change on the lower of _BOX_ORDERS."""
     n = f.dim_in
     shape, amp = _indicator(f, region, b)
     if shape.kind == "ball":
@@ -700,7 +734,7 @@ def _pair_integral_indicator(f: Field, region, weight: PiecewisePower, a: float,
 
     def integral(k):
         return _t_integral(lambda ts: ts ** (n - 1) * amp ** q * sphere_sum(ts, k),
-                           weight, a, b, n, kinks)
+                           weight, a, b, n, roots=kinks)
     value, err = integral(0)
     if shape.kind == "box" and n == 3:
         err += abs(value - integral(1)[0])

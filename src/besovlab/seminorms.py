@@ -23,8 +23,9 @@ from .fields import (Field, RegionSpec, default_region, eval_field,
 from .jumps import jump_variation
 from .kernels import RadialKernelFamily, kernel_profile, kernel_window
 from .mollifiers import MollifierSpec, mollify
-from .quadrature import (PiecewisePower, QuadBudget, QuadResult, _distinct, _indicator,
-                         _panel_nodes, integrate_sphere, pair_integral, shift_integral)
+from .quadrature import (_BOX_ORDERS, PiecewisePower, QuadBudget, QuadResult, _box_sphere_sum,
+                         _distinct, _indicator, _panel_nodes, integrate_sphere, pair_integral,
+                         shift_integral)
 
 __all__ = [
     "FunctionalParams",
@@ -242,7 +243,17 @@ def spherical_variation(f: Field, params: FunctionalParams, eps: float,
                                   budget=budget, stream=_stream_of(tag))
         h = sphere_measure(n)
         return FunctionalValue(h * (val * scale), h * (err * scale), tag)
+    if ind is not None:
+        # an unclipped box: its sphere sum is closed form in 2D and on split
+        # polar panels in 3D, with the change on the lower order as error
+        shape, amp = ind
+        side = np.asarray(shape.hi) - np.asarray(shape.lo)
+        val, low = (amp ** params.q * float(_box_sphere_sum(side, np.array([eps]), order)[0])
+                    for order in _BOX_ORDERS)
+        err = abs(val - low) + 16.0 * np.finfo(float).eps * abs(val)
+        return FunctionalValue(val * scale, err * scale, tag)
 
+    # region-clipped indicators and other fields: the sphere rule, with the
     # largest node error of each rule integrate_sphere applies, fine rule first
     node_errs = []
 

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's integration machinery:
 dense midpoint/Riemann sums, plain Monte Carlo with a fixed generator, and
-scipy reference quadrature only.  Oracle values are compared against the
+scipy reference quadrature only.  One exception: indicator_pair_integral
+reads a box's sphere sum from the package (closed form in 2D).  Oracle values are compared against the
 package paths in the tests; several frozen constants in the tests were
 generated by these functions.
 """
@@ -14,7 +15,25 @@ import warnings
 import numpy as np
 from scipy import integrate as sciint
 
-from besovlab.fields import eval_field
+from besovlab.fields import Field, GridSpec, RegionSpec, eval_field, sphere_measure
+from besovlab.quadrature import _box_sphere_sum
+
+
+def grid_field(values, h, origin=None):
+    """The grid field of the cell values (extent + (dim_out,)), spacing h."""
+    n = values.ndim - 1
+    origin = (0.1,) * n if origin is None else tuple(origin)
+    spec = GridSpec(origin=origin, spacing=(h,) * n, extent=values.shape[:-1])
+    return Field(n, values.shape[-1], "grid", {"spec": spec, "values": values},
+                 support_radius=10.0, name="grid")
+
+
+def step_sum(steps, dim_out=1):
+    """The 1D field sum_j amp_j 1_[a_j, b_j] of steps (a_j, b_j, amp_j)."""
+    pieces = tuple((RegionSpec.interval(a, b), np.atleast_1d(np.asarray(amp, dtype=float)))
+                   for a, b, amp in steps)
+    return Field(1, dim_out, "piecewise", {"pieces": pieces}, support_radius=5.0,
+                 name="steps")
 
 
 def grid_eval_rowmajor(spec, values, x):
@@ -169,23 +188,6 @@ def circle_arc_length(radius):
     return val
 
 
-def sphere_integral_reference(g, n):
-    """Reference sphere integral via scipy quadrature (independent of the
-    package's sphere rules)."""
-    if n == 1:
-        return g(np.array([[1.0]]))[0] + g(np.array([[-1.0]]))[0]
-    if n == 2:
-        val, _ = sciint.quad(
-            lambda t: float(g(np.array([[math.cos(t), math.sin(t)]]))[0]),
-            0.0, 2.0 * math.pi, limit=400)
-        return val
-    val, _ = sciint.dblquad(
-        lambda t, c: float(g(np.array([[math.sqrt(1 - c * c) * math.cos(t),
-                                        math.sqrt(1 - c * c) * math.sin(t), c]]))[0]),
-        -1.0, 1.0, 0.0, 2.0 * math.pi, epsabs=1e-10)
-    return val
-
-
 def direct_convolution_1d(f, pdf, halfwidth, eps, x, n=20_001):
     """u_eps(x) = int eta(z) u(x - eps z) dz by dense midpoint quadrature."""
     zs = np.linspace(-halfwidth, halfwidth, n)
@@ -324,6 +326,14 @@ def fourier_seminorm(values, h, s, cube=128.0):
     return semi, l2
 
 
+def fourier_pair_integral(values, h, s, b):
+    """The grid field's pair integral over R^N with the weight t^-(N+2s) on
+    the window (0, b): fourier_seminorm less its part beyond b, which is
+    2 ||u||^2 |S^(N-1)| b^-2s / 2s."""
+    semi, l2 = fourier_seminorm(values, h, s)
+    return semi - 2.0 * l2 * sphere_measure(values.ndim - 1) * b ** (-2.0 * s) / (2.0 * s)
+
+
 def box_escape_2d(x, lo, hi, sigma, b):
     """Phi_E(x) = int_0^(2 pi) [rho^(2-sigma) - b^(2-sigma)]_+ / (sigma-2)
     d theta for the box E = [lo, hi] in 2D, rho the distance from x to the
@@ -440,3 +450,57 @@ def region_moments_four_matrix(f):
             ).reshape(len(centers), len(u), -1)) for sign, shape in parts)
         moments.append(per)
     return moments
+
+
+def weighted_quad(h, weight, a, b, lead, kinks=()):
+    """int_a^b w(t) t^lead h(t) dt by quad, w a PiecewisePower and h bounded:
+    split at w's piece ends and the kinks, a part from t = 0 with QAWS's
+    weight t^(power + lead), any other part in ln t."""
+    total = 0.0
+    for lo, hi, coef, power in weight.pieces:
+        lo, hi = max(lo, a), min(hi, b)
+        if lo >= hi:
+            continue
+        cuts = sorted({lo, hi} | {k for k in kinks if lo < k < hi})
+        for t0, t1 in zip(cuts[:-1], cuts[1:]):
+            if t0 == 0.0:
+                part = sciint.quad(h, 0.0, t1, weight="alg", wvar=(power + lead, 0.0),
+                                   epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            else:
+                # in ln t, which keeps a part from t0 << t1 smooth
+                part = sciint.quad(lambda v: math.exp((power + lead + 1.0) * v) * h(math.exp(v)),
+                                   math.log(t0), math.log(t1), epsabs=0.0, epsrel=1e-13,
+                                   limit=200)[0]
+            total += coef * part
+    return total
+
+
+def indicator_pair_integral(shape, amp, q, weight, a, b):
+    """int_a^b w(t) t^(N-1) |amp|^q S(t) dt by weighted_quad, split where S
+    kinks, for the indicator of a ball or box.  A ball's S is
+    H^(N-1)(S^(N-1)) times its symmetric difference, here in the forms
+    4 r^2 (asin x + x sqrt(1 - x^2)), x = t / 2r, and 2 pi t (r^2 - t^2 / 12);
+    a box's is the package's _box_sphere_sum, closed form in 2D and on polar
+    panels of order 64 in 3D."""
+    n = shape.dim
+    if shape.kind == "ball":
+        r = shape.radius
+        kinks = [2.0 * r]
+
+        def s_over_t(t):
+            d = min(t, 2.0 * r)
+            x = d / (2.0 * r)
+            if n == 2:
+                per_d = 2.0 * r * ((math.asin(x) / x if x > 0.0 else 1.0) + math.sqrt(1.0 - x * x))
+            else:
+                per_d = 2.0 * math.pi * (r * r - d * d / 12.0)
+            return sphere_measure(n) * per_d * (d / t if t > 0.0 else 1.0)
+    else:
+        side = np.asarray(shape.hi) - np.asarray(shape.lo)
+        kinks = [float(np.linalg.norm(side[list(c)])) for k in range(1, n + 1)
+                 for c in itertools.combinations(range(n), k)]
+
+        def s_over_t(t):
+            t = max(t, 1e-200)
+            return float(_box_sphere_sum(side, np.array([t]), 64)[0]) / t
+    return amp ** q * weighted_quad(s_over_t, weight, a, b, n, kinks)

@@ -450,6 +450,24 @@ def test_ball_spherical_variation_matches_a_fine_sphere_rule(name, m, eps):
     assert got.value == pytest.approx(ref * eps ** -P2.rq, rel=1e-10)
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
+def test_box_spherical_variation_is_its_closed_form(eps):
+    # for eps below every side, |A sym-diff (A - eps n)| = 2 (|A| -
+    # prod_i (s_i - eps |n_i|)) is a polynomial in eps: the unit square's
+    # variation is 16 - 4 eps; a 3D box's is 2 (2 pi sum_(i<j) s_i s_j -
+    # (8/3) eps sum_i s_i + eps^2), from int_(S^2) |n_1| = 2 pi,
+    # |n_1 n_2| = 8/3 and |n_1 n_2 n_3| = 1
+    got = spherical_variation(make_field("box_2d"), P2, eps)
+    assert got.value == pytest.approx(16.0 - 4.0 * eps, rel=1e-13, abs=0.0)
+    assert got.error_estimate <= 1e-13
+    box = RegionSpec.box([0.0, 0.0, 0.0], [1.0, 1.2, 0.7])
+    f = Field(3, 1, "piecewise", {"pieces": ((box, np.ones(1)),)}, support_radius=3.0,
+              name="box_3d")
+    got = spherical_variation(f, P2, eps)
+    ref = 2.0 * (2.0 * math.pi * 2.74 - 8.0 / 3.0 * eps * 2.9 + eps * eps)
+    assert abs(got.value - ref) <= got.error_estimate <= 1e-13 * ref
+
+
 @pytest.mark.parametrize("kind", ["gauss", "bump", "signed-test"])
 @pytest.mark.parametrize("eps", [0.3, 0.05, 0.004])
 def test_1d_spherical_variation_is_twice_one_direction(step, kind, eps):
