@@ -15,8 +15,8 @@ from .kernels import (NegLogEps, RadialKernelFamily, kernel_mass,
 from .limits import (ChainVerdict, EpsilonGrid, EpsilonSweepResult,
                      chain_check, epsilon_sweep, extrapolate)
 from .mollifiers import MollifierSpec, make_mollifier, mollifier_bound_check, mollify
-from .quadrature import (PiecewisePower, QuadBudget, QuadResult, integrate_sphere,
-                         pair_integral, radial_integral, shift_integral)
+from .quadrature import (PiecewisePower, QuadBudget, QuadResult, pair_integral,
+                         radial_integral, shift_integral)
 from .seminorms import (FunctionalParams, FunctionalValue, besov_constant_at,
                         besov_seminorm_q, brq_double_integral,
                         directional_variation, gagliardo_constant_at,

@@ -25,7 +25,8 @@ from .seminorms import (besov_constant_at, besov_seminorm_q,
 FUNCTIONALS = {
     "gagliardo-seminorm": lambda s, p, eps: gagliardo_seminorm_q(
         s.field, s.params, budget=s.budget),
-    "besov-seminorm": lambda s, p, eps: besov_seminorm_q(s.field, s.params),
+    "besov-seminorm": lambda s, p, eps: besov_seminorm_q(s.field, s.params,
+                                                         budget=s.budget),
     "brq": lambda s, p, eps: brq_double_integral(s.field, s.params, eps, budget=s.budget),
     "directional-variation": lambda s, p, eps: directional_variation(
         s.field, s.params, p.get("direction", [1.0] + [0.0] * (s.field.dim_in - 1)),

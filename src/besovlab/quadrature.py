@@ -53,8 +53,6 @@ from .fields import (_BLOCK_POINTS, _SAMPLE_POINTS, Field, RegionSpec, eval_fiel
 __all__ = [
     "QuadBudget",
     "QuadResult",
-    "sphere_rule",
-    "integrate_sphere",
     "PiecewisePower",
     "radial_integral",
     "shift_integral",
@@ -86,50 +84,6 @@ class QuadResult:
     low_confidence: bool = False
     # the `_ENGINES` row that produced a pair integral; None elsewhere
     path: Optional[str] = None
-
-
-# ---------------------------------------------------------------------------
-# Sphere rules
-# ---------------------------------------------------------------------------
-
-# nodes per circle of the sphere rules; the error of a sphere integral is its
-# change on the rule of half as many
-_SPHERE_NODES = 64
-
-
-def sphere_rule(n: int, m: int):
-    """Nodes (M, N) and weights (M,) for the unnormalized H^{N-1} integral:
-    the m-point trapezoid rule in the angle for N = 2; for N = 3, m angles on
-    each of m // 2 Gauss-Legendre latitudes (at least 2)."""
-    theta = 2.0 * math.pi * np.arange(m) / m
-    if n == 2:
-        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        return nodes, np.full(m, 2.0 * math.pi / m)
-    if n != 3:
-        raise CapabilityError(f"no sphere rule for dimension {n}")
-    c, wlat = leggauss(max(m // 2, 2))          # cos(phi) in [-1, 1]
-    s = np.sqrt(1.0 - c ** 2)
-    nodes = np.stack([
-        np.outer(s, np.cos(theta)).ravel(),
-        np.outer(s, np.sin(theta)).ravel(),
-        np.outer(c, np.ones(m)).ravel(),
-    ], axis=-1)
-    weights = np.outer(wlat, np.full(m, 2.0 * math.pi / m)).ravel()
-    return nodes, weights
-
-
-def integrate_sphere(g: Callable, n: int) -> QuadResult:
-    """Unnormalized integral of g over S^{N-1}, N = 2 or 3, on the rule of
-    _SPHERE_NODES; divide by sphere_measure(N) for the averaged form.
-
-    seminorms.spherical_variation takes it for an indicator that its region
-    clips and for any field that is not an indicator; an unclipped ball or
-    box has its own closed form there."""
-    nodes, weights = sphere_rule(n, _SPHERE_NODES)
-    value = float(weights @ np.asarray(g(nodes), dtype=float))
-    cnodes, cweights = sphere_rule(n, _SPHERE_NODES // 2)
-    err = abs(value - float(cweights @ np.asarray(g(cnodes), dtype=float)))
-    return QuadResult(value, err, len(weights) + len(cweights))
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +266,12 @@ def _indicator(f: Field, region: Optional[RegionSpec], reach: float):
 
 def shift_integral(f: Field, region: Optional[RegionSpec], h, q: float,
                    budget: Optional[QuadBudget] = None, stream: int = 0):
-    """F(h) with one-sigma-free deterministic paths where available.
+    """F(h) as (value, error_estimate); region=None integrates over R^N.
 
-    Returns (value, error_estimate).  region=None integrates over R^N.
+    Exact, error 0, for indicators of one ball or box that the region does
+    not clip and for piecewise-constant 1D fields; panel Gauss-Legendre for
+    other 1D fields, the error the change on the lower order; otherwise
+    Monte Carlo over the budget, with an error of two standard errors.
     """
     h = np.atleast_1d(np.asarray(h, dtype=float))
     if h.shape != (f.dim_in,):
@@ -484,8 +441,12 @@ _SHIFT_CHUNK = 200_000
 
 
 def _shift_integral_mc(f: Field, region, h: np.ndarray, q: float,
-                       budget: QuadBudget, stream: int):
-    lo, hi = _sample_box(f, region, float(np.linalg.norm(h)))
+                       budget: QuadBudget, stream: int, sphere: bool = False):
+    """F(h) by Monte Carlo over x; with sphere, each x takes its own uniform
+    direction n, drawn after it, and the shift |h| n, so the value is the
+    mean of F over the sphere of radius |h|."""
+    reach = float(np.linalg.norm(h))
+    lo, hi = _sample_box(f, region, reach)
     if np.any(hi <= lo):
         return 0.0, 0.0
     vol = float(np.prod(hi - lo))
@@ -496,7 +457,8 @@ def _shift_integral_mc(f: Field, region, h: np.ndarray, q: float,
         m = min(_SHIFT_CHUNK, budget.max_evaluations - start)
         rng = _stream_rng(budget.rng_seed, stream, k)
         x = lo + (hi - lo) * rng.random((m, f.dim_in))
-        chunks.append(_pair_values(f, region, x, h, q))
+        shift = reach * _unit_directions(rng, m, f.dim_in) if sphere else h
+        chunks.append(_pair_values(f, region, x, shift, q))
     vals = np.concatenate(chunks)
     value = vol * float(np.mean(vals))
     err = 2.0 * vol * float(np.std(vals)) / math.sqrt(len(vals))

@@ -24,7 +24,7 @@ from .jumps import jump_variation
 from .kernels import RadialKernelFamily, kernel_profile, kernel_window
 from .mollifiers import MollifierSpec, mollify
 from .quadrature import (_BOX_ORDERS, PiecewisePower, QuadBudget, QuadResult, _box_sphere_sum,
-                         _distinct, _indicator, _panel_nodes, integrate_sphere, pair_integral,
+                         _distinct, _indicator, _panel_nodes, _shift_integral_mc, pair_integral,
                          shift_integral)
 
 __all__ = [
@@ -167,28 +167,32 @@ def default_shift_grid(f: Field, magnitudes: Optional[Sequence[float]] = None):
 
 
 def besov_seminorm_q(f: Field, params: FunctionalParams,
-                     h_grid: Optional[Sequence] = None) -> FunctionalValue:
+                     h_grid: Optional[Sequence] = None,
+                     budget: Optional[QuadBudget] = None) -> FunctionalValue:
     """Max over the shift grid of int |u(x+h)-u(x)|^q chi_E chi_E / |h|^{rq} dx.
 
-    A certified lower bound for the sup; provenance records the grid size."""
+    A certified lower bound for the sup; provenance records the grid size.
+    Each shift has its own stream, and a Monte Carlo shift runs on the whole
+    budget."""
     region = _resolve_region(f, params)
     if h_grid is None:
         h_grid = default_shift_grid(f)
     if len(h_grid) == 0:
         raise InputError("shift grid must be nonempty")
+    tag = (f"besov_seminorm_q[f={f.name},q={params.q:g},rq={params.rq:g},"
+           f"grid={len(h_grid)} shifts]")
     best = 0.0
     best_err = 0.0
-    for h in h_grid:
+    for i, h in enumerate(h_grid):
         h = np.atleast_1d(np.asarray(h, dtype=float))
         hn = float(np.linalg.norm(h))
         if hn == 0.0:
             raise InputError("shift grid must exclude h = 0")
-        val, err = shift_integral(f, region, h, params.q)
+        val, err = shift_integral(f, region, h, params.q, budget=budget,
+                                  stream=_stream_of(tag) + i)
         val = val / hn ** params.rq
         if val > best:
             best, best_err = val, err / hn ** params.rq
-    tag = (f"besov_seminorm_q[f={f.name},q={params.q:g},rq={params.rq:g},"
-           f"grid={len(h_grid)} shifts]")
     return FunctionalValue(best, best_err, tag)
 
 
@@ -236,14 +240,7 @@ def spherical_variation(f: Field, params: FunctionalParams, eps: float,
            f"eps={eps:g}]")
     scale = eps ** -params.rq
     ind = _indicator(f, region, eps)
-    if n == 1 or (ind is not None and ind[0].kind == "ball"):
-        # S^0 = {+1, -1} and F(h) = F(-h); an unclipped ball indicator varies
-        # alike in every direction.  Either way F is one value on the sphere
-        val, err = shift_integral(f, region, eps * np.eye(n)[0], params.q,
-                                  budget=budget, stream=_stream_of(tag))
-        h = sphere_measure(n)
-        return FunctionalValue(h * (val * scale), h * (err * scale), tag)
-    if ind is not None:
+    if ind is not None and ind[0].kind == "box":
         # an unclipped box: its sphere sum is closed form in 2D and on split
         # polar panels in 3D, with the change on the lower order as error
         shape, amp = ind
@@ -252,23 +249,18 @@ def spherical_variation(f: Field, params: FunctionalParams, eps: float,
                     for order in _BOX_ORDERS)
         err = abs(val - low) + 16.0 * np.finfo(float).eps * abs(val)
         return FunctionalValue(val * scale, err * scale, tag)
-
-    # region-clipped indicators and other fields: the sphere rule, with the
-    # largest node error of each rule integrate_sphere applies, fine rule first
-    node_errs = []
-
-    def g(nodes):
-        out = np.empty(nodes.shape[0])
-        errs = np.empty(nodes.shape[0])
-        for i, nd in enumerate(nodes):
-            out[i], errs[i] = shift_integral(f, region, eps * nd, params.q,
-                                             budget=budget, stream=_stream_of(tag) + i)
-        node_errs.append(float(np.max(errs)))
-        return out
-
-    qr = integrate_sphere(g, n)
-    err = (qr.error_estimate + sphere_measure(n) * node_errs[0]) * scale
-    return FunctionalValue(qr.value * scale, err, tag)
+    if n == 1 or ind is not None:
+        # S^0 = {+1, -1} and F(h) = F(-h); an unclipped ball indicator varies
+        # alike in every direction.  Either way F is one value on the sphere
+        val, err = shift_integral(f, region, eps * np.eye(n)[0], params.q,
+                                  budget=budget, stream=_stream_of(tag))
+    else:
+        # region-clipped indicators and other fields: one Monte Carlo over x
+        # and the direction together, the mean of F on the sphere of radius eps
+        val, err = _shift_integral_mc(f, region, eps * np.eye(n)[0], params.q,
+                                      budget or QuadBudget(), _stream_of(tag), sphere=True)
+    h = sphere_measure(n)
+    return FunctionalValue(h * (val * scale), h * (err * scale), tag)
 
 
 def besov_constant_at(f: Field, params: FunctionalParams, k: RadialKernelFamily,

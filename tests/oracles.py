@@ -169,6 +169,27 @@ def linear_pair_1d(nodes, vals, lo, hi, b, s):
     return 2.0 * total
 
 
+def sphere_rule(n, m):
+    """Nodes (M, N) and weights (M,) for the unnormalized H^{N-1} integral:
+    the m-point trapezoid rule in the angle for N = 2; for N = 3, m angles on
+    each of m // 2 Gauss-Legendre latitudes (at least 2)."""
+    theta = 2.0 * math.pi * np.arange(m) / m
+    if n == 2:
+        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        return nodes, np.full(m, 2.0 * math.pi / m)
+    if n != 3:
+        raise ValueError(f"no sphere rule for dimension {n}")
+    c, wlat = np.polynomial.legendre.leggauss(max(m // 2, 2))     # cos(phi) in [-1, 1]
+    s = np.sqrt(1.0 - c ** 2)
+    nodes = np.stack([
+        np.outer(s, np.cos(theta)).ravel(),
+        np.outer(s, np.sin(theta)).ravel(),
+        np.outer(c, np.ones(m)).ravel(),
+    ], axis=-1)
+    weights = np.outer(wlat, np.full(m, 2.0 * math.pi / m)).ravel()
+    return nodes, weights
+
+
 def mc_symdiff(region_contains, h, box_lo, box_hi, n=2_000_000, seed=123):
     """Monte Carlo measure of A symmetric-difference (A - h)."""
     rng = np.random.default_rng(seed)

@@ -63,6 +63,13 @@ def _lattice_cases(draw):
         max(50.0, 2.0 * h * math.hypot(*ext)), 2.0, None
 
 
+def _lattice_case(ext, dim_out, s):
+    """Seeded cell values, spacing 0.37, t^-(N + 2s) over (0, b) past the support."""
+    values = np.random.default_rng(sum(ext) + dim_out).standard_normal(ext + (dim_out,))
+    return grid_field(values, 0.37), None, PiecewisePower.power_law(len(ext) + 2.0 * s), 0.0, \
+        max(50.0, 2.0 * 0.37 * math.hypot(*ext)), 2.0, None
+
+
 def _lattice_reference(f, region, weight, a, b, q, budget):
     # the oracle is good to about 1e-8
     ref = fourier_pair_integral(f.payload["values"], f.payload["spec"].spacing[0],
@@ -195,15 +202,21 @@ def _power_case(shape, amp, s, q, a, b):
     return _indicator(shape, amp), None, PiecewisePower.power_law(s), a, b, q, None
 
 
-# cases that once failed: the ball's symmetric difference lost digits as
-# t -> 0, which the core read (2D and 3D); the box's 64-node sphere rule
-# missed features narrower than its node spacing (2D and 3D)
-EXAMPLES = {"indicator": [
-    _power_case(RegionSpec.ball([0.0, 0.0], 0.32), 1.54, 2.73, 1.0, 0.0, 0.17),
-    _power_case(RegionSpec.ball([0.0, 0.0, 0.0], 1.01), 1.0, 3.69, 2.0, 0.0, 1.25),
-    _power_case(RegionSpec.box([-0.665, -0.54], [0.665, 0.54]), 2.49, 2.5, 2.0, 1.37, 3.4),
-    _power_case(RegionSpec.box([-0.625, -0.555, -0.885], [0.625, 0.555, 0.885]), 1.59, 3.67,
-                1.0, 1.51, 3.15)]}
+# lattice: (70, 130) splits both the 64 frequency columns (136 of them) and
+# the 64 lag rows (70) unevenly, (5, 9, 70) the columns (1314) in 3D.
+# indicator, cases that once failed: the ball's symmetric difference lost
+# digits as t -> 0, which the core read (2D and 3D); the box's 64-node
+# sphere rule missed features narrower than its node spacing (2D and 3D)
+EXAMPLES = {
+    "lattice": [_lattice_case(*c) for c in [
+        ((3, 4), 1, 0.5), ((4, 3), 2, 0.3), ((5, 5), 1, 0.9), ((2, 3, 2), 1, 0.5),
+        ((3, 2, 2), 2, 0.8), ((70, 130), 2, 0.5), ((5, 9, 70), 1, 0.5)]],
+    "indicator": [
+        _power_case(RegionSpec.ball([0.0, 0.0], 0.32), 1.54, 2.73, 1.0, 0.0, 0.17),
+        _power_case(RegionSpec.ball([0.0, 0.0, 0.0], 1.01), 1.0, 3.69, 2.0, 0.0, 1.25),
+        _power_case(RegionSpec.box([-0.665, -0.54], [0.665, 0.54]), 2.49, 2.5, 2.0, 1.37, 3.4),
+        _power_case(RegionSpec.box([-0.625, -0.555, -0.885], [0.625, 0.555, 0.885]), 1.59,
+                    3.67, 1.0, 1.51, 3.15)]}
 
 
 def test_every_engine_has_a_row():

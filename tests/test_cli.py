@@ -356,7 +356,8 @@ def test_empty_kernels_rejected_by_experiment(kind, tmp_path, capsys):
 _DIRECT = {
     "gagliardo-seminorm": lambda s, eps: seminorms.gagliardo_seminorm_q(
         s.field, s.params, budget=s.budget),
-    "besov-seminorm": lambda s, eps: seminorms.besov_seminorm_q(s.field, s.params),
+    "besov-seminorm": lambda s, eps: seminorms.besov_seminorm_q(s.field, s.params,
+                                                                budget=s.budget),
     "brq": lambda s, eps: seminorms.brq_double_integral(s.field, s.params, eps,
                                                         budget=s.budget),
     "directional-variation": lambda s, eps: seminorms.directional_variation(

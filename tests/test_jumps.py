@@ -8,7 +8,8 @@ from besovlab.errors import CapabilityError, InputError
 from besovlab.fields import Field, RegionSpec, jump_set_of, make_field, truncate
 from besovlab.jumps import (dimensional_constants, directional_jump_variation,
                             jump_variation, sphere_moment)
-from besovlab.quadrature import sphere_rule
+
+from oracles import sphere_rule
 
 
 def test_jump_variation_step(step, step3):

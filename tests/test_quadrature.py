@@ -19,12 +19,11 @@ from besovlab.mollifiers import make_mollifier, mollify
 from besovlab.quadrature import (PiecewisePower, QuadBudget, _distinct, _merged_edges_1d,
                                  _region_1d_edges, _shift_breaks_1d,
                                  _smooth_shift_integrals_1d, _symdiff_measure,
-                                 _t_integral, integrate_sphere,
-                                 pair_integral, radial_integral,
-                                 shift_integral, sphere_measure, sphere_rule)
+                                 _t_integral, pair_integral, radial_integral,
+                                 shift_integral, sphere_measure)
 
 from oracles import (indicator_pair_integral, linear_pair_1d, mc_symdiff, riemann_pair_1d,
-                     riemann_shift_1d)
+                     riemann_shift_1d, sphere_rule)
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
@@ -35,41 +34,6 @@ def test_sphere_measure_values():
     assert sphere_measure(3) == pytest.approx(4.0 * math.pi, abs=0)
     with pytest.raises(CapabilityError):
         sphere_measure(4)
-
-
-def test_integrate_sphere_constant():
-    r = integrate_sphere(lambda n: np.ones(n.shape[0]), 2)
-    assert abs(r.value - 2.0 * math.pi) <= 1e-12
-    assert r.evaluations_used == 64 + 32
-    r3 = integrate_sphere(lambda n: np.ones(n.shape[0]), 3)
-    assert abs(r3.value - 4.0 * math.pi) <= 1e-10
-    assert r3.evaluations_used == 32 * 64 + 16 * 32
-
-
-def test_integrate_sphere_abs_first_coordinate():
-    # int_0^{2pi} |cos theta| d theta = 4 and, for N=3, int |z1| dH^2 = 2 pi;
-    # the kinks of |z1| keep a rule's error at O(m^-2), so integrate_sphere's
-    # error (its change on the rule of half the nodes) covers its miss
-    for n, m, exact, tol in ((2, 16384, 4.0, 1e-6), (3, 2048, 2.0 * math.pi, 5e-6)):
-        nodes, weights = sphere_rule(n, m)
-        assert abs(weights @ np.abs(nodes[:, 0]) - exact) <= tol
-        r = integrate_sphere(lambda nd: np.abs(nd[:, 0]), n)
-        assert abs(r.value - exact) <= r.error_estimate
-
-
-def test_integrate_sphere_odd_vanishes():
-    for n_dim in (2, 3):
-        r = integrate_sphere(lambda n: n[:, 0], n_dim)
-        assert abs(r.value) <= 1e-12
-
-
-def test_integrate_sphere_rule_mismatch():
-    # N = 1 has no sphere rule: its two directions are summed where needed
-    for n_dim in (1, 4):
-        with pytest.raises(CapabilityError):
-            sphere_rule(n_dim, 64)
-        with pytest.raises(CapabilityError):
-            integrate_sphere(lambda n: np.ones(n.shape[0]), n_dim)
 
 
 @PROPERTY
@@ -578,10 +542,10 @@ def test_batched_smooth_engine_empty_support():
 
 def _sphere_rule_pair_integral(f, weight, a, b):
     """The indicator pair integral with the symmetric difference at every
-    node of the sphere rule of _SPHERE_NODES, as for boxes."""
+    node of the 64-node sphere rule."""
     n = f.dim_in
     ball = f.payload["pieces"][0][0]
-    nodes, wts = sphere_rule(n, quadrature._SPHERE_NODES)
+    nodes, wts = sphere_rule(n, 64)
 
     def g(ts):
         sym = _symdiff_measure(ball, ts[:, None, None] * nodes[None, :, :])
