@@ -12,8 +12,8 @@ from .jumps import (ConstantsTable, dimensional_constants,
 from .kernels import (NegLogEps, RadialKernelFamily, kernel_mass,
                       kernel_profile, kernel_window, log_kernel_moment,
                       support_tail)
-from .limits import (ChainVerdict, EpsilonGrid, EpsilonSweepResult,
-                     chain_check, epsilon_sweep, extrapolate)
+from .limits import (EpsilonGrid, EpsilonSweepResult, chain_check,
+                     epsilon_sweep, extrapolate, verdict)
 from .mollifiers import MollifierSpec, make_mollifier, mollifier_bound_check, mollify
 from .quadrature import (PiecewisePower, QuadBudget, QuadResult, pair_integral,
                          radial_integral, shift_integral)

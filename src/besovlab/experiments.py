@@ -26,7 +26,7 @@ from .fields import (Field, RegionSpec, jump_set_of, make_field, sphere_measure,
                      sup_amplitude, truncate)
 from .jumps import dimensional_constants, jump_variation, sphere_moment
 from .kernels import NegLogEps, RadialKernelFamily, audit_rows
-from .limits import EpsilonGrid, chain_check, epsilon_sweep
+from .limits import EpsilonGrid, chain_check, epsilon_sweep, verdict
 from .mollifiers import MollifierSpec, make_mollifier
 from .quadrature import QuadBudget
 from .seminorms import (FunctionalParams, besov_constant_at, besov_seminorm_q,
@@ -293,12 +293,6 @@ def _term(value: float, error: float, provenance: str) -> dict:
     return {"value": value, "error": error, "provenance": provenance}
 
 
-def _audit_verdict(name: str, violation: float, tolerance: float,
-                   terms: dict) -> dict:
-    return {"chain": name, "terms": terms, "tolerance": tolerance,
-            "pass": bool(violation <= tolerance), "worst_violation": violation}
-
-
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
@@ -396,19 +390,17 @@ def _run_chain(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
         terms[row.term] = _term(row.factor * sw.extrapolated.limit,
                                 row.factor * sw.extrapolated.uncertainty,
                                 f"{row.factor_label}{row.sweep_id} extrapolation")
-    verdicts = []
     if cfg.kind == "sandwich":
         limit = terms["variation"]["value"]
         unc = terms["variation"]["error"]
         lower, upper = limit - unc, limit + unc
         mid = terms["gagliardo"]["value"]
         scale = max(abs(upper), abs(mid), 1e-2)
-        verdict = chain_check("sandwich", {"lower": lower, "mid": mid, "upper": upper},
-                              cfg.tolerance * scale)
-        verdicts.append(verdict.to_dict())
+        verdicts = [verdict("sandwich", max(0.0, lower - mid, mid - upper),
+                            cfg.tolerance * scale,
+                            {"lower": lower, "mid": mid, "upper": upper})]
     else:
-        chain_terms = {name: t["value"] for name, t in terms.items()
-                       if name != "variation"} | {"variation": terms["variation"]["value"]}
+        chain_terms = {name: t["value"] for name, t in terms.items()}
         if cfg.kind == "jump_chain":
             jump_term = _jump_term(s, f)
             terms["jump"] = _term(jump_term, 0.0,
@@ -420,12 +412,12 @@ def _run_chain(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
             ref = statistics.median(abs(v) for v in chain_terms.values())
         scale = max(ref, 1e-2)
         kind = "jump-chain" if cfg.kind == "jump_chain" else "kernel-equivalence"
-        verdicts.append(chain_check(kind, chain_terms, cfg.tolerance * scale).to_dict())
+        verdicts = [chain_check(kind, chain_terms, cfg.tolerance * scale)]
         kernel_terms = {k: v for k, v in chain_terms.items()
                         if k.startswith("besov_constant")}
         if len(kernel_terms) >= 2:
             verdicts.append(chain_check("kernel-equivalence", kernel_terms,
-                                        cfg.pair_tolerance * scale).to_dict())
+                                        cfg.pair_tolerance * scale))
     return ExperimentReport(cfg.kind, verdicts, terms,
                             {k: _sweep_summary(sw) for k, sw in sweeps.items()}, files)
 
@@ -441,7 +433,7 @@ def _run_constants(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
                      table.nc_residual if table.nc_residual is not None else ""))
         if table.nc_residual is not None:
             tol = 1e-8 if n == 2 else 1e-6
-            verdicts.append(_audit_verdict(
+            verdicts.append(verdict(
                 f"nc_residual_N{n}", table.nc_residual, tol,
                 {"moment1": table.moment1, "residual": table.nc_residual}))
     path = os.path.join(out_dir, "constants.csv")
@@ -476,31 +468,30 @@ def _run_kernel_audit(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
             files.append(path)
             col = dict(zip(header, zip(*rows)))
             mass_dev = max(abs(m - 1.0) for m in col["mass"])
-            verdicts.append(_audit_verdict(f"mass_{label}", mass_dev, 1e-9,
-                                           {"worst |mass-1|": mass_dev}))
+            verdicts.append(verdict(f"mass_{label}", mass_dev, 1e-9,
+                                    {"worst |mass-1|": mass_dev}))
             tail_end = col[f"tail_{cfg.deltas[0]:g}"][-1]
-            verdicts.append(_audit_verdict(f"tail_{label}", abs(tail_end), 0.0,
-                                           {"final tail": tail_end}))
+            verdicts.append(verdict(f"tail_{label}", abs(tail_end), 0.0,
+                                    {"final tail": tail_end}))
             if k.kind == "logarithmic":
                 moms = col[f"moment_{cfg.alphas[0]:g}"]
                 tail = moms[-max(3, math.ceil(len(moms) / 3)):]
                 mono = all(a > b for a, b in zip(tail, tail[1:]))
-                verdicts.append(_audit_verdict(f"moment_monotone_{label}",
-                                               0.0 if mono else 1.0, 0.0,
-                                               {"monotone": 1.0 if mono else 0.0}))
+                verdicts.append(verdict(f"moment_monotone_{label}",
+                                        0.0 if mono else 1.0, 0.0,
+                                        {"monotone": 1.0 if mono else 0.0}))
     return ExperimentReport("kernel_audit", verdicts, terms, {}, files)
 
 
 def _run_interpolation(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
     s = cfg.setup()
     q = s.params.q
-    lhs, rhs = interpolation_check(s.field, q, s.params.p)
-    violation = max(0.0, lhs - rhs)
-    verdict = _audit_verdict("interpolation", violation, cfg.tolerance,
-                             {"lhs": lhs, "rhs": rhs})
+    lhs, rhs = interpolation_check(s.field, q, s.params.p, budget=s.budget)
+    verdicts = [verdict("interpolation", max(0.0, lhs - rhs), cfg.tolerance,
+                        {"lhs": lhs, "rhs": rhs})]
     terms = {"lhs": _term(lhs, 0.0, f"besov_seminorm_q(r=1/{q:g})"),
              "rhs": _term(rhs, 0.0, "||Du||^alpha [u]_p^(p(1-alpha)) closed form")}
-    return ExperimentReport("interpolation", [verdict], terms, {}, [])
+    return ExperimentReport("interpolation", verdicts, terms, {}, [])
 
 
 def _run_truncation(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
@@ -534,10 +525,10 @@ def _run_truncation(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
         for lvl, val in zip(levels[:-1], series[:-1]):
             if lvl is not None and lvl >= sup_amp:
                 worst_eq = max(worst_eq, abs(val - final))
-    verdicts.append(_audit_verdict("truncation_monotone", worst_mono, 1e-9,
-                                   {n: rows[-1][i + 1] for i, n in enumerate(names)}))
-    verdicts.append(_audit_verdict("truncation_equality", worst_eq, 1e-9,
-                                   {"sup_amplitude": sup_amp}))
+    verdicts.append(verdict("truncation_monotone", worst_mono, 1e-9,
+                            {n: rows[-1][i + 1] for i, n in enumerate(names)}))
+    verdicts.append(verdict("truncation_equality", worst_eq, 1e-9,
+                            {"sup_amplitude": sup_amp}))
     terms = {f"level_{r[0]}": _term(r[1], 0.0, "jump term at this level") for r in rows}
     return ExperimentReport("truncation_convergence", verdicts, terms, {}, [path])
 
@@ -549,12 +540,12 @@ def _run_bounds_audit(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
 
     combo_rows = []
     for eps, beta, gamma in cfg.split_combos:
-        bounds = gagliardo_split_bounds(f, m, params, eps, beta, gamma)
+        bounds = gagliardo_split_bounds(f, m, params, eps, beta, gamma, budget=s.budget)
         measured = gagliardo_region_integrals(f, m, params, eps, beta, gamma,
                                               budget=s.budget)
         for name, bd, (mv, me) in zip(("tail", "annulus", "core"), bounds, measured):
             violation = max(0.0, mv - bd - 3.0 * me)
-            verdicts.append(_audit_verdict(
+            verdicts.append(verdict(
                 f"split_{name}_eps{eps:g}_b{beta:g}_g{gamma:g}", violation, 0.0,
                 {"measured": mv, "bound": bd, "error": me}))
             combo_rows.append((eps, beta, gamma, name, mv, me, bd))
@@ -566,7 +557,7 @@ def _run_bounds_audit(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
     q, rq = params.q, params.rq
     h = sphere_measure(f.dim_in)
     unorm = lq_norm_q(f, q)
-    bnorm = besov_seminorm_q(f, params).value
+    bnorm = besov_seminorm_q(f, params, budget=s.budget).value
     rhs74 = (m.abs_mass ** q * 2.0 ** q * unorm * h / rq
              + m.abs_mass ** q * bnorm * h * q / (q - rq)
              + m.grad_mass ** q * 2.0 ** q * unorm * h / (q - rq))
@@ -574,15 +565,14 @@ def _run_bounds_audit(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
                                        "closed form from mollifier moments and field norms")
     gag = _chain_terms(s, f)[-1].sweep(cfg)
     worst = max(max(r.value - rhs74 for r in gag.valid_rows()), 0.0)
-    verdicts.append(_audit_verdict("uniform_bound", worst, 0.0,
-                                   {"rhs": rhs74,
-                                    "max_row": max(r.value for r in gag.valid_rows())}))
+    verdicts.append(verdict("uniform_bound", worst, 0.0,
+                            {"rhs": rhs74, "max_row": max(r.value for r in gag.valid_rows())}))
 
     for hshift in cfg.shifts:
         lhs, tv = variation_inequality_check(f, [float(hshift)] + [0.0] * (f.dim_in - 1))
         violation = max(0.0, lhs - tv)
-        verdicts.append(_audit_verdict(f"variation_inequality_h{hshift:g}",
-                                       violation, 1e-9, {"lhs": lhs, "tv": tv}))
+        verdicts.append(verdict(f"variation_inequality_h{hshift:g}",
+                                violation, 1e-9, {"lhs": lhs, "tv": tv}))
     return ExperimentReport("bounds_audit", verdicts, terms,
                             {"gagliardo_constant": _sweep_summary(gag)},
                             [path])

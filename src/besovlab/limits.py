@@ -22,10 +22,10 @@ __all__ = [
     "SweepRow",
     "Extrapolation",
     "EpsilonSweepResult",
-    "ChainVerdict",
     "epsilon_sweep",
     "extrapolate",
     "chain_check",
+    "verdict",
 ]
 
 
@@ -161,51 +161,25 @@ def extrapolate(sweep: EpsilonSweepResult, model: str) -> Extrapolation:
 
 
 # ---------------------------------------------------------------------------
-# Chain verdicts
+# Verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainVerdict:
-    chain_id: str
-    terms: dict
-    tolerance: float
-    passed: bool
-    worst_violation: float
-
-    def to_dict(self) -> dict:
-        return {"chain": self.chain_id, "terms": dict(self.terms),
-                "tolerance": self.tolerance, "pass": self.passed,
-                "worst_violation": self.worst_violation}
+def verdict(name: str, violation: float, tolerance: float, terms: dict) -> dict:
+    """The pass/fail record of one check: it passes when the violation is
+    within the tolerance."""
+    return {"chain": name, "terms": terms, "tolerance": tolerance,
+            "pass": bool(violation <= tolerance), "worst_violation": violation}
 
 
-def chain_check(kind: str, inputs: dict, tolerance: float) -> ChainVerdict:
-    """Verdict for one of the limit chains.
-
-    sandwich            -- needs lower, mid, upper; violation is how far mid
-                           escapes [lower, upper].
-    kernel-equivalence  -- all named terms must agree pairwise.
-    jump-chain          -- same as kernel-equivalence (callers add the
-                           jump-variation term).
-    The tolerance is absolute; experiment runners convert relative
-    tolerances using the chain's reference scale.
-    """
+def chain_check(name: str, terms: dict, tolerance: float) -> dict:
+    """Verdict that the named terms agree pairwise within the absolute
+    tolerance; experiment runners convert relative tolerances using the
+    chain's reference scale."""
     if tolerance < 0.0:
         raise InputError("tolerance must be nonnegative")
-    if kind == "sandwich":
-        missing = {"lower", "mid", "upper"} - set(inputs)
-        if missing:
-            raise InputError(f"sandwich verdict missing terms {sorted(missing)}")
-        lower, mid, upper = inputs["lower"], inputs["mid"], inputs["upper"]
-        worst = max(0.0, lower - mid, mid - upper)
-        terms = {"lower": lower, "mid": mid, "upper": upper}
-    elif kind in ("kernel-equivalence", "jump-chain"):
-        if len(inputs) < 2:
-            raise InputError("equivalence verdict needs at least two terms")
-        vals = list(inputs.values())
-        worst = max(abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1:])
-        terms = dict(inputs)
-    else:
-        raise InputError(f"unknown chain kind {kind!r}")
-    return ChainVerdict(chain_id=kind, terms={k: float(v) for k, v in terms.items()},
-                        tolerance=float(tolerance), passed=bool(worst <= tolerance),
-                        worst_violation=float(worst))
+    if len(terms) < 2:
+        raise InputError("equivalence verdict needs at least two terms")
+    vals = list(terms.values())
+    gap = max(abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1:])
+    return verdict(name, float(gap), float(tolerance),
+                   {k: float(v) for k, v in terms.items()})

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from besovlab.errors import FitError, InputError, SweepError
+from besovlab.experiments import run
 from besovlab.kernels import RadialKernelFamily, log_kernel_moment
 from besovlab.limits import (EpsilonGrid, chain_check, epsilon_sweep,
-                             extrapolate)
+                             extrapolate, verdict)
 from besovlab.mollifiers import make_mollifier
 from besovlab.seminorms import (FunctionalParams, besov_constant_at,
                                 besov_seminorm_q, gagliardo_constant_at,
@@ -123,36 +124,44 @@ def test_tail_estimator_stability():
 
 
 def test_chain_check_jump_chain_pass_and_fail():
-    good = chain_check("jump-chain", {"a": 4.0, "b": 4.0, "c": 4.0, "d": 4.0}, 0.4)
-    assert good.passed and good.worst_violation == 0.0
-    bad = chain_check("jump-chain", {"a": 4.0, "b": 4.0, "c": 4.0, "d": 6.0}, 0.4)
-    assert not bad.passed
-    assert bad.worst_violation == pytest.approx(2.0)
-    zero = chain_check("jump-chain", {"a": 0.0, "b": 0.0}, 1e-6)
-    assert zero.passed
-
-
-def test_chain_check_sandwich_and_errors():
-    v = chain_check("sandwich", {"lower": 3.9, "mid": 4.0, "upper": 4.1}, 0.01)
-    assert v.passed and v.worst_violation == 0.0
-    v = chain_check("sandwich", {"lower": 4.2, "mid": 4.0, "upper": 4.1}, 0.1)
-    assert not v.passed and v.worst_violation == pytest.approx(0.2)
+    # the verdict record of the largest pairwise gap, with float terms
+    good = chain_check("jump-chain", {"a": 4.0, "b": 4.0, "c": 4.0}, 0.4)
+    assert good["pass"] and good["worst_violation"] == 0.0
+    v = chain_check("jump-chain", {"a": 4, "b": 4.0, "c": 4.0, "d": 6.0}, 0.4)
+    assert v == {"chain": "jump-chain", "terms": {"a": 4.0, "b": 4.0, "c": 4.0, "d": 6.0},
+                 "tolerance": 0.4, "pass": False, "worst_violation": 2.0}
+    assert all(type(t) is float for t in v["terms"].values())
     with pytest.raises(InputError):
-        chain_check("sandwich", {"lower": 1.0, "mid": 2.0}, 0.1)
-    with pytest.raises(InputError):
-        chain_check("mystery", {"a": 1.0, "b": 1.0}, 0.1)
+        chain_check("jump-chain", {"a": 1.0, "b": 1.0}, -0.1)
     with pytest.raises(InputError):
         chain_check("jump-chain", {"a": 1.0}, 0.1)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_chain_verdict_invariant(seed):
-    # pass <=> worst_violation <= tolerance
+    # pass <=> worst_violation <= tolerance, zero terms included
     rng = np.random.default_rng(seed)
     terms = {f"t{i}": float(rng.normal(4.0, 0.5)) for i in range(4)}
     tol = float(rng.uniform(0.0, 2.0))
     v = chain_check("kernel-equivalence", terms, tol)
-    assert v.passed == (v.worst_violation <= v.tolerance)
+    assert v["pass"] == (v["worst_violation"] <= tol)
+    zero = chain_check("jump-chain", {"a": 0.0, "b": 0.0}, 0.0)
+    assert zero["pass"] and zero["worst_violation"] == 0.0
+
+
+def test_verdict_passes_up_to_its_tolerance():
+    assert verdict("x", 0.5, 0.5, {})["pass"]
+    assert not verdict("x", math.nextafter(0.5, 1.0), 0.5, {})["pass"]
+
+
+def test_sandwich_run_verdict_is_how_far_mid_escapes(tmp_path):
+    # mid is the Gagliardo term, [lower, upper] the variation term +- its error
+    report = run({"kind": "sandwich", "tolerance": 0.0}, str(tmp_path))
+    (v,) = report.verdicts
+    t = v["terms"]
+    assert v["chain"] == "sandwich" and not v["pass"]
+    assert v["worst_violation"] == max(0.0, t["lower"] - t["mid"], t["mid"] - t["upper"])
+    assert v["worst_violation"] > 0.0
 
 
 def test_eta_continuity_bound(step, tent):

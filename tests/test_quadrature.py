@@ -107,15 +107,27 @@ def piecewise_powers(draw):
                                 for lo, hi in zip(edges[:-1], edges[1:])))
 
 
-@PROPERTY
-@given(weight=piecewise_powers(), b=st.just(math.inf) | st.floats(0.05, 5.0),
+# the weights the 1D engines integrate: power laws at and past the core's
+# divergence, the three kernel profiles, and a two-piece weight
+_ENGINE_WEIGHTS = st.sampled_from([
+    PiecewisePower.power_law(2.0), PiecewisePower.power_law(1.0),
+    kernel_profile(RadialKernelFamily("trivial", 1), 0.05),
+    kernel_profile(RadialKernelFamily("logarithmic", 1, omega=0.5), 0.05),
+    kernel_profile(RadialKernelFamily("sigma_approx", 1), 0.05),
+    PiecewisePower(((0.0, 0.3, 2.0, -0.5), (0.3, 2.0, -1.0, 1.5)))])
+
+
+# enough examples that each fixed weight meets several bounds and powers
+@settings(PROPERTY, max_examples=300)
+@given(weight=_ENGINE_WEIGHTS | piecewise_powers(),
+       b=st.just(math.inf) | st.floats(0.05, 5.0),
        extra=st.sampled_from([0.0, 1.0, 2.0, -0.5]), data=st.data())
 def test_array_moments_are_the_per_bound_moments(weight, b, extra, data):
     # one routine serves scalar and array bounds: each bound of an array
     # gives the scalar value bit for bit (0 at and past b), and the array
     # raises DivergenceError exactly when some bound does
     past = min(b, 6.0) * 1.5
-    lows = data.draw(st.lists(st.just(0.0) | st.floats(0.01, past) | st.just(min(b, 6.0)),
+    lows = data.draw(st.lists(st.just(0.0) | st.floats(1e-6, past) | st.just(min(b, 6.0)),
                               min_size=1, max_size=8))
 
     def scalar(x):

@@ -5,6 +5,7 @@ import pytest
 
 from besovlab import quadrature
 from besovlab.errors import DivergenceError, InputError
+from besovlab.experiments import run
 from besovlab.fields import (Field, RegionSpec, default_region, make_field, scale_field,
                              truncate)
 from besovlab.kernels import RadialKernelFamily
@@ -15,8 +16,8 @@ from besovlab.seminorms import (FunctionalParams, besov_constant_at,
                                 directional_variation, gagliardo_constant_at,
                                 gagliardo_region_integrals,
                                 gagliardo_seminorm_q, gagliardo_split_bounds,
-                                interpolation_check, lq_norm_q,
-                                spherical_variation,
+                                default_shift_grid, interpolation_check,
+                                lq_norm_q, spherical_variation,
                                 variation_inequality_check)
 
 from oracles import sphere_rule
@@ -91,6 +92,47 @@ def test_besov_seminorm_runs_on_its_budget_and_seed(monkeypatch):
             for seed in (1, 2)]
     assert runs[0].value != runs[1].value
     assert sum(pairs) == 2 * len(grid) * 3_000 and len(streams) == len(grid)
+
+
+@pytest.fixture
+def pair_batches(monkeypatch):
+    """The size of every Monte Carlo batch that _pair_values evaluates."""
+    values, sizes = quadrature._pair_values, []
+
+    def count(f, region, x, shift, q):
+        sizes.append(len(x))
+        return values(f, region, x, shift, q)
+    monkeypatch.setattr(quadrature, "_pair_values", count)
+    return sizes
+
+
+def test_audit_seminorms_run_on_the_budget(disk, tent2, pair_batches):
+    # the Besov seminorms behind the split bounds and the interpolation check
+    # draw every Monte Carlo batch from the budget passed in
+    budget = QuadBudget(max_evaluations=3_000)
+    params = FunctionalParams.make(2.0, 0.3, region=RegionSpec.box([-0.52, -0.52],
+                                                                   [0.52, 0.52]))
+    gagliardo_split_bounds(disk, tent2, params, 0.05, 0.1, 0.5, budget=budget)
+    assert pair_batches and set(pair_batches) == {3_000}
+    pair_batches.clear()
+    interpolation_check(disk, 2.0, 3.0, budget=budget)
+    assert pair_batches and set(pair_batches) == {3_000}
+
+
+def test_interpolation_run_uses_the_config_budget(tmp_path, pair_batches):
+    run({"kind": "interpolation", "field": {"name": "disk_2d"},
+         "budget": {"max_evaluations": 2_000}}, str(tmp_path))
+    assert pair_batches and set(pair_batches) == {2_000}
+
+
+def test_shift_grid_holds_each_pair_once(step):
+    # F(-h) = F(h), so the grid keeps one shift of each pair h, -h
+    for f in (step, make_field("disk_2d"), make_field("ball_3d")):
+        grid = np.array(default_shift_grid(f))
+        assert not any(np.allclose(a, -b) for i, a in enumerate(grid) for b in grid[i:])
+    two = make_field("two_steps_1d")
+    both = [s * h for h in default_shift_grid(two) for s in (1.0, -1.0)]
+    assert besov_seminorm_q(two, P2).value == besov_seminorm_q(two, P2, h_grid=both).value
 
 
 def test_besov_homogeneity(step):
