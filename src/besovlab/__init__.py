@@ -17,7 +17,7 @@ from .limits import (EpsilonGrid, EpsilonSweepResult, chain_check,
 from .mollifiers import MollifierSpec, make_mollifier, mollifier_bound_check, mollify
 from .quadrature import (PiecewisePower, QuadBudget, QuadResult, pair_integral,
                          radial_integral, shift_integral)
-from .seminorms import (FunctionalParams, FunctionalValue, besov_constant_at,
+from .seminorms import (FunctionalParams, besov_constant_at,
                         besov_seminorm_q, brq_double_integral,
                         directional_variation, gagliardo_constant_at,
                         gagliardo_seminorm_q, gagliardo_split_bounds,

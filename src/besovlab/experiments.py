@@ -543,7 +543,8 @@ def _run_bounds_audit(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
         bounds = gagliardo_split_bounds(f, m, params, eps, beta, gamma, budget=s.budget)
         measured = gagliardo_region_integrals(f, m, params, eps, beta, gamma,
                                               budget=s.budget)
-        for name, bd, (mv, me) in zip(("tail", "annulus", "core"), bounds, measured):
+        for name, bd, r in zip(("tail", "annulus", "core"), bounds, measured):
+            mv, me = r.value, r.error_estimate
             violation = max(0.0, mv - bd - 3.0 * me)
             verdicts.append(verdict(
                 f"split_{name}_eps{eps:g}_b{beta:g}_g{gamma:g}", violation, 0.0,

@@ -85,8 +85,6 @@ def _eval_row(functional: Callable, eps: float) -> SweepRow:
     if hasattr(out, "value"):
         return SweepRow(eps=eps, value=float(out.value),
                         error=float(out.error_estimate), ok=True)
-    if isinstance(out, tuple):
-        return SweepRow(eps=eps, value=float(out[0]), error=float(out[1]), ok=True)
     return SweepRow(eps=eps, value=float(out), error=0.0, ok=True)
 
 

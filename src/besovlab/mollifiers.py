@@ -376,6 +376,6 @@ def mollifier_bound_check(f: Field, m: MollifierSpec, eps: float,
     """Shifted L^q mass of the mollified field against the contraction bound
     abs_mass^q times the same mass of the raw field."""
     u_eps = mollify(f, m, eps)
-    lhs, _ = shift_integral(u_eps, None, h, q)
-    raw, _ = shift_integral(f, None, h, q)
+    lhs = shift_integral(u_eps, None, h, q).value
+    raw = shift_integral(f, None, h, q).value
     return lhs, m.abs_mass ** q * raw

@@ -31,8 +31,8 @@ that row in `QuadResult.path`:
   stratum's draws depend only on the seed, the stream and the stratum.
 
 Every engine takes (f, region, weight, a, b, q, budget, stream) and returns a
-`QuadResult`; `pair_integral` alone applies the overflow guard and the
-low-confidence rule.
+`QuadResult`; `pair_integral` alone applies the overflow guard.  `_rated`
+builds every pair- and shift-integral record, with the one low-confidence rule.
 """
 
 from __future__ import annotations
@@ -82,8 +82,23 @@ class QuadResult:
     error_estimate: float
     evaluations_used: int
     low_confidence: bool = False
-    # the `_ENGINES` row that produced a pair integral; None elsewhere
+    # the `_ENGINES` row or shift rule that produced the value; None elsewhere
     path: Optional[str] = None
+    # the functional and its arguments, set by the seminorms functionals
+    provenance: str = ""
+
+    def scaled(self, factor: float, provenance: str = "") -> "QuadResult":
+        """This record with value and error times factor, named provenance."""
+        return replace(self, value=self.value * factor,
+                       error_estimate=self.error_estimate * factor, provenance=provenance)
+
+
+def _rated(path: str, budget: QuadBudget, value: float, error: float = 0.0,
+           evaluations: int = 0) -> QuadResult:
+    """The record of what path computed, low-confidence when the error
+    exceeds budget.target_rel_error of the value."""
+    low = not error <= budget.target_rel_error * max(abs(value), 1e-300)
+    return QuadResult(value, error, evaluations, low, path)
 
 
 # ---------------------------------------------------------------------------
@@ -265,31 +280,33 @@ def _indicator(f: Field, region: Optional[RegionSpec], reach: float):
 
 
 def shift_integral(f: Field, region: Optional[RegionSpec], h, q: float,
-                   budget: Optional[QuadBudget] = None, stream: int = 0):
-    """F(h) as (value, error_estimate); region=None integrates over R^N.
+                   budget: Optional[QuadBudget] = None, stream: int = 0) -> QuadResult:
+    """F(h); region=None integrates over R^N.
 
     Exact, error 0, for indicators of one ball or box that the region does
-    not clip and for piecewise-constant 1D fields; panel Gauss-Legendre for
-    other 1D fields, the error the change on the lower order; otherwise
-    Monte Carlo over the budget, with an error of two standard errors.
-    """
+    not clip (path `indicator`) and for piecewise-constant 1D fields
+    (`piecewise_1d`); panel Gauss-Legendre for other 1D fields, the error the
+    change on the lower order (`smooth_1d`); else Monte Carlo over the budget,
+    two standard errors (`mc`).  evaluations_used counts x-nodes or samples."""
     h = np.atleast_1d(np.asarray(h, dtype=float))
     if h.shape != (f.dim_in,):
         raise InputError("shift vector dimension mismatch")
+    budget = budget or QuadBudget()
     hnorm = float(np.linalg.norm(h))
     if hnorm == 0.0:
-        return 0.0, 0.0
+        return QuadResult(0.0, 0.0, 0)
     ind = _indicator(f, region, hnorm)
     if ind is not None:
-        return ind[1] ** q * float(_symdiff_measure(ind[0], h)), 0.0
+        return _rated("indicator", budget, ind[1] ** q * float(_symdiff_measure(ind[0], h)))
     if f.dim_in > 1:
-        return _shift_integral_mc(f, region, h, q, budget or QuadBudget(), stream)
+        return _shift_integral_mc(f, region, h, q, budget, stream)
     # 1D: exact for piecewise-constant fields, else panel Gauss-Legendre of
     # orders 12 and 6 with the error their difference
     if f.kind == "piecewise":
-        return float(_piecewise_shifts_1d(f, region, h, q)[0]), 0.0
-    vhi, vlo = _smooth_shift_integrals_1d(f, region, h, q, 64, (12, 6))[0]
-    return float(vhi), abs(float(vhi) - float(vlo))
+        return _rated("piecewise_1d", budget, float(_piecewise_shifts_1d(f, region, h, q)[0]))
+    vals, nodes = _smooth_shift_integrals_1d(f, region, h, q, 64, (12, 6))
+    vhi, vlo = vals[0]
+    return _rated("smooth_1d", budget, float(vhi), abs(float(vhi) - float(vlo)), nodes)
 
 
 def _edge_points_1d(f: Field, region) -> np.ndarray:
@@ -355,16 +372,14 @@ def _piecewise_shifts_1d(f: Field, region, ts: np.ndarray, q: float) -> np.ndarr
 
 
 def _smooth_shift_integrals_1d(f: Field, region, ts: np.ndarray, q: float,
-                               x_div: int, x_orders,
-                               nodes: Optional[list] = None) -> np.ndarray:
-    """F(t) for each radius t in ts by panel Gauss-Legendre in x, once per
-    order in x_orders: an array of shape (len(ts), len(x_orders)).
+                               x_div: int, x_orders) -> tuple:
+    """(F(t) for each radius t in ts, by panel Gauss-Legendre in x once per
+    order in x_orders, as an array (len(ts), len(x_orders)); the x-nodes used).
 
     Each merged interval is split into equal panels no longer than
     (hi - lo) / x_div.  Consecutive radii share one field evaluation at x and
     one at x + t per block of about _BLOCK_POINTS nodes, and each value is
-    still its own radius's weights @ integrand values.  When a list is
-    given as nodes, the number of x-nodes is appended to it."""
+    still its own radius's weights @ integrand values."""
     out = np.zeros((len(ts), len(x_orders)))
     rows, lo, hi = _merged_edges_1d(f, region, ts)
     # merged intervals in radius order, each split into k equal panels
@@ -374,8 +389,6 @@ def _smooth_shift_integrals_1d(f: Field, region, ts: np.ndarray, q: float,
     k = np.maximum(1, np.ceil(width / ((hi - lo) / x_div)[row])).astype(np.int64)
     npan = np.bincount(row, weights=k, minlength=len(ts)).astype(np.int64)
     npts = npan * sum(x_orders)
-    if nodes is not None:
-        nodes.append(int(np.sum(npts)))
     block = (np.cumsum(npts) - npts) // _BLOCK_POINTS
     cuts = np.concatenate([[0], np.flatnonzero(np.diff(block)) + 1, [len(ts)]])
     for r0, r1 in zip(cuts[:-1], cuts[1:]):
@@ -406,7 +419,7 @@ def _smooth_shift_integrals_1d(f: Field, region, ts: np.ndarray, q: float,
                 s = e - npan[r] * order
                 out[r, c] = w[s:e] @ vals[off + s:off + e]
             off += len(w)
-    return out
+    return out, int(np.sum(npts))
 
 
 def _pair_values(f: Field, region, x: np.ndarray, shift: np.ndarray, q: float):
@@ -441,14 +454,14 @@ _SHIFT_CHUNK = 200_000
 
 
 def _shift_integral_mc(f: Field, region, h: np.ndarray, q: float,
-                       budget: QuadBudget, stream: int, sphere: bool = False):
+                       budget: QuadBudget, stream: int, sphere: bool = False) -> QuadResult:
     """F(h) by Monte Carlo over x; with sphere, each x takes its own uniform
     direction n, drawn after it, and the shift |h| n, so the value is the
     mean of F over the sphere of radius |h|."""
     reach = float(np.linalg.norm(h))
     lo, hi = _sample_box(f, region, reach)
     if np.any(hi <= lo):
-        return 0.0, 0.0
+        return _rated("mc", budget, 0.0)
     vol = float(np.prod(hi - lo))
     # the whole budget, in chunks of at most _SHIFT_CHUNK points; chunk k
     # draws from stratum k of the stream
@@ -462,23 +475,29 @@ def _shift_integral_mc(f: Field, region, h: np.ndarray, q: float,
     vals = np.concatenate(chunks)
     value = vol * float(np.mean(vals))
     err = 2.0 * vol * float(np.std(vals)) / math.sqrt(len(vals))
-    return value, err
+    return _rated("mc", budget, value, err, len(vals))
 
 
 # ---------------------------------------------------------------------------
 # The radially-weighted pair integral engine
 # ---------------------------------------------------------------------------
 
+def _graded_nodes(lo: np.ndarray, span: np.ndarray, npts: int):
+    """Gauss-Legendre nodes and weights of order npts on the panels [lo, lo +
+    span] (arrays ending in an axis of 1), mapped by lo + span (3u^2 - 2u^3),
+    u in [0, 1], which makes a square-root edge at either end smooth."""
+    x, w = _gl(npts)
+    u = 0.5 * (x + 1.0)
+    return lo + span * u * u * (3.0 - 2.0 * u), span * 3.0 * u * (1.0 - u) * w
+
+
 def _t_panels(edges: np.ndarray, graded: np.ndarray, npts: int):
     """_panel_nodes on the panels between edges, except that a graded panel
-    runs through lo + span (3u^2 - 2u^3), u in [0, 1]."""
+    takes _graded_nodes."""
     nodes, weights = _panel_nodes(edges[:-1], edges[1:], npts)
     if np.any(graded):
-        x, w = _gl(npts)
-        u = 0.5 * (x + 1.0)
-        lo, span = edges[:-1][graded, None], np.diff(edges)[graded, None]
-        nodes.reshape(-1, npts)[graded] = lo + span * u * u * (3.0 - 2.0 * u)
-        weights.reshape(-1, npts)[graded] = span * 3.0 * u * (1.0 - u) * w
+        nodes.reshape(-1, npts)[graded], weights.reshape(-1, npts)[graded] = _graded_nodes(
+            edges[:-1][graded, None], np.diff(edges)[graded, None], npts)
     return nodes, weights
 
 
@@ -593,17 +612,17 @@ def _pair_integral_smooth_1d(f: Field, region, weight: PiecewisePower, a: float,
         r = _pair_integral_smooth_1d(scale_field(f, 1.0 / scale), region, weight, a, b, q,
                                      budget, stream)
         half = scale ** (q / 2.0)
-        return QuadResult(r.value * half * half, r.error_estimate * half * half,
-                          r.evaluations_used)
+        return r.scaled(half).scaled(half)
     quality = _quality_1d(f)
     nodes = []
     ulp = np.spacing(2.0 * float(np.max(np.abs(support_bbox(f)))))
 
     def pair_sums(ts):
         snapped = np.maximum(np.round(ts / ulp), 1.0) * ulp
-        return 2.0 * (_smooth_shift_integrals_1d(f, region, snapped, q, quality["x_div"],
-                                                 (quality["x_order"],), nodes)[:, 0]
-                      * (ts / snapped) ** q)
+        vals, n = _smooth_shift_integrals_1d(f, region, snapped, q, quality["x_div"],
+                                             (quality["x_order"],))
+        nodes.append(n)
+        return 2.0 * (vals[:, 0] * (ts / snapped) ** q)
     value, err = _t_integral(pair_sums, weight, a, b, q, _shift_breaks_1d(f, region),
                              n_panels=quality["t_panels"], order=quality["t_order"])
     return QuadResult(value, float(err + 16.0 * np.finfo(float).eps * abs(value)), sum(nodes))
@@ -641,8 +660,7 @@ def _box_sphere_sum(side: np.ndarray, ts: np.ndarray, order: int) -> np.ndarray:
     D = _box_deficit(s1, s2, .), whose bracket is s3 D + t c (h - D) while
     t c < s3.  The integrand kinks where t c = s3 or t rho is s1, s2 or
     hypot(s1, s2), with square-root edges; between those angles psi runs on
-    Gauss-Legendre panels of the order through psi = lo + span (3u^2 - 2u^3),
-    which makes the edges smooth."""
+    _graded_nodes of the order."""
     if len(side) == 2:
         return 8.0 * _box_deficit(side[0], side[1], ts)
     s1, s2, s3 = side
@@ -652,11 +670,7 @@ def _box_sphere_sum(side: np.ndarray, ts: np.ndarray, order: int) -> np.ndarray:
         [asin(np.minimum(1.0, s / ts)) for s in (s1, s2, math.hypot(s1, s2))]
     edges = np.sort(np.stack([np.zeros_like(ts), *cuts, np.full_like(ts, 0.5 * math.pi)],
                              axis=-1), axis=-1)
-    x, w = _gl(order)
-    u = 0.5 * (x + 1.0)
-    span = np.diff(edges, axis=-1)[..., None]
-    psi = edges[:, :-1, None] + span * u * u * (3.0 - 2.0 * u)
-    wts = span * 3.0 * u * (1.0 - u) * w
+    psi, wts = _graded_nodes(edges[:, :-1, None], np.diff(edges, axis=-1)[..., None], order)
     t, c, rho = ts[:, None, None], np.cos(psi), np.sin(psi)
     d = _box_deficit(s1, s2, t * rho)
     g = np.where(t * c < s3, s3 * d + t * c * (h - d), s3 * h)
@@ -1420,8 +1434,7 @@ def pair_integral(f: Field, region: Optional[RegionSpec], weight: PiecewisePower
 
     window = (a, b) limits |x - y|.  With a = 0, the weight's piece starting
     at 0, ~ t^-s, diverges on a field with jumps once s >= N+1.  The result
-    is low-confidence when its error exceeds budget.target_rel_error of its
-    value, and its path names the engine that ran."""
+    is rated by _rated, and its path names the engine that ran."""
     budget = budget or QuadBudget()
     a, b = float(window[0]), float(window[1])
     if not (0.0 <= a < b) or not math.isfinite(b):
@@ -1438,6 +1451,5 @@ def pair_integral(f: Field, region: Optional[RegionSpec], weight: PiecewisePower
         r = QuadResult(math.inf, math.inf, 0)
     if not abs(r.value) <= OVERFLOW_GUARD:   # inf and nan fail it too
         raise DivergenceError("pair integral exceeded the overflow guard")
-    low = not r.error_estimate <= budget.target_rel_error * max(abs(r.value), 1e-300)
-    return replace(r, low_confidence=low, path=path)
+    return _rated(path, budget, r.value, r.error_estimate, r.evaluations_used)
 

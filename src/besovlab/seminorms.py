@@ -3,15 +3,16 @@ ball-window double integral, directional and spherical shift variations,
 kernel-weighted constants, mollified-seminorm constants, and the
 three-region bound decomposition used by the bounds audits.
 
-Every functional returns its q-th power; the limit identities are stated in
-the q-th power and taking roots only amplifies error.
+Every functional returns its q-th power, as the scaled `QuadResult` of its
+integral with `provenance` set; the limit identities are stated in the q-th
+power and taking roots only amplifies error.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,12 +25,11 @@ from .jumps import jump_variation
 from .kernels import RadialKernelFamily, kernel_profile, kernel_window
 from .mollifiers import MollifierSpec, mollify
 from .quadrature import (_BOX_ORDERS, PiecewisePower, QuadBudget, QuadResult, _box_sphere_sum,
-                         _distinct, _indicator, _panel_nodes, _shift_integral_mc, pair_integral,
-                         shift_integral)
+                         _distinct, _indicator, _panel_nodes, _rated, _shift_integral_mc,
+                         pair_integral, shift_integral)
 
 __all__ = [
     "FunctionalParams",
-    "FunctionalValue",
     "gagliardo_seminorm_q",
     "besov_seminorm_q",
     "brq_double_integral",
@@ -83,24 +83,12 @@ class FunctionalParams:
                                 rq=1.0, p=None if p is None else float(p), region=region)
 
 
-@dataclass(frozen=True)
-class FunctionalValue:
-    value: float
-    error_estimate: float
-    provenance: str
-
-
 def _stream_of(tag: str) -> int:
     return zlib.crc32(tag.encode("utf-8"))
 
 
 def _resolve_region(f: Field, params: FunctionalParams) -> RegionSpec:
     return params.region if params.region is not None else default_region(f)
-
-
-def _result(tag: str, qr: QuadResult) -> FunctionalValue:
-    return FunctionalValue(value=qr.value, error_estimate=qr.error_estimate,
-                           provenance=tag)
 
 
 def lq_norm_q(f: Field, q: float) -> float:
@@ -133,7 +121,7 @@ def lq_norm_q(f: Field, q: float) -> float:
 # ---------------------------------------------------------------------------
 
 def gagliardo_seminorm_q(f: Field, params: FunctionalParams,
-                         budget: Optional[QuadBudget] = None) -> FunctionalValue:
+                         budget: Optional[QuadBudget] = None) -> QuadResult:
     """[u]^q_{W^{r,q}(E)}: double integral with weight |x-y|^{-(N+rq)}.
 
     Raises DivergenceError for piecewise-constant fields with jumps once
@@ -146,7 +134,7 @@ def gagliardo_seminorm_q(f: Field, params: FunctionalParams,
     diam = float(np.linalg.norm(bb[1] - bb[0]))
     qr = pair_integral(f, region, PiecewisePower.power_law(f.dim_in + params.rq),
                        (0.0, diam), params.q, budget=budget, stream=_stream_of(tag))
-    return _result(tag, qr)
+    return replace(qr, provenance=tag)
 
 
 def default_shift_grid(f: Field):
@@ -168,12 +156,14 @@ def default_shift_grid(f: Field):
 
 def besov_seminorm_q(f: Field, params: FunctionalParams,
                      h_grid: Optional[Sequence] = None,
-                     budget: Optional[QuadBudget] = None) -> FunctionalValue:
-    """Max over the shift grid of int |u(x+h)-u(x)|^q chi_E chi_E / |h|^{rq} dx.
+                     budget: Optional[QuadBudget] = None) -> QuadResult:
+    """Max over the shift grid of int |u(x+h)-u(x)|^q chi_E chi_E / |h|^{rq} dx,
+    a lower bound for the sup; provenance records the grid size.
 
-    A certified lower bound for the sup; provenance records the grid size.
     Each shift has its own stream, and a Monte Carlo shift runs on the whole
-    budget."""
+    budget.  The largest of noisy estimates is biased upward, so a Monte Carlo
+    choice is reported as a fresh, unbiased estimate of the chosen shift, on
+    the next stream; evaluations_used counts every shift's."""
     region = _resolve_region(f, params)
     if h_grid is None:
         h_grid = default_shift_grid(f)
@@ -181,23 +171,28 @@ def besov_seminorm_q(f: Field, params: FunctionalParams,
         raise InputError("shift grid must be nonempty")
     tag = (f"besov_seminorm_q[f={f.name},q={params.q:g},rq={params.rq:g},"
            f"grid={len(h_grid)} shifts]")
-    best = 0.0
-    best_err = 0.0
+    best, evals = None, 0
     for i, h in enumerate(h_grid):
         h = np.atleast_1d(np.asarray(h, dtype=float))
         hn = float(np.linalg.norm(h))
         if hn == 0.0:
             raise InputError("shift grid must exclude h = 0")
-        val, err = shift_integral(f, region, h, params.q, budget=budget,
-                                  stream=_stream_of(tag) + i)
-        val = val / hn ** params.rq
-        if val > best:
-            best, best_err = val, err / hn ** params.rq
-    return FunctionalValue(best, best_err, tag)
+        r = shift_integral(f, region, h, params.q, budget=budget, stream=_stream_of(tag) + i)
+        evals += r.evaluations_used
+        if best is None or r.value / hn ** params.rq > best[0]:
+            best = (r.value / hn ** params.rq, h, hn, r)
+    _, h, hn, r = best
+    if r.path == "mc":
+        r = shift_integral(f, region, h, params.q, budget=budget,
+                           stream=_stream_of(tag) + len(h_grid))
+        evals += r.evaluations_used
+    return replace(r, value=r.value / hn ** params.rq,
+                   error_estimate=r.error_estimate / hn ** params.rq,
+                   evaluations_used=evals, provenance=tag)
 
 
 def brq_double_integral(f: Field, params: FunctionalParams, eps: float,
-                        budget: Optional[QuadBudget] = None) -> FunctionalValue:
+                        budget: Optional[QuadBudget] = None) -> QuadResult:
     """int_E eps^-N int_{E cap B_eps(x)} |u(x)-u(y)|^q / |x-y|^{rq} dy dx
     (no unit-ball volume factor): L^N(B_1) times the trivial-kernel
     besov_constant_at."""
@@ -207,12 +202,11 @@ def brq_double_integral(f: Field, params: FunctionalParams, eps: float,
     tag = f"brq_double_integral[f={f.name},q={params.q:g},rq={params.rq:g},eps={eps:g}]"
     bc = besov_constant_at(f, params, RadialKernelFamily("trivial", n), eps,
                            budget=budget)
-    v = unit_ball_volume(n)
-    return FunctionalValue(v * bc.value, v * bc.error_estimate, tag)
+    return bc.scaled(unit_ball_volume(n), tag)
 
 
 def directional_variation(f: Field, params: FunctionalParams, n_vec, eps: float,
-                          budget: Optional[QuadBudget] = None) -> FunctionalValue:
+                          budget: Optional[QuadBudget] = None) -> QuadResult:
     """int_E chi_E(x + eps n) |u(x + eps n) - u(x)|^q / eps^{rq} dx."""
     if eps <= 0.0:
         raise InputError("eps must be positive")
@@ -221,15 +215,13 @@ def directional_variation(f: Field, params: FunctionalParams, n_vec, eps: float,
     tag = (f"directional_variation[f={f.name},q={params.q:g},rq={params.rq:g},"
            f"eps={eps:g},n={n_vec.tolist()}]")
     if float(np.linalg.norm(n_vec)) == 0.0:
-        return FunctionalValue(0.0, 0.0, tag)
-    val, err = shift_integral(f, region, eps * n_vec, params.q,
-                              budget=budget, stream=_stream_of(tag))
-    scale = eps ** -params.rq
-    return FunctionalValue(val * scale, err * scale, tag)
+        return QuadResult(0.0, 0.0, 0, provenance=tag)
+    r = shift_integral(f, region, eps * n_vec, params.q, budget=budget, stream=_stream_of(tag))
+    return r.scaled(eps ** -params.rq, tag)
 
 
 def spherical_variation(f: Field, params: FunctionalParams, eps: float,
-                        budget: Optional[QuadBudget] = None) -> FunctionalValue:
+                        budget: Optional[QuadBudget] = None) -> QuadResult:
     """Sphere-integrated (unnormalized) directional variation; divide by
     sphere_measure(N) for the averaged form."""
     if eps <= 0.0:
@@ -248,23 +240,22 @@ def spherical_variation(f: Field, params: FunctionalParams, eps: float,
         val, low = (amp ** params.q * float(_box_sphere_sum(side, np.array([eps]), order)[0])
                     for order in _BOX_ORDERS)
         err = abs(val - low) + 16.0 * np.finfo(float).eps * abs(val)
-        return FunctionalValue(val * scale, err * scale, tag)
+        return _rated("indicator", budget or QuadBudget(), val, err).scaled(scale, tag)
     if n == 1 or ind is not None:
         # S^0 = {+1, -1} and F(h) = F(-h); an unclipped ball indicator varies
         # alike in every direction.  Either way F is one value on the sphere
-        val, err = shift_integral(f, region, eps * np.eye(n)[0], params.q,
-                                  budget=budget, stream=_stream_of(tag))
+        r = shift_integral(f, region, eps * np.eye(n)[0], params.q,
+                           budget=budget, stream=_stream_of(tag))
     else:
         # region-clipped indicators and other fields: one Monte Carlo over x
         # and the direction together, the mean of F on the sphere of radius eps
-        val, err = _shift_integral_mc(f, region, eps * np.eye(n)[0], params.q,
-                                      budget or QuadBudget(), _stream_of(tag), sphere=True)
-    h = sphere_measure(n)
-    return FunctionalValue(h * (val * scale), h * (err * scale), tag)
+        r = _shift_integral_mc(f, region, eps * np.eye(n)[0], params.q,
+                               budget or QuadBudget(), _stream_of(tag), sphere=True)
+    return r.scaled(scale, tag).scaled(sphere_measure(n), tag)
 
 
 def besov_constant_at(f: Field, params: FunctionalParams, k: RadialKernelFamily,
-                      eps, budget: Optional[QuadBudget] = None) -> FunctionalValue:
+                      eps, budget: Optional[QuadBudget] = None) -> QuadResult:
     """Kernel-weighted double integral
     int int rho_eps(|x-y|) |u(x)-u(y)|^q / |x-y|^{rq} dy dx."""
     if k.dim != f.dim_in:
@@ -278,12 +269,12 @@ def besov_constant_at(f: Field, params: FunctionalParams, k: RadialKernelFamily,
     weight = kernel_profile(k, eps).times_power(-params.rq)
     qr = pair_integral(f, region, weight, (lo, hi), params.q, budget=budget,
                        stream=_stream_of(tag))
-    return _result(tag, qr)
+    return replace(qr, provenance=tag)
 
 
 def gagliardo_constant_at(f: Field, m: MollifierSpec, params: FunctionalParams,
                           eps: float,
-                          budget: Optional[QuadBudget] = None) -> FunctionalValue:
+                          budget: Optional[QuadBudget] = None) -> QuadResult:
     """(1 / |ln eps|) [u * eta_(eps)]^q_{W^{r,q}(E)}."""
     if not (0.0 < eps < 1.0 / math.e):
         raise InputError("gagliardo constants need eps in (0, 1/e)")
@@ -291,10 +282,9 @@ def gagliardo_constant_at(f: Field, m: MollifierSpec, params: FunctionalParams,
     u_eps = mollify(f, m, eps)
     inner = FunctionalParams(q=params.q, r=params.r, rq=params.rq, region=region)
     gl = gagliardo_seminorm_q(u_eps, inner, budget=budget)
-    scale = 1.0 / abs(math.log(eps))
     tag = (f"gagliardo_constant_at[f={f.name},m={m.kind},q={params.q:g},"
            f"rq={params.rq:g},eps={eps:g}]")
-    return FunctionalValue(gl.value * scale, gl.error_estimate * scale, tag)
+    return gl.scaled(1.0 / abs(math.log(eps)), tag)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +316,7 @@ def gagliardo_region_integrals(f: Field, m: MollifierSpec,
                                beta: float, gamma: float,
                                budget: Optional[QuadBudget] = None):
     """Measured integrals of g^eps(z) over |z| > gamma, beta < |z| < gamma and
-    |z| < beta (over all of R^N, matching the three bounds)."""
+    |z| < beta (over all of R^N, matching the three bounds), as QuadResults."""
     if not (0.0 < beta < gamma):
         raise InputError("need 0 < beta < gamma")
     n = f.dim_in
@@ -338,10 +328,9 @@ def gagliardo_region_integrals(f: Field, m: MollifierSpec,
 
     def piece(a, b):
         if b <= a:
-            return 0.0, 0.0
-        qr = pair_integral(u_eps, None, weight, (a, b), q, budget=budget,
-                           stream=_stream_of(f"split[{a:g},{b:g},eps={eps:g}]"))
-        return qr.value, qr.error_estimate
+            return QuadResult(0.0, 0.0, 0)
+        return pair_integral(u_eps, None, weight, (a, b), q, budget=budget,
+                             stream=_stream_of(f"split[{a:g},{b:g},eps={eps:g}]"))
 
     core = piece(0.0, beta)
     annulus = piece(beta, gamma)
@@ -350,8 +339,7 @@ def gagliardo_region_integrals(f: Field, m: MollifierSpec,
     # is exactly 2 ||u_eps||_q^q with an elementary radial tail
     h = sphere_measure(n)
     tail_far = 2.0 * lq_norm_q(u_eps, q) * h * max(sep, gamma) ** (-rq) / rq
-    tail = (body[0] + tail_far, body[1])
-    return tail, annulus, core
+    return replace(body, value=body.value + tail_far), annulus, core
 
 
 def interpolation_check(f: Field, q: float, p: float,
@@ -377,6 +365,5 @@ def variation_inequality_check(f: Field, h):
     hn = float(np.linalg.norm(h))
     if hn == 0.0:
         raise InputError("shift must be nonzero")
-    val, _ = shift_integral(f, None, h, 1.0)
     tv = jump_variation(jump_set_of(f), 1.0)
-    return val / hn, tv
+    return shift_integral(f, None, h, 1.0).value / hn, tv

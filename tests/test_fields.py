@@ -259,7 +259,8 @@ def test_grid_support_bbox_holds_the_zero_ring():
 def test_grid_shift_integral_past_the_support():
     # four ones at h = 1/4: ||u||^2 = h (4 * 2/3 + 6 * 1/6) = 11/12, and
     # once the shift passes the support F = 2 ||u||^2
-    val, err = shift_integral(_ones_grid(1), None, [3.0], 2.0)
+    r = shift_integral(_ones_grid(1), None, [3.0], 2.0)
+    val, err = r.value, r.error_estimate
     assert val == pytest.approx(11.0 / 6.0, rel=1e-12)
     assert err <= 1e-12
 
@@ -291,6 +292,30 @@ def test_region_roundtrip():
     r2 = RegionSpec.from_dict(r.to_dict())
     pts = np.array([[0.5, 0.5], [2.5, 2.5], [1.5, 1.5]])
     assert np.array_equal(r.contains(pts), r2.contains(pts))
+
+
+@pytest.mark.parametrize("region, dim, box, measure", [
+    (RegionSpec.union_of(RegionSpec.interval(-0.5, 0.6), RegionSpec.interval(1.2, 2.5)), 1,
+     ([-0.5], [2.5]), 2.4),
+    (RegionSpec.union_of(RegionSpec.ball((0.0, 0.0), 1.0), RegionSpec.box([2.0, 2.0], [3.0, 3.0])),
+     2, ([-1.0, -1.0], [3.0, 3.0]), math.pi + 1.0),
+    (RegionSpec.union_of(RegionSpec.interval(0.0, 1.0), RegionSpec.half_space([1.0], -3.0)), 1,
+     None, None),
+    (RegionSpec.complement_of(RegionSpec.interval(0.3, 0.8)), 1, None, None),
+    (RegionSpec.half_space([-1.0], -0.4), 1, None, None),
+    (RegionSpec.half_space([0.6, 0.8], 0.2), 2, None, None),
+], ids=["union_1d", "union_2d", "unbounded_union", "complement", "half_space_1d",
+        "half_space_2d"])
+def test_union_complement_half_space_regions(region, dim, box, measure):
+    assert RegionSpec.from_dict(region.to_dict()) == region
+    assert region.dim == dim
+    if box is None:
+        assert region.bbox() is None
+        with pytest.raises(CapabilityError):
+            region.measure()
+    else:
+        assert tuple(b.tolist() for b in region.bbox()) == box
+        assert region.measure() == pytest.approx(measure, rel=1e-15)
 
 
 def test_jump_patch_invariants(step3, disk):

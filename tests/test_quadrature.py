@@ -16,8 +16,8 @@ from besovlab.fields import (Field, GridSpec, RegionSpec, eval_field, knots_1d,
                              make_field, sample, scale_field, support_bbox)
 from besovlab.kernels import RadialKernelFamily, kernel_profile, kernel_window
 from besovlab.mollifiers import make_mollifier, mollify
-from besovlab.quadrature import (PiecewisePower, QuadBudget, _distinct, _merged_edges_1d,
-                                 _region_1d_edges, _shift_breaks_1d,
+from besovlab.quadrature import (PiecewisePower, QuadBudget, QuadResult, _distinct,
+                                 _merged_edges_1d, _region_1d_edges, _shift_breaks_1d,
                                  _smooth_shift_integrals_1d, _symdiff_measure,
                                  _t_integral, pair_integral, radial_integral,
                                  shift_integral, sphere_measure)
@@ -150,7 +150,7 @@ def test_array_moments_are_the_per_bound_moments(weight, b, extra, data):
 
 @pytest.mark.parametrize("h", [0.05, 0.37, 1.3, -0.6])
 def test_shift_integral_matches_oracle_step(step, h):
-    val, err = shift_integral(step, None, [h], 2.0)
+    val = shift_integral(step, None, [h], 2.0).value
     assert val == pytest.approx(2.0 * min(abs(h), 1.0), abs=1e-12)
     oracle = riemann_shift_1d(step, None, h, 2.0)
     assert val == pytest.approx(oracle, abs=5e-4)
@@ -159,20 +159,20 @@ def test_shift_integral_matches_oracle_step(step, h):
 def test_shift_integral_two_steps_vs_oracle():
     f = make_field("two_steps_1d")
     for h in (0.2, 0.6, -1.1):
-        val, _ = shift_integral(f, None, [h], 2.0)
+        val = shift_integral(f, None, [h], 2.0).value
         oracle = riemann_shift_1d(f, None, h, 2.0)
         assert val == pytest.approx(oracle, abs=5e-3)
 
 
 def test_shift_integral_vector_field(vstep):
     # |amp| = 1 for the rotated step, so totals match the scalar step
-    val, _ = shift_integral(vstep, None, [0.3], 2.0)
+    val = shift_integral(vstep, None, [0.3], 2.0).value
     assert val == pytest.approx(0.6, abs=1e-12)
 
 
 def test_shift_integral_region_restriction(step):
     region = RegionSpec.interval(0.25, 0.75)
-    val, _ = shift_integral(step, region, [0.3], 2.0)
+    val = shift_integral(step, region, [0.3], 2.0).value
     # u(x+0.3) != u(x) only near the jumps, outside [0.25, 0.45]
     oracle = riemann_shift_1d(step, region, 0.3, 2.0)
     assert val == pytest.approx(oracle, abs=5e-4)
@@ -182,15 +182,50 @@ def test_shift_integral_smooth_path(bump, tent):
     from besovlab.mollifiers import mollify
     u_eps = mollify(make_field("step_1d"), tent, 0.15)
     for h in (0.05, 0.4):
-        val, err = shift_integral(u_eps, None, [h], 2.0)
+        val = shift_integral(u_eps, None, [h], 2.0).value
         oracle = riemann_shift_1d(u_eps, None, h, 2.0)
         assert val == pytest.approx(oracle, abs=5e-4)
-    vb, _ = shift_integral(bump, None, [0.2], 2.0)
+    vb = shift_integral(bump, None, [0.2], 2.0).value
     assert vb == pytest.approx(riemann_shift_1d(bump, None, 0.2, 2.0), rel=1e-4)
 
 
+# (region, its edges): every kind a 1D config's region section can name
+_REGION_KINDS = {
+    "union": (RegionSpec.union_of(RegionSpec.interval(-0.5, 0.6), RegionSpec.interval(1.2, 2.5)),
+              [-0.5, 0.6, 1.2, 2.5]),
+    "complement": (RegionSpec.complement_of(RegionSpec.interval(0.3, 0.8)), [0.3, 0.8]),
+    "half_space+": (RegionSpec.half_space([1.0], 0.7), [0.7]),
+    "half_space-": (RegionSpec.half_space([-1.0], -0.4), [0.4]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_REGION_KINDS))
+@pytest.mark.parametrize("eps", [None, 0.1])
+@pytest.mark.parametrize("t", [0.05, 0.7])
+def test_shift_integral_over_region_kinds(kind, eps, t):
+    f = make_field("two_steps_1d")
+    if eps is not None:
+        f = mollify(f, make_mollifier("tent"), eps)
+    region, edges = _REGION_KINDS[kind]
+
+    def integrand(x):
+        pts = np.array([[x], [x + t]])
+        u = eval_field(f, pts)[:, 0]
+        return (u[1] - u[0]) ** 2 * float(np.all(region.contains(pts)))
+    # x or x + t lies in the support; split at the knots and edges, as they
+    # are and less t
+    (lo,), (hi,) = support_bbox(f)
+    cuts = np.concatenate([knots_1d(f), edges])
+    xs = sorted({lo - t, hi, *(c for c in np.concatenate([cuts, cuts - t]) if lo - t < c < hi)})
+    ref = sum(sciint.quad(integrand, x0, x1, epsabs=1e-15, epsrel=1e-13)[0]
+              for x0, x1 in zip(xs[:-1], xs[1:]))
+    got = shift_integral(f, region, [t], 2.0)
+    assert got.path == ("piecewise_1d" if eps is None else "smooth_1d")
+    assert abs(got.value - ref) <= 1e-12
+
+
 def test_shift_integral_zero_shift(step):
-    assert shift_integral(step, None, [0.0], 2.0) == (0.0, 0.0)
+    assert shift_integral(step, None, [0.0], 2.0) == QuadResult(0.0, 0.0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -388,19 +423,38 @@ def steps_in_interval(draw):
     return f, region, xs + [region.lo[0], region.hi[0]]
 
 
+def _step_and_interval(x0, x1, amp, lo, hi):
+    """One step of amplitude amp on [x0, x1] in the interval [lo, hi], in the
+    form steps_in_interval draws."""
+    f = Field(1, 1, "piecewise", {"pieces": ((RegionSpec.interval(x0, x1), np.array([amp])),)},
+              support_radius=max(abs(x0), abs(x1)), name="random_steps")
+    return f, RegionSpec.interval(lo, hi), [x0, x1, lo, hi]
+
+
 @PROPERTY
 @given(field=steps_in_interval(), s=st.floats(0.0, 1.89),
        a=st.one_of(st.just(0.0), st.floats(0.01, 2.0)), width=st.floats(0.01, 3.0),
        q=st.floats(1.0, 3.0))
+# the region overhangs the step by d = 4.87e-12: the integral is 8 sqrt(d),
+# half of it on (d, 0.1), where quad in t reads -6.2e-11 with an error of
+# 2e-22, so one quad over the window read half the value
+@example(field=_step_and_interval(0.0, 0.1, -1.0, 0.0, 0.1000000000048713), s=1.5, a=0.0,
+         width=1.0, q=1.0)
 def test_exact_1d_engine_matches_scipy_quad(field, s, a, width, q):
     f, region, pts = field
     b = a + width
     got = pair_integral(f, region, PiecewisePower.power_law(s), (a, b), q)
     breaks = sorted({abs(x - y) for x in pts for y in pts} - {0.0})
-    inner = [t for t in breaks if a < t < b]
-    ref, _ = sciint.quad(
-        lambda t: 2.0 * t ** -s * shift_integral(f, region, [t], q)[0], a, b,
-        points=inner or None, limit=400, epsabs=0.0, epsrel=1e-11)
+    ends = [a] + [t for t in breaks if a < t < b] + [b]
+
+    def g(t):
+        return 2.0 * t ** -s * shift_integral(f, region, [t], q).value
+    # one quad per segment between breaks; past the first, in u = ln t, so a
+    # segment far shorter than its distance from 0 is resolved
+    ref = sciint.quad(g, ends[0], ends[1], limit=400, epsabs=0.0, epsrel=1e-11)[0]
+    for t0, t1 in zip(ends[1:-1], ends[2:]):
+        ref += sciint.quad(lambda u: g(math.exp(u)) * math.exp(u), math.log(t0), math.log(t1),
+                           limit=400, epsabs=1e-16, epsrel=1e-11)[0]
     assert got.error_estimate == 0.0
     assert got.value == pytest.approx(ref, rel=1e-9, abs=1e-13)
 
@@ -409,8 +463,8 @@ def test_exact_1d_engine_matches_scipy_quad(field, s, a, width, q):
 @given(field=steps_in_interval(), t=st.floats(0.001, 5.0), q=st.floats(1.0, 3.0))
 def test_shift_integral_even_in_t(field, t, q):
     f, region, _ = field
-    fwd, _ = shift_integral(f, region, [t], q)
-    back, _ = shift_integral(f, region, [-t], q)
+    fwd = shift_integral(f, region, [t], q).value
+    back = shift_integral(f, region, [-t], q).value
     assert fwd == pytest.approx(back, rel=1e-12, abs=1e-14)
 
 
@@ -482,12 +536,13 @@ def test_batched_smooth_engine_is_the_per_radius_rule(kind, eps, box, ts, q, x_d
     f = _smooth_field(kind, eps)
     region = None if box is None else RegionSpec.interval(box[0], box[0] + box[1])
     ts = np.array(ts)
-    got = _smooth_shift_integrals_1d(f, region, ts, q, x_div, (order,))[:, 0]
+    got = _smooth_shift_integrals_1d(f, region, ts, q, x_div, (order,))[0][:, 0]
     ref = [_loop_shift_integral(f, region, float(t), q, x_div, order) for t in ts]
     assert got.tolist() == ref
-    both = _smooth_shift_integrals_1d(f, region, ts, q, 64, (12, 6))
+    both, _ = _smooth_shift_integrals_1d(f, region, ts, q, 64, (12, 6))
     for t, (vhi, vlo) in zip(ts, both):
-        assert shift_integral(f, region, float(t), q) == (vhi, abs(vhi - vlo))
+        r = shift_integral(f, region, float(t), q)
+        assert (r.value, r.error_estimate) == (vhi, abs(vhi - vlo))
         assert vhi == _loop_shift_integral(f, region, float(t), q, 64, 12)
 
 
@@ -518,7 +573,7 @@ def test_batched_smooth_engine_block_cap(monkeypatch, cap):
     f = _smooth_field("tent", 0.1)
     ts = np.concatenate([np.geomspace(1e-4, 2.5, 40), -np.geomspace(1e-3, 1.0, 7)])
     for region in (None, RegionSpec.interval(-0.5, 2.5)):
-        expect = _smooth_shift_integrals_1d(f, region, ts, 2.0, 64, (12, 6))
+        expect = _smooth_shift_integrals_1d(f, region, ts, 2.0, 64, (12, 6))[0]
         calls = []
 
         def counting(field, x):
@@ -526,7 +581,7 @@ def test_batched_smooth_engine_block_cap(monkeypatch, cap):
             return eval_field(field, x)
         monkeypatch.setattr(quadrature, "_BLOCK_POINTS", cap)
         monkeypatch.setattr(quadrature, "eval_field", counting)
-        got = _smooth_shift_integrals_1d(f, region, ts, 2.0, 64, (12, 6))
+        got = _smooth_shift_integrals_1d(f, region, ts, 2.0, 64, (12, 6))[0]
         monkeypatch.undo()
         assert np.array_equal(got, expect)
         # one evaluation at x and one at x + t per block
@@ -541,10 +596,11 @@ def test_batched_smooth_engine_empty_support():
     ts = np.array([0.5, 3.0, 4.5, -0.2])
     _, lo, hi = _merged_edges_1d(f, region, ts)
     assert (hi <= lo).tolist() == [True, False, False, True]
-    out = _smooth_shift_integrals_1d(f, region, ts, 2.0, 64, (12, 6))
+    out, _ = _smooth_shift_integrals_1d(f, region, ts, 2.0, 64, (12, 6))
     assert np.array_equal(out, np.zeros((4, 2)))
-    assert shift_integral(f, region, 0.5, 2.0) == (0.0, 0.0)
-    empty = _smooth_shift_integrals_1d(f, region, np.array([0.5, 1.0]), 2.0, 64, (12,))
+    r = shift_integral(f, region, 0.5, 2.0)
+    assert (r.value, r.error_estimate) == (0.0, 0.0)
+    empty, _ = _smooth_shift_integrals_1d(f, region, np.array([0.5, 1.0]), 2.0, 64, (12,))
     assert np.array_equal(empty, np.zeros((2, 1)))
 
 
@@ -739,13 +795,14 @@ def test_shift_mc_uses_the_whole_budget(disk, tent2):
     errs = []
     for cap in (200_000, 800_000):
         budget = QuadBudget(max_evaluations=cap, rng_seed=3)
-        errs.append(_shift_integral_mc(u, None, h, 2.0, budget, stream=9)[1])
+        errs.append(_shift_integral_mc(u, None, h, 2.0, budget, stream=9).error_estimate)
     assert errs[1] == pytest.approx(0.5 * errs[0], rel=0.1)
     # a budget of at most 200k samples is one chunk, drawn from stratum 0
     lo, hi = quadrature._sample_box(u, None, float(np.linalg.norm(h)))
     x = lo + (hi - lo) * _stream_rng(3, 9, 0).random((70_000, 2))
     vals = np.linalg.norm(eval_field(u, x + h) - eval_field(u, x), axis=-1) ** 2.0
     vol = float(np.prod(hi - lo))
-    assert _shift_integral_mc(u, None, h, 2.0, QuadBudget(max_evaluations=70_000, rng_seed=3),
-                              stream=9) == (vol * float(np.mean(vals)),
-                                            2.0 * vol * float(np.std(vals)) / math.sqrt(70_000))
+    r = _shift_integral_mc(u, None, h, 2.0, QuadBudget(max_evaluations=70_000, rng_seed=3),
+                           stream=9)
+    assert (r.value, r.error_estimate) == (vol * float(np.mean(vals)),
+                                           2.0 * vol * float(np.std(vals)) / math.sqrt(70_000))
