@@ -13,7 +13,7 @@ from .experiments import (EXPERIMENT_KINDS, ExperimentConfig, csv_text,
                           default_config, json_text, kernel_audit_table, run,
                           sweep_table, validate_config, write_csv)
 from .jumps import dimensional_constants
-from .kernels import RadialKernelFamily
+from .kernels import KERNELS, RadialKernelFamily
 from .limits import epsilon_sweep
 from .seminorms import (besov_constant_at, besov_seminorm_q,
                         brq_double_integral, directional_variation,
@@ -100,12 +100,8 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_kernel_check(args) -> int:
-    kernel_kwargs = {}
-    if args.family == "logarithmic":
-        kernel_kwargs["omega"] = args.omega
-    if args.family == "sigma_approx":
-        kernel_kwargs["sigma_ratio"] = args.sigma_ratio
-    k = RadialKernelFamily(args.family, args.dim, **kernel_kwargs)
+    # each family reads only its own parameter
+    k = RadialKernelFamily(args.family, args.dim, omega=args.omega, sigma_ratio=args.sigma_ratio)
     _emit_csv(args.out, f"kernel_audit_{k.kind}_N{args.dim}.csv",
               *kernel_audit_table(k, _load_config(args)))
     return 0
@@ -159,8 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_constants)
 
     p = sub.add_parser("kernel-check", help="CSV audit of one kernel family")
-    p.add_argument("--family", required=True,
-                   choices=("trivial", "logarithmic", "sigma_approx"))
+    p.add_argument("--family", required=True, choices=tuple(KERNELS))
     p.add_argument("--dim", type=int, default=1, choices=(1, 2, 3))
     p.add_argument("--omega", type=float, default=0.5)
     p.add_argument("--sigma-ratio", dest="sigma_ratio", type=float, default=0.5)

@@ -13,21 +13,21 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import statistics
+import typing
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InputError
-from .fields import (Field, RegionSpec, jump_set_of, make_field, sphere_measure,
-                     sup_amplitude, truncate)
+from .errors import InputError, built, built_kind, number, require
+from .fields import (FIELDS, Field, RegionSpec, jump_set_of, sphere_measure, sup_amplitude,
+                     truncate)
 from .jumps import dimensional_constants, jump_variation, sphere_moment
-from .kernels import NegLogEps, RadialKernelFamily, audit_rows
+from .kernels import KERNELS, NegLogEps, RadialKernelFamily, audit_rows
 from .limits import EpsilonGrid, chain_check, epsilon_sweep, verdict
-from .mollifiers import MollifierSpec, make_mollifier
+from .mollifiers import MOLLIFIERS, MollifierSpec
 from .quadrature import QuadBudget
 from .seminorms import (FunctionalParams, besov_constant_at, besov_seminorm_q,
                         gagliardo_constant_at, gagliardo_region_integrals,
@@ -55,6 +55,16 @@ class Setup(NamedTuple):
     budget: QuadBudget
 
 
+def _by_key(**defaults):
+    """A config section whose omitted keys take the kind's defaults; the
+    other sections are replaced whole."""
+    return field(default_factory=lambda: dict(defaults), metadata={"by_key": True})
+
+
+# the keys of params: FunctionalParams reads q, r and p, CLI functionals the rest
+_PARAMS_KEYS = ("q", "r", "p", "kernel_index", "direction")
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -64,20 +74,18 @@ class ExperimentConfig:
     mollifier: dict = field(default_factory=lambda: {"kind": "tent"})
     kernels: list = field(default_factory=lambda: [{"kind": "trivial"},
                                                    {"kind": "logarithmic", "omega": 0.5}])
-    eps_grid: dict = field(default_factory=lambda: {"eps0": 0.2, "ratio": 0.5, "count": 10})
-    gagliardo_grid: dict = field(default_factory=lambda: {
-        "eps0": math.exp(-2.0), "ratio": math.exp(-1.0), "count": 8})
-    budget: dict = field(default_factory=lambda: {
-        "max_evaluations": 200_000, "target_rel_error": 1e-3})
+    eps_grid: dict = _by_key(eps0=0.2, ratio=0.5, count=10)
+    gagliardo_grid: dict = _by_key(eps0=math.exp(-2.0), ratio=math.exp(-1.0), count=8)
+    budget: dict = _by_key(max_evaluations=200_000, target_rel_error=1e-3)
     seed: int = 0
     tolerance: float = 0.10
     pair_tolerance: float = 0.05
-    dims: list = field(default_factory=lambda: [1, 2, 3])
-    q_list: list = field(default_factory=lambda: [1.0, 2.0])
-    deltas: list = field(default_factory=lambda: [0.1, 0.01])
-    alphas: list = field(default_factory=lambda: [1.0])
-    truncation_levels: list = field(default_factory=lambda: [0.5, 1.0, 2.0, 3.0, 4.0])
-    shifts: list = field(default_factory=lambda: [0.05, 0.5, 4.0])
+    dims: list[int] = field(default_factory=lambda: [1, 2, 3])
+    q_list: list[float] = field(default_factory=lambda: [1.0, 2.0])
+    deltas: list[float] = field(default_factory=lambda: [0.1, 0.01])
+    alphas: list[float] = field(default_factory=lambda: [1.0])
+    truncation_levels: list[float] = field(default_factory=lambda: [0.5, 1.0, 2.0, 3.0, 4.0])
+    shifts: list[float] = field(default_factory=lambda: [0.05, 0.5, 4.0])
     split_combos: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -90,105 +98,63 @@ class ExperimentConfig:
         """Build the field, region, exponents, mollifier, kernels and budget;
         an error names its config path.  Kinds whose table row pins r take
         r = 1/q exactly."""
-        f = _built("field", make_field, **self.field_spec)
-        region = None if self.region is None else _built("region", RegionSpec.from_dict,
-                                                         self.region)
+        f = built_kind("field", FIELDS, "name", "field name", self.field_spec)
+        region = None if self.region is None else RegionSpec.from_dict(self.region)
         q, p = self.params.get("q", 2.0), self.params.get("p")
         if _KINDS[self.kind][1]:
-            params = _built("params", FunctionalParams.jump_regime, q, p=p, region=region)
+            params = built("params", FunctionalParams.jump_regime, {}, q=q, p=p, region=region)
         else:
-            params = _built("params", FunctionalParams.make, q, self.params.get("r", 0.5),
-                            p=p, region=region)
-        m = _built("mollifier", make_mollifier, dim=f.dim_in, **self.mollifier)
-        return Setup(f, region, params, m, self.build_kernels(f.dim_in), self.build_budget())
+            params = built("params", FunctionalParams.make, {}, q=q, r=self.params.get("r", 0.5),
+                           p=p, region=region)
+        m = built_kind("mollifier", MOLLIFIERS, "kind", "mollifier kind", self.mollifier,
+                       dim=f.dim_in)
+        return Setup(f, region, params, m, self.build_kernels(f.dim_in),
+                     built("budget", QuadBudget, self.budget, rng_seed=self.seed))
 
     def build_kernels(self, dim: int) -> list:
-        return [_built(f"kernels[{i}]", RadialKernelFamily, dim=dim, **k)
+        return [built_kind(f"kernels[{i}]", KERNELS, "kind", "kernel kind", k, dim=dim)
                 for i, k in enumerate(self.kernels)]
 
     def build_eps_grid(self, which: str = "eps_grid") -> EpsilonGrid:
-        g = self.eps_grid if which == "eps_grid" else self.gagliardo_grid
-        return _built(which, EpsilonGrid, eps0=_number(g["eps0"], f"{which}.eps0"),
-                      ratio=_number(g["ratio"], f"{which}.ratio"),
-                      count=_number(g["count"], f"{which}.count", int))
-
-    def build_budget(self) -> QuadBudget:
-        b = self.budget
-        return _built("budget", QuadBudget,
-                      max_evaluations=_number(b["max_evaluations"], "budget.max_evaluations", int),
-                      target_rel_error=_number(b["target_rel_error"], "budget.target_rel_error"),
-                      rng_seed=_number(self.seed, "seed", int))
-
-
-def _require(cond: bool, path: str, message: str):
-    if not cond:
-        raise InputError(f"{path}: {message}")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _number(value, path: str, kind=float):
-    """value as kind when it is a JSON number, an integral one for int;
-    else an InputError naming path."""
-    ok = _is_number(value) and (kind is float or float(value).is_integer())
-    _require(ok, path, "must be an integer" if kind is int else "must be a number")
-    return kind(value)
-
-
-def _built(path: str, build: Callable, /, *args, **values):
-    """build(*args, **values), its errors named by path: an InputError,
-    whose message leads with the argument at fault, as path.argument."""
-    try:
-        return build(*args, **values)
-    except InputError as exc:
-        raise InputError(f"{path}.{exc}") from None
-    except KeyError as exc:
-        raise InputError(f"{path}: missing key {exc}") from None
-    except (ValueError, TypeError, ArithmeticError) as exc:
-        raise InputError(f"{path}: {exc}") from None
+        return built(which, EpsilonGrid, getattr(self, which))
 
 
 def validate_config(d: dict) -> ExperimentConfig:
     """Build a config from a dict, and every section from the config, naming
-    the offending field path on error."""
+    the offending field path on error; a section's keys are those its
+    builder reads.  Numbers and number lists take their annotated types."""
     kind = d.get("kind")
-    _require(kind in _KINDS, "kind",
-             f"must be one of {EXPERIMENT_KINDS}, got {kind!r}")
+    require(kind in _KINDS, "kind",
+            f"must be one of {EXPERIMENT_KINDS}, got {kind!r}")
     merged = default_config(kind).to_dict()
+    by_key = {fd.name for fd in fields(ExperimentConfig) if fd.metadata.get("by_key")}
     for key, value in d.items():
-        if key not in merged:
-            raise InputError(f"{key}: unknown config key")
-        if key in ("field", "mollifier", "params", "budget", "eps_grid", "gagliardo_grid") \
-                or (key == "region" and value is not None):
-            _require(isinstance(value, dict), key, "must be an object")
-        if key in ("params", "budget", "eps_grid", "gagliardo_grid"):
-            known = ("q", "r", "p", "kernel_index", "direction") if key == "params" \
-                else merged[key]
-            for sub in value:
-                _require(sub in known, f"{key}.{sub}", "unknown config key")
-            if key != "params":
-                # omitted keys take the kind's defaults; params is replaced whole
-                value = {**merged[key], **value}
+        require(key in merged, key, "unknown config key")
+        if key in by_key and isinstance(value, dict):
+            value = {**merged[key], **value}
         merged[key] = value
+    require(isinstance(merged["params"], dict), "params", "must be an object")
+    for sub in merged["params"]:
+        require(sub in _PARAMS_KEYS, f"params.{sub}",
+                f"not a parameter (takes {', '.join(_PARAMS_KEYS)})")
     kernels = merged["kernels"]
-    _require(isinstance(kernels, list) and len(kernels) > 0
-             and all(isinstance(k, dict) for k in kernels), "kernels",
-             "must be a non-empty list of kernel specs")
-    for key in ("dims", "q_list", "deltas", "alphas", "truncation_levels", "shifts"):
-        _require(isinstance(merged[key], (list, tuple)), key, "must be a list")
-        for i, v in enumerate(merged[key]):
-            _number(v, f"{key}[{i}]", int if key == "dims" else float)
+    require(isinstance(kernels, list) and len(kernels) > 0, "kernels",
+            "must be a non-empty list of kernel specs")
+    for key, hint in typing.get_type_hints(ExperimentConfig).items():
+        if hint in (int, float):
+            merged[key] = number(merged[key], key, hint)
+        elif typing.get_args(hint) in ((int,), (float,)):
+            require(isinstance(merged[key], (list, tuple)), key, "must be a list")
+            for i, v in enumerate(merged[key]):
+                number(v, f"{key}[{i}]", typing.get_args(hint)[0])
     combos = merged["split_combos"]
-    _require(isinstance(combos, (list, tuple)), "split_combos", "must be a list")
+    require(isinstance(combos, (list, tuple)), "split_combos", "must be a list")
     for i, c in enumerate(combos):
-        _require(isinstance(c, (list, tuple)) and len(c) == 3 and all(map(_is_number, c)),
-                 f"split_combos[{i}]", "must be three numbers")
+        require(isinstance(c, (list, tuple)) and len(c) == 3, f"split_combos[{i}]",
+                "must be three numbers")
+        for j, v in enumerate(c):
+            number(v, f"split_combos[{i}][{j}]")
     merged["field_spec"] = merged.pop("field")
-    merged.update(seed=_number(merged["seed"], "seed", int),
-                  tolerance=_number(merged["tolerance"], "tolerance"),
-                  pair_tolerance=_number(merged["pair_tolerance"], "pair_tolerance"))
     cfg = ExperimentConfig(**merged)
     # every section is built before anything runs
     cfg.build_eps_grid("eps_grid")
@@ -196,14 +162,14 @@ def validate_config(d: dict) -> ExperimentConfig:
     params = cfg.setup().params
     r = cfg.params.get("r")
     if _KINDS[kind][1] and r is not None:
-        _require(abs(_number(r, "params.r") * params.q - 1.0) < 1e-12, "params.r",
-                 "jump-regime experiments need r = 1/q exactly")
+        require(abs(number(r, "params.r") * params.q - 1.0) < 1e-12, "params.r",
+                "jump-regime experiments need r = 1/q exactly")
     if kind == "interpolation":
-        _require(params.p is not None, "params.p", "interpolation needs p > q")
+        require(params.p is not None, "params.p", "interpolation needs p > q")
     idx = cfg.params.get("kernel_index")
     if idx is not None:
-        _require(type(idx) is int and 0 <= idx < len(kernels),
-                 "params.kernel_index", "must be an integer index into kernels")
+        require(type(idx) is int and 0 <= idx < len(kernels),
+                "params.kernel_index", "must be an integer index into kernels")
     return cfg
 
 

@@ -8,6 +8,7 @@ smooth closed forms, and grid samples that extend by zero outside the grid.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -15,10 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, built_kind
 
 __all__ = [
     "RegionSpec",
+    "REGIONS",
     "GridSpec",
     "Field",
     "JumpPatch",
@@ -28,6 +30,7 @@ __all__ = [
     "jump_set_of",
     "sample",
     "make_field",
+    "FIELDS",
     "default_region",
     "support_bbox",
     "knots_1d",
@@ -181,30 +184,33 @@ class RegionSpec:
         raise CapabilityError(f"no closed-form measure for region kind {self.kind!r}")
 
     def to_dict(self) -> dict:
-        if self.kind == "box":
-            return {"kind": "box", "lo": list(self.lo), "hi": list(self.hi)}
-        if self.kind == "ball":
-            return {"kind": "ball", "center": list(self.center), "radius": self.radius}
-        if self.kind == "half_space":
-            return {"kind": "half_space", "normal": list(self.normal), "offset": self.offset}
-        if self.kind == "complement":
-            return {"kind": "complement", "inner": self.inner.to_dict()}
-        return {"kind": "union", "parts": [p.to_dict() for p in self.parts]}
+        """The config object of the region: its kind and its builder's keys."""
+        def plain(v):
+            if isinstance(v, RegionSpec):
+                return v.to_dict()
+            return [plain(x) for x in v] if isinstance(v, tuple) else v
+        keys = inspect.signature(REGIONS[self.kind]).parameters
+        return {"kind": self.kind, **{k: plain(getattr(self, k)) for k in keys}}
 
     @staticmethod
     def from_dict(d: dict) -> "RegionSpec":
-        kind = d.get("kind")
-        if kind == "box":
-            return RegionSpec.box(d["lo"], d["hi"])
-        if kind == "ball":
-            return RegionSpec.ball(d["center"], d["radius"])
-        if kind == "half_space":
-            return RegionSpec.half_space(d["normal"], d["offset"])
-        if kind == "complement":
-            return RegionSpec.complement_of(RegionSpec.from_dict(d["inner"]))
-        if kind == "union":
-            return RegionSpec.union_of(*(RegionSpec.from_dict(p) for p in d["parts"]))
-        raise InputError(f"kind: unknown region kind {kind!r}")
+        """The region of the config object d: its kind and the keys of the
+        kind's builder in REGIONS."""
+        return _region("region", d)
+
+
+def _region(path: str, d) -> RegionSpec:
+    return built_kind(path, REGIONS, "kind", "region kind", d)
+
+
+# region kind -> its builder, whose parameters are its config keys; a nested
+# region is a config object too
+REGIONS = {
+    "box": RegionSpec.box, "ball": RegionSpec.ball, "half_space": RegionSpec.half_space,
+    "complement": lambda inner: RegionSpec.complement_of(_region("inner", inner)),
+    "union": lambda parts: RegionSpec.union_of(*(_region(f"parts[{i}]", p)
+                                                 for i, p in enumerate(parts))),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -678,73 +684,64 @@ def sup_amplitude(f: Field) -> float:
 # Shipped field library
 # ---------------------------------------------------------------------------
 
-# the parameters make_field reads for each named field
-_FIELD_PARAMS = {"step_1d": ("amplitude", "a", "b"), "two_steps_1d": ("amp1", "amp2"),
-                 "vector_step_1d": ("angle", "amplitude"),
-                 "disk_2d": ("radius", "amplitude", "center"),
-                 "box_2d": ("lo", "hi", "amplitude"), "ball_3d": ("radius", "amplitude"),
-                 "gaussian_bump_1d": ("width", "amplitude", "center"),
-                 "constant": ("value", "dim", "support_radius")}
+def _step_1d(amplitude: float = 1.0, a: float = 0.0, b: float = 1.0) -> Field:
+    pieces = ((RegionSpec.interval(a, b), np.array([amplitude])),)
+    return Field(1, 1, "piecewise", {"pieces": pieces},
+                 support_radius=max(abs(a), abs(b)), name="step_1d")
+
+
+def _two_steps_1d(amp1: float = 1.0, amp2: float = -2.0) -> Field:
+    pieces = ((RegionSpec.interval(0.0, 1.0), np.array([amp1])),
+              (RegionSpec.interval(1.5, 2.0), np.array([amp2])))
+    return Field(1, 1, "piecewise", {"pieces": pieces}, support_radius=2.0, name="two_steps_1d")
+
+
+def _vector_step_1d(angle: float = math.pi / 3.0, amplitude: float = 1.0) -> Field:
+    # two-component rotated step, exercises the euclidean |.| on values
+    vec = amplitude * np.array([math.cos(angle), math.sin(angle)])
+    pieces = ((RegionSpec.interval(0.0, 1.0), vec),)
+    return Field(1, 2, "piecewise", {"pieces": pieces}, support_radius=1.0,
+                 name="vector_step_1d")
+
+
+def _disk_2d(radius: float = 0.5, amplitude: float = 1.0, center=(0.0, 0.0)) -> Field:
+    pieces = ((RegionSpec.ball(center, radius), np.array([amplitude])),)
+    rad = float(np.linalg.norm(center)) + radius
+    return Field(2, 1, "piecewise", {"pieces": pieces}, support_radius=rad, name="disk_2d")
+
+
+def _box_2d(lo=(-0.5, -0.5), hi=(0.5, 0.5), amplitude: float = 1.0) -> Field:
+    pieces = ((RegionSpec.box(lo, hi), np.array([amplitude])),)
+    rad = float(np.max(np.abs(np.array([lo, hi]))))
+    return Field(2, 1, "piecewise", {"pieces": pieces}, support_radius=rad, name="box_2d")
+
+
+def _ball_3d(radius: float = 0.5, amplitude: float = 1.0) -> Field:
+    pieces = ((RegionSpec.ball((0.0, 0.0, 0.0), radius), np.array([amplitude])),)
+    return Field(3, 1, "piecewise", {"pieces": pieces}, support_radius=radius, name="ball_3d")
+
+
+def _gaussian_bump_1d(width: float = 0.35, amplitude: float = 1.0, center=(0.5,)) -> Field:
+    payload = {"formula": "gaussian_bump",
+               "params": {"center": center, "width": width, "amplitude": np.array([amplitude])}}
+    rad = abs(float(np.atleast_1d(center)[0])) + 9.0 * width
+    return Field(1, 1, "smooth", payload, support_radius=rad, name="gaussian_bump_1d")
+
+
+def _constant(value=1.0, dim: int = 1, support_radius: float = 1.0) -> Field:
+    value = np.atleast_1d(np.asarray(value, dtype=float))
+    payload = {"formula": "constant", "params": {"value": value}}
+    return Field(dim, len(value), "smooth", payload, support_radius=support_radius,
+                 name="constant")
+
+
+# field name -> its builder, whose parameters are its config keys
+FIELDS = {"step_1d": _step_1d, "two_steps_1d": _two_steps_1d,
+          "vector_step_1d": _vector_step_1d, "disk_2d": _disk_2d, "box_2d": _box_2d,
+          "ball_3d": _ball_3d, "gaussian_bump_1d": _gaussian_bump_1d, "constant": _constant}
 
 
 def make_field(name: str, **params) -> Field:
-    """Construct one of the named test fields used by experiments; a
-    parameter the named field does not read is an error."""
-    if name not in _FIELD_PARAMS:
-        raise InputError(f"name: unknown field name {name!r}")
-    unread = sorted(set(params) - set(_FIELD_PARAMS[name]))
-    if unread:
-        raise InputError(f"{unread[0]}: not a parameter of field {name!r}")
-    if name == "step_1d":
-        amp = float(params.get("amplitude", 1.0))
-        a = float(params.get("a", 0.0))
-        b = float(params.get("b", 1.0))
-        pieces = ((RegionSpec.interval(a, b), np.array([amp])),)
-        return Field(1, 1, "piecewise", {"pieces": pieces},
-                     support_radius=max(abs(a), abs(b)), name=name)
-    if name == "two_steps_1d":
-        a1 = float(params.get("amp1", 1.0))
-        a2 = float(params.get("amp2", -2.0))
-        pieces = ((RegionSpec.interval(0.0, 1.0), np.array([a1])),
-                  (RegionSpec.interval(1.5, 2.0), np.array([a2])))
-        return Field(1, 1, "piecewise", {"pieces": pieces}, support_radius=2.0, name=name)
-    if name == "vector_step_1d":
-        # two-component rotated step, exercises the euclidean |.| on values
-        angle = float(params.get("angle", math.pi / 3.0))
-        amp = float(params.get("amplitude", 1.0))
-        vec = amp * np.array([math.cos(angle), math.sin(angle)])
-        pieces = ((RegionSpec.interval(0.0, 1.0), vec),)
-        return Field(1, 2, "piecewise", {"pieces": pieces}, support_radius=1.0, name=name)
-    if name == "disk_2d":
-        radius = float(params.get("radius", 0.5))
-        amp = float(params.get("amplitude", 1.0))
-        center = params.get("center", (0.0, 0.0))
-        pieces = ((RegionSpec.ball(center, radius), np.array([amp])),)
-        rad = float(np.linalg.norm(center)) + radius
-        return Field(2, 1, "piecewise", {"pieces": pieces}, support_radius=rad, name=name)
-    if name == "box_2d":
-        lo = params.get("lo", (-0.5, -0.5))
-        hi = params.get("hi", (0.5, 0.5))
-        amp = float(params.get("amplitude", 1.0))
-        pieces = ((RegionSpec.box(lo, hi), np.array([amp])),)
-        rad = float(np.max(np.abs(np.array([lo, hi]))))
-        return Field(2, 1, "piecewise", {"pieces": pieces}, support_radius=rad, name=name)
-    if name == "ball_3d":
-        radius = float(params.get("radius", 0.5))
-        amp = float(params.get("amplitude", 1.0))
-        pieces = ((RegionSpec.ball((0.0, 0.0, 0.0), radius), np.array([amp])),)
-        return Field(3, 1, "piecewise", {"pieces": pieces}, support_radius=radius, name=name)
-    if name == "gaussian_bump_1d":
-        width = float(params.get("width", 0.35))
-        amp = float(params.get("amplitude", 1.0))
-        center = params.get("center", (0.5,))
-        payload = {"formula": "gaussian_bump",
-                   "params": {"center": center, "width": width, "amplitude": np.array([amp])}}
-        rad = abs(float(np.atleast_1d(center)[0])) + 9.0 * width
-        return Field(1, 1, "smooth", payload, support_radius=rad, name=name)
-    if name == "constant":
-        value = np.atleast_1d(np.asarray(params.get("value", 1.0), dtype=float))
-        dim = int(params.get("dim", 1))
-        payload = {"formula": "constant", "params": {"value": value}}
-        return Field(dim, len(value), "smooth", payload,
-                     support_radius=float(params.get("support_radius", 1.0)), name=name)
+    """The named test field, built from its parameters as a config object
+    is; a parameter the named field does not read is an error."""
+    return built_kind("field", FIELDS, "name", "field name", {"name": name, **params})

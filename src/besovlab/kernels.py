@@ -22,6 +22,7 @@ from .quadrature import PiecewisePower, QuadResult
 __all__ = [
     "NegLogEps",
     "RadialKernelFamily",
+    "KERNELS",
     "kernel_profile",
     "kernel_mass",
     "support_tail",
@@ -76,7 +77,7 @@ class RadialKernelFamily:
     sigma_ratio: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in ("trivial", "logarithmic", "sigma_approx"):
+        if self.kind not in KERNELS:
             raise InputError(f"kind: unknown kernel kind {self.kind!r}")
         if self.dim not in (1, 2, 3):
             raise InputError("dim: must be 1, 2 or 3")
@@ -84,6 +85,18 @@ class RadialKernelFamily:
             raise InputError("omega: must lie in (0, 1)")
         if self.kind == "sigma_approx" and not (0.0 < self.sigma_ratio < 1.0):
             raise InputError("sigma_ratio: must lie in (0, 1), so that sigma lies in (0, eps)")
+
+    @staticmethod
+    def trivial(dim: int) -> "RadialKernelFamily":
+        return RadialKernelFamily("trivial", dim)
+
+    @staticmethod
+    def logarithmic(dim: int, omega: float) -> "RadialKernelFamily":
+        return RadialKernelFamily("logarithmic", dim, omega=omega)
+
+    @staticmethod
+    def sigma_approx(dim: int, sigma_ratio: float = 0.5) -> "RadialKernelFamily":
+        return RadialKernelFamily("sigma_approx", dim, sigma_ratio=sigma_ratio)
 
     def label(self) -> str:
         if self.kind == "logarithmic":
@@ -104,6 +117,11 @@ class RadialKernelFamily:
             elif L <= 1.0:
                 raise InputError("logarithmic kernel needs |ln eps| > 1")
         return L
+
+
+# kernel kind -> its builder, whose parameters besides dim are its config keys
+KERNELS = {"trivial": RadialKernelFamily.trivial, "logarithmic": RadialKernelFamily.logarithmic,
+           "sigma_approx": RadialKernelFamily.sigma_approx}
 
 
 def _log_norm_denominator(L: float, omega: float) -> float:

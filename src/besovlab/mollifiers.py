@@ -20,12 +20,12 @@ from typing import Callable, Optional
 import numpy as np
 import scipy  # its submodules load on first use, on the paths that need them
 
-from .errors import CapabilityError, InputError, ResolutionError
+from .errors import CapabilityError, InputError, ResolutionError, built_kind
 from .fields import Field, GridSpec, sample, sphere_measure, step_intervals, support_bbox
 from .quadrature import (_LATTICE_COLS, _LATTICE_ROWS, _bspline, _fast_len, _panel_nodes,
                          shift_integral)
 
-__all__ = ["MollifierSpec", "make_mollifier", "mollify", "mollifier_bound_check"]
+__all__ = ["MollifierSpec", "MOLLIFIERS", "make_mollifier", "mollify", "mollifier_bound_check"]
 
 
 @dataclass(frozen=True)
@@ -162,82 +162,97 @@ class _TableCDF:
         return c0 + t * (m0 + t * (3.0 * d - 2.0 * m0 - m1 + t * (m0 + m1 - 2.0 * d)))
 
 
+def _tent(dim: int) -> MollifierSpec:
+    if dim == 1:
+        return MollifierSpec("tent", 1, 1.0, 1.0, 1.0, 2.0,
+                             pdf=_tent_pdf, grad=_tent_grad,
+                             cdf=_tent_cdf, autocorr=(_bspline, (0.0, 1.0, 2.0)))
+    # radial tent c (1 - r)+ normalized to unit mass:
+    # int_0^1 (1 - r) r^(N-1) dr = 1 / (N (N + 1))
+    h = sphere_measure(dim)
+    c = dim * (dim + 1.0) / h
+    return MollifierSpec("tent", dim, 1.0, 1.0, 1.0, c * h / dim,
+                         pdf=lambda r: c * np.maximum(0.0, 1.0 - np.asarray(r, dtype=float)),
+                         grad=lambda r: -c * (np.asarray(r) < 1.0))
+
+
+def _truncated_gaussian(dim: int) -> MollifierSpec:
+    if dim != 1:
+        raise CapabilityError("truncated gaussian is shipped in 1D only")
+    phi0 = math.exp(0.0) / (math.sqrt(2.0 * math.pi) * _GAUSS_Z)
+    phic = math.exp(-0.5 * _GAUSS_CUT ** 2) / (math.sqrt(2.0 * math.pi) * _GAUSS_Z)
+    grad = 2.0 * (phi0 - phic)
+    return MollifierSpec("truncated-gaussian", 1, _GAUSS_CUT, 1.0, 1.0, grad,
+                         pdf=_gauss_pdf,
+                         grad=lambda v: -np.asarray(v, dtype=float) * _gauss_pdf(v),
+                         cdf=_gauss_cdf)
+
+
+def _smooth_bump(dim: int) -> MollifierSpec:
+    if dim != 1:
+        raise CapabilityError("smooth bump is shipped in 1D only")
+    grad = 2.0 * float(_bump_pdf(0.0))
+    return MollifierSpec("smooth-bump", 1, 1.0, 1.0, 1.0, grad,
+                         pdf=_bump_pdf, grad=_bump_grad,
+                         cdf=_TableCDF(_bump_pdf, 1.0))
+
+
+def _signed_test(dim: int) -> MollifierSpec:
+    if dim != 1:
+        raise CapabilityError("the signed-test mollifier is shipped in 1D only")
+    abs_mass = 2.0 * float(_bump_pdf(0.0))
+    grad_mass, _ = scipy.integrate.quad(lambda v: abs(_d_bump_grad(v)), -1.0, 1.0,
+                                        points=[0.0], limit=200)
+    return MollifierSpec("signed-test", 1, 1.0, 0.0, abs_mass, float(grad_mass),
+                         pdf=_bump_grad, grad=np.vectorize(_d_bump_grad),
+                         cdf=_bump_pdf)
+
+
+def _mix(dim: int, components) -> MollifierSpec:
+    """The affine combination of components, (weight, MollifierSpec) pairs."""
+    if any(c.dim != dim for _, c in components):
+        raise InputError("components: must share the dimension")
+    hw = max(c.halfwidth for _, c in components)
+    total = sum(w * c.total for w, c in components)
+
+    def pdf(v):
+        return sum(w * c.pdf(v) for w, c in components)
+
+    def grad(v):
+        return sum(w * c.grad(v) for w, c in components)
+
+    cdf = None
+    if all(c.cdf is not None for _, c in components):
+        def cdf(w, _comps=tuple(components)):
+            return sum(wt * c.cdf(w) for wt, c in _comps)
+    spec = MollifierSpec("mix", dim, hw, float(total), math.nan, math.nan,
+                         pdf=pdf, grad=grad, cdf=cdf)
+    if dim == 1:
+        abs_mass, _ = scipy.integrate.quad(lambda v: abs(float(pdf(v))), -hw, hw,
+                                           points=[0.0], limit=400)
+        grad_mass, _ = scipy.integrate.quad(lambda v: abs(float(grad(v))), -hw, hw,
+                                            points=[-1.0, 0.0, 1.0], limit=400)
+    else:
+        # H^(N-1) int_0^hw |.| r^(N-1) dr of the radial profiles
+        abs_mass = spec._radial_moment(lambda r: np.abs(pdf(r)), lambda r: 1.0)
+        grad_mass = spec._radial_moment(lambda r: np.abs(grad(r)), lambda r: 1.0)
+    return replace(spec, abs_mass=float(abs_mass), grad_mass=float(grad_mass))
+
+
+# mollifier kind (or alias) -> its builder, whose parameters besides dim are
+# its config keys
+MOLLIFIERS = {"tent": _tent, "truncated-gaussian": _truncated_gaussian,
+              "gauss": _truncated_gaussian, "smooth-bump": _smooth_bump, "bump": _smooth_bump,
+              "signed-test": _signed_test, "signed_bump": _signed_test, "mix": _mix}
+
+
 def make_mollifier(kind: str, dim: int = 1, **params) -> MollifierSpec:
     """The mollifier of the kind in dimension dim; only "mix" takes a
     parameter, its components."""
-    unread = sorted(set(params) - ({"components"} if kind == "mix" else set()))
-    if unread:
-        raise InputError(f"{unread[0]}: not a parameter of the {kind!r} mollifier")
     if dim not in (1, 2, 3):
         raise InputError("dim: must be 1, 2 or 3")
-    if kind == "tent":
-        if dim == 1:
-            return MollifierSpec("tent", 1, 1.0, 1.0, 1.0, 2.0,
-                                 pdf=_tent_pdf, grad=_tent_grad,
-                                 cdf=_tent_cdf, autocorr=(_bspline, (0.0, 1.0, 2.0)))
-        # radial tent c (1 - r)+ normalized to unit mass:
-        # int_0^1 (1 - r) r^(N-1) dr = 1 / (N (N + 1))
-        h = sphere_measure(dim)
-        c = dim * (dim + 1.0) / h
-        return MollifierSpec("tent", dim, 1.0, 1.0, 1.0, c * h / dim,
-                             pdf=lambda r: c * np.maximum(0.0, 1.0 - np.asarray(r, dtype=float)),
-                             grad=lambda r: -c * (np.asarray(r) < 1.0))
-    if kind in ("truncated-gaussian", "gauss"):
-        if dim != 1:
-            raise CapabilityError("truncated gaussian is shipped in 1D only")
-        phi0 = math.exp(0.0) / (math.sqrt(2.0 * math.pi) * _GAUSS_Z)
-        phic = math.exp(-0.5 * _GAUSS_CUT ** 2) / (math.sqrt(2.0 * math.pi) * _GAUSS_Z)
-        grad = 2.0 * (phi0 - phic)
-        return MollifierSpec("truncated-gaussian", 1, _GAUSS_CUT, 1.0, 1.0, grad,
-                             pdf=_gauss_pdf,
-                             grad=lambda v: -np.asarray(v, dtype=float) * _gauss_pdf(v),
-                             cdf=_gauss_cdf)
-    if kind in ("smooth-bump", "bump"):
-        if dim != 1:
-            raise CapabilityError("smooth bump is shipped in 1D only")
-        grad = 2.0 * float(_bump_pdf(0.0))
-        return MollifierSpec("smooth-bump", 1, 1.0, 1.0, 1.0, grad,
-                             pdf=_bump_pdf, grad=_bump_grad,
-                             cdf=_TableCDF(_bump_pdf, 1.0))
-    if kind in ("signed-test", "signed_bump"):
-        if dim != 1:
-            raise CapabilityError("the signed-test mollifier is shipped in 1D only")
-        abs_mass = 2.0 * float(_bump_pdf(0.0))
-        grad_mass, _ = scipy.integrate.quad(lambda v: abs(_d_bump_grad(v)), -1.0, 1.0,
-                                            points=[0.0], limit=200)
-        return MollifierSpec("signed-test", 1, 1.0, 0.0, abs_mass, float(grad_mass),
-                             pdf=_bump_grad, grad=np.vectorize(_d_bump_grad),
-                             cdf=_bump_pdf)
-    if kind == "mix":
-        comps = params["components"]      # iterable of (weight, MollifierSpec)
-        if any(c.dim != dim for _, c in comps):
-            raise InputError("components: must share the dimension")
-        hw = max(c.halfwidth for _, c in comps)
-        total = sum(w * c.total for w, c in comps)
-
-        def pdf(v):
-            return sum(w * c.pdf(v) for w, c in comps)
-
-        def grad(v):
-            return sum(w * c.grad(v) for w, c in comps)
-
-        cdf = None
-        if all(c.cdf is not None for _, c in comps):
-            def cdf(w, _comps=tuple(comps)):
-                return sum(wt * c.cdf(w) for wt, c in _comps)
-        spec = MollifierSpec("mix", dim, hw, float(total), math.nan, math.nan,
-                             pdf=pdf, grad=grad, cdf=cdf)
-        if dim == 1:
-            abs_mass, _ = scipy.integrate.quad(lambda v: abs(float(pdf(v))), -hw, hw,
-                                               points=[0.0], limit=400)
-            grad_mass, _ = scipy.integrate.quad(lambda v: abs(float(grad(v))), -hw, hw,
-                                                points=[-1.0, 0.0, 1.0], limit=400)
-        else:
-            # H^(N-1) int_0^hw |.| r^(N-1) dr of the radial profiles
-            abs_mass = spec._radial_moment(lambda r: np.abs(pdf(r)), lambda r: 1.0)
-            grad_mass = spec._radial_moment(lambda r: np.abs(grad(r)), lambda r: 1.0)
-        return replace(spec, abs_mass=float(abs_mass), grad_mass=float(grad_mass))
-    raise InputError(f"kind: unknown mollifier kind {kind!r}")
+    return built_kind("mollifier", MOLLIFIERS, "kind", "mollifier kind",
+                      {"kind": kind, **params}, dim=dim)
 
 
 def _d_bump_grad(v):

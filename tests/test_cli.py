@@ -1,4 +1,5 @@
 import fcntl
+import inspect
 import json
 import math
 import os
@@ -7,11 +8,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from besovlab import seminorms
 from besovlab.cli import FUNCTIONALS, main
-from besovlab.experiments import default_config, json_text, validate_config
 from besovlab.errors import InputError
+from besovlab.experiments import default_config, json_text, validate_config
+from besovlab.fields import FIELDS, REGIONS, RegionSpec, make_field
+from besovlab.kernels import KERNELS
+from besovlab.mollifiers import MOLLIFIERS, make_mollifier
 
 
 def test_print_defaults_all_kinds(capsys):
@@ -130,7 +136,7 @@ def test_config_sections_reject_unknown_keys(section, path, tmp_path, capsys):
     cfg.write_text(json.dumps({"kind": "jump_chain", **section}))
     rc = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert f"{path}: unknown config key" in capsys.readouterr().err
+    assert f"{path}: not a parameter" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, message", [
@@ -140,7 +146,7 @@ def test_config_sections_reject_unknown_keys(section, path, tmp_path, capsys):
     ({"seed": "x"}, "seed: must be an integer"),
     ({"budget": {"max_evaluations": 0}}, "budget.max_evaluations: must be >= 1"),
     ({"budget": {"target_rel_error": "x"}}, "budget.target_rel_error: must be a number"),
-    ({"field": {"name": "step_1d", "amplitude": "x"}}, "field: could not convert"),
+    ({"field": {"name": "step_1d", "amplitude": "x"}}, "field.amplitude: must be a number"),
     ({"region": {"kind": "box", "lo": [-1], "hi": ["x"]}}, "region: could not convert"),
     ({"kind": "truncation_convergence", "truncation_levels": ["x"]},
      "truncation_levels[0]: must be a number"),
@@ -159,9 +165,22 @@ def test_bad_grid_budget_or_seed_exits_2_before_any_file(section, message, tmp_p
 @pytest.mark.parametrize("section, message", [
     ({"mollifier": {"kind": "tent", "width": 2}}, "mollifier.width: not a parameter"),
     ({"field": {"name": "disk_2d", "radus": 0.3}}, "field.radus: not a parameter"),
+    ({"region": {"kind": "ball", "center": [0.5], "radius": 2.0, "radus": 3.0}},
+     "region.radus: not a parameter"),
+    ({"region": {"kind": "box", "lo": [-1.0], "hi": [2.0], "lo2": [-2.0]}},
+     "region.lo2: not a parameter"),
+    ({"region": {"kind": "union", "parts": [{"kind": "box", "lo": [-1.0], "hi": [2.0]}],
+                 "extra": 1}}, "region.extra: not a parameter"),
+    ({"kernels": [{"kind": "logarithmic", "omega": 0.5, "sigma_ratio": 0.25}]},
+     "kernels[0].sigma_ratio: not a parameter"),
+    ({"kernels": [{"kind": "trivial", "omega": 0.5}]}, "kernels[0].omega: not a parameter"),
+    ({"kernels": [{"kind": "trivial", "sigma_ratio": 0.25}]},
+     "kernels[0].sigma_ratio: not a parameter"),
+    ({"kernels": [{"kind": "sigma_approx", "omega": 0.5}]}, "kernels[0].omega: not a parameter"),
 ])
 def test_a_key_the_constructor_does_not_read_exits_2(section, message, tmp_path, capsys):
-    # before, the typo ran the plain tent and a disk of radius 0.5
+    # before, each typo was dropped: the plain tent, a disk of radius 0.5,
+    # the region and kernels without the key
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "jump_chain", **section}))
     out = tmp_path / "o"
@@ -186,6 +205,40 @@ def test_validation_builds_every_section(config, path):
     with pytest.raises(InputError) as exc:
         validate_config({"kind": "jump_chain", **config})
     assert str(exc.value).startswith(path)
+
+
+# a value for each builder parameter that has no default
+_REQUIRED = {"lo": [-1.0], "hi": [2.0], "center": [0.5], "radius": 2.0, "normal": [1.0],
+             "offset": 3.0, "inner": {"kind": "ball", "center": [0.5], "radius": 2.0},
+             "parts": [{"kind": "box", "lo": [-1.0], "hi": [2.0]}], "omega": 0.5,
+             "components": [(1.0, make_mollifier("tent"))]}
+# section -> (kind key, builders, the public call that builds it from a spec)
+_SECTIONS = {
+    "field": ("name", FIELDS, lambda spec: make_field(**spec)),
+    "mollifier": ("kind", MOLLIFIERS, lambda spec: make_mollifier(**spec)),
+    "region": ("kind", REGIONS, RegionSpec.from_dict),
+    "kernels[0]": ("kind", KERNELS, lambda spec: validate_config(
+        {"kind": "jump_chain", "kernels": [spec]}).build_kernels(1)[0]),
+}
+
+
+@given(st.sampled_from([(sec, kind) for sec, (_, table, _) in _SECTIONS.items()
+                        for kind in table]),
+       st.from_regex(r"[a-z][a-z_0-9]{0,11}", fullmatch=True))
+@settings(max_examples=60, deadline=None)
+def test_every_builder_takes_its_parameters_and_refuses_other_keys(case, key):
+    section, kind = case
+    kind_key, table, build = _SECTIONS[section]
+    params = inspect.signature(table[kind]).parameters
+    assume(key not in {*params, "name", "kind", "dim"})
+    spec = {kind_key: kind, **{k: _REQUIRED[k] for k, p in params.items()
+                               if p.default is p.empty and k != "dim"}}
+    built = build(spec)
+    if section == "region":
+        assert RegionSpec.from_dict(built.to_dict()) == built
+    with pytest.raises(InputError) as exc:
+        build({**spec, key: 1.0})
+    assert str(exc.value).startswith(f"{section}.{key}: not a parameter")
 
 
 def test_seed_option_passes_through_validation(tmp_path):
