@@ -48,7 +48,7 @@ def _load_config(args) -> ExperimentConfig:
     else:
         with open(args.config, "r", encoding="utf-8") as fh:
             d = json.load(fh)
-    if args.seed is not None:
+    if args.seed is not None and isinstance(d, dict):
         d["seed"] = args.seed
     return validate_config(d)
 

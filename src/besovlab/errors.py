@@ -3,6 +3,7 @@
 import functools
 import inspect
 import numbers
+import typing
 
 
 class BesovLabError(Exception):
@@ -40,13 +41,20 @@ def require(cond: bool, path: str, message: str):
         raise InputError(f"{path}: {message}")
 
 
-def number(value, path: str, kind=float):
-    """value as kind when it is a JSON number, an integral one for int;
-    else an InputError naming path."""
-    require(isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and (kind is float or float(value).is_integer()),
-            path, "must be an integer" if kind is int else "must be a number")
-    return kind(value)
+def typed(value, path: str, hint=float):
+    """value as its annotation hint asks, else an InputError naming path: for
+    int or float a JSON number of that type, an integral one for int; for
+    list[X] a list of what X asks, as given; for any other hint, value."""
+    if hint in (int, float):
+        require(isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and (hint is float or float(value).is_integer()),
+                path, "must be an integer" if hint is int else "must be a number")
+        return hint(value)
+    if typing.get_origin(hint) is list:
+        require(isinstance(value, (list, tuple)), path, "must be a list")
+        for i, v in enumerate(value):
+            typed(v, f"{path}[{i}]", typing.get_args(hint)[0])
+    return value
 
 
 @functools.cache
@@ -58,16 +66,15 @@ def _parameters(build) -> dict:
 def built(path: str, build, section, /, **given):
     """build(**given, **section) for the config object section at path:
     its keys are the keyword parameters build has and given does not fill,
-    a number (a parameter annotated int or float) of that type.  Every error
-    is an InputError naming path, or path.key when it knows the key."""
+    each of the type its annotation asks (see typed).  Every error is an
+    InputError naming path, or path.key when it knows the key."""
     require(isinstance(section, dict), path, "must be an object")
     params = {k: p for k, p in _parameters(build).items() if k not in given}
     values = dict(given)
     for key, value in section.items():
         require(key in params, f"{path}.{key}",
                 f"not a parameter (takes {', '.join(params) or 'none'})")
-        hint = params[key].annotation
-        values[key] = number(value, f"{path}.{key}", hint) if hint in (int, float) else value
+        values[key] = typed(value, f"{path}.{key}", params[key].annotation)
     missing = next((k for k, p in params.items() if k not in values and p.default is p.empty),
                    None)
     require(missing is None, path, f"missing key {missing!r}")

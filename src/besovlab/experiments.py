@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InputError, built, built_kind, number, require
+from .errors import InputError, built, built_kind, require, typed
 from .fields import (FIELDS, Field, RegionSpec, jump_set_of, sphere_measure, sup_amplitude,
                      truncate)
 from .jumps import dimensional_constants, jump_variation, sphere_moment
@@ -86,7 +86,7 @@ class ExperimentConfig:
     alphas: list[float] = field(default_factory=lambda: [1.0])
     truncation_levels: list[float] = field(default_factory=lambda: [0.5, 1.0, 2.0, 3.0, 4.0])
     shifts: list[float] = field(default_factory=lambda: [0.05, 0.5, 4.0])
-    split_combos: list = field(default_factory=list)
+    split_combos: list[list[float]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         """The JSON config form: every field, with field_spec under "field"."""
@@ -100,6 +100,8 @@ class ExperimentConfig:
         r = 1/q exactly."""
         f = built_kind("field", FIELDS, "name", "field name", self.field_spec)
         region = None if self.region is None else RegionSpec.from_dict(self.region)
+        require(region is None or region.dim == f.dim_in, "region",
+                f"must have the field's dimension, {f.dim_in}")
         q, p = self.params.get("q", 2.0), self.params.get("p")
         if _KINDS[self.kind][1]:
             params = built("params", FunctionalParams.jump_regime, {}, q=q, p=p, region=region)
@@ -123,9 +125,8 @@ def validate_config(d: dict) -> ExperimentConfig:
     """Build a config from a dict, and every section from the config, naming
     the offending field path on error; a section's keys are those its
     builder reads.  Numbers and number lists take their annotated types."""
+    require(isinstance(d, dict), "config", "must be an object")
     kind = d.get("kind")
-    require(kind in _KINDS, "kind",
-            f"must be one of {EXPERIMENT_KINDS}, got {kind!r}")
     merged = default_config(kind).to_dict()
     by_key = {fd.name for fd in fields(ExperimentConfig) if fd.metadata.get("by_key")}
     for key, value in d.items():
@@ -140,20 +141,10 @@ def validate_config(d: dict) -> ExperimentConfig:
     kernels = merged["kernels"]
     require(isinstance(kernels, list) and len(kernels) > 0, "kernels",
             "must be a non-empty list of kernel specs")
-    for key, hint in typing.get_type_hints(ExperimentConfig).items():
-        if hint in (int, float):
-            merged[key] = number(merged[key], key, hint)
-        elif typing.get_args(hint) in ((int,), (float,)):
-            require(isinstance(merged[key], (list, tuple)), key, "must be a list")
-            for i, v in enumerate(merged[key]):
-                number(v, f"{key}[{i}]", typing.get_args(hint)[0])
-    combos = merged["split_combos"]
-    require(isinstance(combos, (list, tuple)), "split_combos", "must be a list")
-    for i, c in enumerate(combos):
-        require(isinstance(c, (list, tuple)) and len(c) == 3, f"split_combos[{i}]",
-                "must be three numbers")
-        for j, v in enumerate(c):
-            number(v, f"split_combos[{i}][{j}]")
+    hints = typing.get_type_hints(ExperimentConfig)
+    merged = {key: typed(value, key, hints.get(key)) for key, value in merged.items()}
+    for i, c in enumerate(merged["split_combos"]):
+        require(len(c) == 3, f"split_combos[{i}]", "must be three numbers")
     merged["field_spec"] = merged.pop("field")
     cfg = ExperimentConfig(**merged)
     # every section is built before anything runs
@@ -162,7 +153,7 @@ def validate_config(d: dict) -> ExperimentConfig:
     params = cfg.setup().params
     r = cfg.params.get("r")
     if _KINDS[kind][1] and r is not None:
-        require(abs(number(r, "params.r") * params.q - 1.0) < 1e-12, "params.r",
+        require(abs(typed(r, "params.r") * params.q - 1.0) < 1e-12, "params.r",
                 "jump-regime experiments need r = 1/q exactly")
     if kind == "interpolation":
         require(params.p is not None, "params.p", "interpolation needs p > q")
@@ -174,8 +165,8 @@ def validate_config(d: dict) -> ExperimentConfig:
 
 
 def default_config(kind: str) -> ExperimentConfig:
-    if kind not in _KINDS:
-        raise InputError(f"kind: must be one of {EXPERIMENT_KINDS}, got {kind!r}")
+    require(isinstance(kind, str) and kind in _KINDS, "kind",
+            f"must be one of {EXPERIMENT_KINDS}, got {kind!r}")
     cfg = ExperimentConfig(kind=kind, field_spec={"name": "step_1d"},
                            params={"q": 2.0, "r": 0.5})
     if kind == "interpolation":

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapabilityError, InputError, built_kind
+from .errors import CapabilityError, InputError, built_kind, require
 
 __all__ = [
     "RegionSpec",
@@ -704,13 +704,17 @@ def _vector_step_1d(angle: float = math.pi / 3.0, amplitude: float = 1.0) -> Fie
                  name="vector_step_1d")
 
 
-def _disk_2d(radius: float = 0.5, amplitude: float = 1.0, center=(0.0, 0.0)) -> Field:
+def _disk_2d(radius: float = 0.5, amplitude: float = 1.0,
+             center: list[float] = (0.0, 0.0)) -> Field:
+    require(len(center) == 2, "center", "must have 2 coordinates")
     pieces = ((RegionSpec.ball(center, radius), np.array([amplitude])),)
     rad = float(np.linalg.norm(center)) + radius
     return Field(2, 1, "piecewise", {"pieces": pieces}, support_radius=rad, name="disk_2d")
 
 
-def _box_2d(lo=(-0.5, -0.5), hi=(0.5, 0.5), amplitude: float = 1.0) -> Field:
+def _box_2d(lo: list[float] = (-0.5, -0.5), hi: list[float] = (0.5, 0.5),
+            amplitude: float = 1.0) -> Field:
+    require(len(lo) == 2, "lo", "must have 2 coordinates")
     pieces = ((RegionSpec.box(lo, hi), np.array([amplitude])),)
     rad = float(np.max(np.abs(np.array([lo, hi]))))
     return Field(2, 1, "piecewise", {"pieces": pieces}, support_radius=rad, name="box_2d")
@@ -721,7 +725,9 @@ def _ball_3d(radius: float = 0.5, amplitude: float = 1.0) -> Field:
     return Field(3, 1, "piecewise", {"pieces": pieces}, support_radius=radius, name="ball_3d")
 
 
-def _gaussian_bump_1d(width: float = 0.35, amplitude: float = 1.0, center=(0.5,)) -> Field:
+def _gaussian_bump_1d(width: float = 0.35, amplitude: float = 1.0,
+                      center: list[float] = (0.5,)) -> Field:
+    require(len(center) == 1, "center", "must have 1 coordinate")
     payload = {"formula": "gaussian_bump",
                "params": {"center": center, "width": width, "amplitude": np.array([amplitude])}}
     rad = abs(float(np.atleast_1d(center)[0])) + 9.0 * width

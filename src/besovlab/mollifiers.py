@@ -14,16 +14,17 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 import scipy  # its submodules load on first use, on the paths that need them
 
-from .errors import CapabilityError, InputError, ResolutionError, built_kind
+from .errors import CapabilityError, InputError, ResolutionError, built_kind, require
 from .fields import Field, GridSpec, sample, sphere_measure, step_intervals, support_bbox
-from .quadrature import (_LATTICE_COLS, _LATTICE_ROWS, _bspline, _fast_len, _panel_nodes,
-                         shift_integral)
+from .quadrature import (_LATTICE_COLS, _LATTICE_ROWS, Autocorrelation, _bspline, _fast_len,
+                         _panel_nodes, shift_integral)
 
 __all__ = ["MollifierSpec", "MOLLIFIERS", "make_mollifier", "mollify", "mollifier_bound_check"]
 
@@ -39,9 +40,8 @@ class MollifierSpec:
     pdf: Callable = field(repr=False)          # eta(v) at signed v (1D), eta(r) (2D/3D)
     grad: Callable = field(repr=False)         # eta'(v) (1D) or d/dr of the profile
     cdf: Optional[Callable] = field(repr=False, default=None)  # 1D only
-    # 1D only: (A, kinks), the autocorrelation eta * eta(-.) as a piecewise
-    # cubic with kinks at +-kinks
-    autocorr: Optional[tuple] = field(repr=False, default=None)
+    # 1D only: the autocorrelation eta * eta(-.), which the q = 2 engine reads
+    autocorr: Optional[Autocorrelation] = field(repr=False, default=None)
 
     @functools.cached_property
     def smoothing_rule(self) -> tuple:
@@ -166,7 +166,7 @@ def _tent(dim: int) -> MollifierSpec:
     if dim == 1:
         return MollifierSpec("tent", 1, 1.0, 1.0, 1.0, 2.0,
                              pdf=_tent_pdf, grad=_tent_grad,
-                             cdf=_tent_cdf, autocorr=(_bspline, (0.0, 1.0, 2.0)))
+                             cdf=_tent_cdf, autocorr=Autocorrelation(_bspline, (0.0, 1.0, 2.0)))
     # radial tent c (1 - r)+ normalized to unit mass:
     # int_0^1 (1 - r) r^(N-1) dr = 1 / (N (N + 1))
     h = sphere_measure(dim)
@@ -210,8 +210,10 @@ def _signed_test(dim: int) -> MollifierSpec:
 
 def _mix(dim: int, components) -> MollifierSpec:
     """The affine combination of components, (weight, MollifierSpec) pairs."""
-    if any(c.dim != dim for _, c in components):
-        raise InputError("components: must share the dimension")
+    require(isinstance(components, (list, tuple)) and all(
+        isinstance(c, (list, tuple)) and len(c) == 2 and isinstance(c[0], numbers.Real)
+        and isinstance(c[1], MollifierSpec) and c[1].dim == dim for c in components),
+        "components", f"must be (number, MollifierSpec) pairs, each of dimension {dim}")
     hw = max(c.halfwidth for _, c in components)
     total = sum(w * c.total for w, c in components)
 

@@ -18,14 +18,14 @@ that row in `QuadResult.path`:
   its kernel table's tolerance (see its section);
 - `piecewise_1d`: piecewise-constant 1D fields; F is piecewise linear in t,
   so I is exact, F at its breakpoints times closed-form moments of w;
-- `steps`: 1D step sums mollified by the tent, with q = 2 and no region or an
-  interval around the support; exact up to roundoff, F from the unmollified F
-  and the mollifier's autocorrelation (see its section);
+- `steps`: q = 2 on u * eta_eps, u's `ShiftFunction` (1D step sums) against
+  eta's `Autocorrelation` (the tent), with no region or an interval around
+  the support; exact up to roundoff (see its section);
 - `smooth_1d`: other 1D fields; panel Gauss-Legendre in x for F, batched over
   the radii of a panel Gauss-Legendre rule in t;
 - `indicator`: ball and box indicators in 2D/3D that the region does not clip
-  within the window; closed-form symmetric differences and panel
-  Gauss-Legendre in t, graded at the square-root edges of the sphere sum;
+  within the window; their `ShiftFunction`'s sphere sum and panel
+  Gauss-Legendre in t, graded at the sphere sum's square-root edges;
 - `mc`: everything else; stratified Monte Carlo over (x, t, n), with
   log-radial strata and a counter-based RNG stream per stratum, so a
   stratum's draws depend only on the seed, the stream and the stratum.
@@ -99,6 +99,36 @@ def _rated(path: str, budget: QuadBudget, value: float, error: float = 0.0,
     exceeds budget.target_rel_error of the value."""
     low = not error <= budget.target_rel_error * max(abs(value), 1e-300)
     return QuadResult(value, error, evaluations, low, path)
+
+
+@dataclass(frozen=True)
+class ShiftFunction:
+    """A field's shift function F(h) = int |u(x+h) - u(x)|^q dx over R^N at
+    one q, as scale^q times `unit`, that of u / scale: unit takes shifts of
+    shape (..., N), is `far` (2 ||u / scale||_q^q) past the support's
+    diameter and in 1D is linear between the radii `kinks`.  Its sphere
+    integral S(t) has square-root edges at the radii `roots`; sphere(ts,
+    order) is S by each rule of `orders` (the value's, then one whose change
+    is its error), None when F(t n) is one value for every direction n."""
+
+    scale: float
+    unit: Callable
+    far: float
+    kinks: np.ndarray = ()
+    roots: tuple = ()
+    sphere: Optional[Callable] = None
+    orders: tuple = (None,)
+
+
+@dataclass(frozen=True)
+class Autocorrelation:
+    """A mollifier's autocorrelation A = eta * eta(-.) at unit scale: `at`
+    evaluates it, even and a cubic between its kinks +-kinks, within
+    `error` of A everywhere."""
+
+    at: Callable
+    kinks: tuple
+    error: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +287,10 @@ def _region_1d_edges(region: Optional[RegionSpec]):
 
 
 def _indicator(f: Field, region: Optional[RegionSpec], reach: float):
-    """(shape, |amplitude|) when f is the indicator of one ball or box in 2D
-    or 3D and the chi_E factors cannot clip the integrand for |h| <= reach,
-    else None.
+    """The ShiftFunction of f when f is the indicator of one ball or box in 2D
+    or 3D times an amplitude, and the chi_E factors cannot clip the
+    integrand for |h| <= reach, else None.  u / scale is an indicator, so
+    the record serves every q.
 
     The corner test is sound only for convex regions (box, ball); any other
     kind conservatively counts as clipping."""
@@ -276,7 +307,20 @@ def _indicator(f: Field, region: Optional[RegionSpec], reach: float):
                            axis=-1).reshape(-1, f.dim_in)
         if not np.all(region.contains(corners)):
             return None
-    return shape, float(np.linalg.norm(np.asarray(amp, dtype=float)))
+    scale = float(np.linalg.norm(np.asarray(amp, dtype=float)))
+    if shape.kind == "ball":
+        # |B sym-diff (B - t n)| is the same for every direction n
+        return ShiftFunction(scale, lambda h: _symdiff_measure(shape, h), 2.0 * shape.measure(),
+                             roots=(2.0 * shape.radius,))
+    # S kinks where t passes the length of a side or of a diagonal of a face
+    # or of the box; a 3D box's S is on polar panels of Gauss-Legendre orders
+    # 24 and 16
+    n, side = f.dim_in, np.asarray(shape.hi) - np.asarray(shape.lo)
+    roots = tuple(float(np.linalg.norm(side[list(axes)])) for k in range(1, n + 1)
+                  for axes in itertools.combinations(range(n), k))
+    return ShiftFunction(scale, lambda h: _symdiff_measure(shape, h), 2.0 * shape.measure(),
+                         roots=roots, sphere=lambda ts, order: _box_sphere_sum(side, ts, order),
+                         orders=(24, 16) if n == 3 else (None,))
 
 
 def shift_integral(f: Field, region: Optional[RegionSpec], h, q: float,
@@ -295,9 +339,9 @@ def shift_integral(f: Field, region: Optional[RegionSpec], h, q: float,
     hnorm = float(np.linalg.norm(h))
     if hnorm == 0.0:
         return QuadResult(0.0, 0.0, 0)
-    ind = _indicator(f, region, hnorm)
-    if ind is not None:
-        return _rated("indicator", budget, ind[1] ** q * float(_symdiff_measure(ind[0], h)))
+    shift = _indicator(f, region, hnorm)
+    if shift is not None:
+        return _rated("indicator", budget, shift.scale ** q * float(shift.unit(h)))
     if f.dim_in > 1:
         return _shift_integral_mc(f, region, h, q, budget, stream)
     # 1D: exact for piecewise-constant fields, else panel Gauss-Legendre of
@@ -677,63 +721,45 @@ def _box_sphere_sum(side: np.ndarray, ts: np.ndarray, order: int) -> np.ndarray:
     return 16.0 * np.sum(wts * g * rho, axis=(1, 2))
 
 
-# Gauss-Legendre orders of a 3D box's polar-angle panels; the error is their
-# difference
-_BOX_ORDERS = (24, 16)
-
-
 def _pair_integral_indicator(f: Field, region, weight: PiecewisePower, a: float,
                              b: float, q: float, budget, stream) -> QuadResult:
-    """A 2D/3D ball or box indicator: int_a^b t^(N-1) w(t) |amp|^q S(t) dt,
-    S(t) the sphere integral of the symmetric difference, by _t_integral
-    with S's kinks as its square-root edges.  The symmetric difference grows
-    like t, so the core's power is p = N.  S is closed form for a ball and a
-    2D box; a 3D box's comes from _box_sphere_sum, whose error is the
-    integral's change on the lower of _BOX_ORDERS."""
+    """A 2D/3D ball or box indicator: int_a^b t^(N-1) w(t) scale^q S(t) dt,
+    S(t) the sphere sum of its ShiftFunction, by _t_integral with S's
+    square-root edges.  The symmetric difference grows like t, so the core's
+    power is p = N.  When S is not exact, the integral's change on S's lower
+    order joins the error."""
     n = f.dim_in
-    shape, amp = _indicator(f, region, b)
-    if shape.kind == "ball":
-        kinks = [2.0 * shape.radius]
+    shift = _indicator(f, region, b)
+    # when F(t n) is one value for every n, S(t) = |S^(N-1)| F(t e_1)
+    sphere = shift.sphere or (lambda ts, order: sphere_measure(n) * shift.unit(
+        ts[:, None] * np.eye(n)[0]))
 
-        # |B sym-diff (B - t n)| is the same for every direction n
-        def sphere_sum(ts, k):
-            return sphere_measure(n) * _symdiff_measure(shape, ts[:, None] * np.eye(n)[0])
-    else:
-        side = np.asarray(shape.hi) - np.asarray(shape.lo)
-        # S kinks where t passes the length of a side or of a diagonal of a
-        # face or of the box
-        kinks = [float(np.linalg.norm(side[list(axes)])) for k in range(1, n + 1)
-                 for axes in itertools.combinations(range(n), k)]
-
-        def sphere_sum(ts, k):
-            return _box_sphere_sum(side, ts, _BOX_ORDERS[k])
-
-    def integral(k):
-        return _t_integral(lambda ts: ts ** (n - 1) * amp ** q * sphere_sum(ts, k),
-                           weight, a, b, n, roots=kinks)
-    value, err = integral(0)
-    if shape.kind == "box" and n == 3:
-        err += abs(value - integral(1)[0])
+    def integral(order):
+        return _t_integral(lambda ts: ts ** (n - 1) * shift.scale ** q * sphere(ts, order),
+                           weight, a, b, n, roots=shift.roots)
+    value, err = integral(shift.orders[0])
+    for order in shift.orders[1:]:
+        err += abs(value - integral(order)[0])
     return QuadResult(value, float(err + 16.0 * np.finfo(float).eps * abs(value)), 0)
 
 
 # ---------------------------------------------------------------------------
-# The q = 2 engine for mollified 1D step sums
+# The q = 2 engine: a shift function against an autocorrelation
 # ---------------------------------------------------------------------------
 #
-# For u_eps = u * eta_eps, u a 1D step sum, Wiener-Khinchin gives the q = 2
-# shift integral over R as
+# For u_eps = u * eta_eps, Wiener-Khinchin gives the q = 2 shift integral over
+# R as
 #
 #   F_eps(t) = int [F_u(t - tau) - F_u(tau)] A_eps(tau) dtau,
 #
-# F_u the shift integral of u, piecewise linear with kinks at the knot
-# differences d, and A_eps(tau) = A(tau / eps) / eps the autocorrelation of
-# eta_eps, which the payload's MollifierSpec carries as (A, kinks): A piecewise
-# cubic, its kinks at +-kinks.  So Gauss-Legendre of order 3 between the kinks
-# of both factors is exact in tau, and F_eps is a quintic in t between the
-# points |d +- eps k|.  F_eps is even and C^4 (A is C^2), so on [0, t1], t1
-# the least of those points, F_eps / t^2 is a cubic, integrated against t^2 w
-# by moments.
+# F_u the ShiftFunction of u, and A_eps(tau) = A(tau / eps) / eps the
+# Autocorrelation of eta_eps, which the payload's MollifierSpec carries.  For
+# a 1D step sum F_u is linear between the knot differences d, and A is a
+# cubic between its kinks, so Gauss-Legendre of order 3 between the kinks of
+# both factors is exact in tau, and F_eps is a quintic in t between the
+# points |d +- eps k|.  F_eps is even and C^4 when A is C^2, as the tent's
+# is, so on [0, t1], t1 the least of those points, F_eps / t^2 is a cubic,
+# integrated against t^2 w by moments.
 # An interval E strictly around the support subtracts 2 int |u_eps|^2 Phi_E,
 # Phi_E(x) the weight's mass over the window beyond either edge of E.
 
@@ -746,11 +772,13 @@ _CORE_FIT = np.array([0.25, 0.5, 0.75, 1.0])
 _CORE_CHECK = 0.625
 
 
-def _steps_form(f: Field, region, q: float) -> bool:
-    """True when the mollified-step engine serves these inputs."""
+def _paired_form(f: Field, region, q: float) -> bool:
+    """True when the q = 2 engine serves these inputs: u has a ShiftFunction
+    and eta an Autocorrelation, exact, as the engine counts no table error,
+    and E is R or an interval around the support."""
     u = mollified_source(f)
-    if u is None or u.kind != "piecewise" or f.payload["mollifier"].autocorr is None \
-            or q != 2.0:
+    if u is None or u.kind != "piecewise" or q != 2.0 \
+            or getattr(f.payload["mollifier"].autocorr, "error", None) != 0.0:
         return False
     if region is None:
         return True
@@ -758,42 +786,16 @@ def _steps_form(f: Field, region, q: float) -> bool:
     return region.kind == "box" and region.lo[0] < lo[0] and hi[0] < region.hi[0]
 
 
-def _step_shift_table(f: Field):
-    """(d, F_u at d, scale): the knot differences d of the unmollified step
-    sum, from 0 up, and its shift integral F_u (q = 2, E = R) with every
-    amplitude divided by scale, the least power of 2 above the largest one.
-    So F_u neither underflows nor overflows, and multiplying by scale^2 is
-    exact, as is dividing by it."""
+def _step_shifts(f: Field) -> ShiftFunction:
+    """The q = 2 ShiftFunction of the step sum u of f = u * eta_eps over R:
+    scale the least power of 2 above u's largest amplitude, so that
+    multiplying by scale^2 is exact, as is dividing by it, and unit the
+    interpolant of its values at the knot differences d of u, from 0 up."""
     scale = 2.0 ** math.frexp(_amplitude(f))[1]
     src = scale_field(f.payload["field"], 1.0 / scale)
     d = _shift_breaks_1d(src, None)
-    return d, _piecewise_shifts_1d(src, None, d, 2.0), scale
-
-
-def _steps_conv(ts: np.ndarray, d: np.ndarray, fd: np.ndarray, eps: float,
-                autocorr) -> tuple:
-    """(int F_u(t - tau) A_eps(tau) dtau for each t in ts, the number of tau
-    nodes), by Gauss-Legendre of order 3 between the kinks of both factors."""
-    a_fn, kinks = autocorr
-    ak = eps * np.concatenate([-np.asarray(kinks)[::-1], kinks])
-    reach = ak[-1]
-    cand = np.concatenate([np.broadcast_to(ak, (len(ts), len(ak))),
-                           np.clip(ts[:, None] - d, -reach, reach),
-                           np.clip(ts[:, None] + d, -reach, reach)], axis=1)
-    cand.sort(axis=1)
-    x, w = _gl(3)
-    mid = 0.5 * (cand[:, 1:] + cand[:, :-1])[..., None]
-    half = 0.5 * (cand[:, 1:] - cand[:, :-1])[..., None]
-    tau = mid + half * x
-    vals = np.interp(np.abs(ts[:, None, None] - tau), d, fd) * a_fn(tau / eps) / eps
-    return np.sum(half * w * vals, axis=(1, 2)), tau.size
-
-
-def _escape_mass(weight: PiecewisePower, a: float, b: float, lo: float, hi: float,
-                 x: np.ndarray) -> np.ndarray:
-    """Phi_E(x) for E = [lo, hi]: over both sides, the weight's mass on
-    [max(a, distance to the side), b]."""
-    return sum(weight.moment(np.maximum(a, dist), b, 0.0) for dist in (hi - x, x - lo))
+    fd = _piecewise_shifts_1d(src, None, d, 2.0)
+    return ShiftFunction(scale, lambda h: np.interp(np.abs(h[..., 0]), d, fd), float(fd[-1]), d)
 
 
 def _steps_region_term(f: Field, region: RegionSpec, weight: PiecewisePower,
@@ -813,7 +815,7 @@ def _steps_region_term(f: Field, region: RegionSpec, weight: PiecewisePower,
     rules = [_panel_nodes(pts[:-1], pts[1:], order) for order in _STEPS_ORDERS]
     x = np.concatenate([r[0] for r in rules])
     vals = np.sum((eval_field(f, x[:, None]) / scale) ** 2, axis=-1) \
-        * _escape_mass(weight, a, b, lo_e, hi_e, x)
+        * sum(weight.moment(np.maximum(a, dist), b, 0.0) for dist in (hi_e - x, x - lo_e))
     hi_rule = rules[0][1] @ vals[:len(rules[0][0])]
     lo_rule = rules[1][1] @ vals[len(rules[0][0]):]
     return float(hi_rule), abs(float(hi_rule - lo_rule)), len(x)
@@ -821,16 +823,17 @@ def _steps_region_term(f: Field, region: RegionSpec, weight: PiecewisePower,
 
 def _pair_integral_steps(f: Field, region, weight: PiecewisePower, a: float,
                          b: float, q: float, budget, stream) -> QuadResult:
-    """The q = 2 engine for mollified 1D step sums; see the section comment.
-    The t-panels split at a, b, the ends of the weight's pieces, the points
-    |d +- eps k| and geometric points, so that no panel past t1 spans a ratio
-    above sqrt(2); each reports |order 12 - order 8| as its error.  (At
-    ratio 2 the order-8 rule misses t^-2 by about 1e-12 of a panel, which
-    would dominate the error.)"""
+    """The q = 2 engine, F_u of _step_shifts against A; see the section
+    comment.  The t-panels split at a, b, the ends of the weight's pieces,
+    the points |d +- eps k| and geometric points, so that no panel past t1
+    spans a ratio above sqrt(2); each reports |order 12 - order 8| as its
+    error.  (At ratio 2 the order-8 rule misses t^-2 by about 1e-12 of a
+    panel, which would dominate the error.)"""
     eps = f.payload["eps"]
-    autocorr = f.payload["mollifier"].autocorr
-    d, fd, scale = _step_shift_table(f)
-    k = eps * np.asarray(autocorr[1])
+    acf = f.payload["mollifier"].autocorr
+    shift = _step_shifts(f)
+    d, scale = shift.kinks, shift.scale
+    k = eps * np.asarray(acf.kinks)
     breaks = np.abs(d[:, None] + np.concatenate([-k, k])).ravel()
     # F_eps is C^4, so a break d below b * _STEPS_FLOOR changes F_eps on
     # [0, d] by a share of order (d / eps)^3: it is dropped, which keeps the
@@ -845,7 +848,19 @@ def _pair_integral_steps(f: Field, region, weight: PiecewisePower, a: float,
     core = (a, min(b, t1)) if a < t1 else None
     ts = np.concatenate([[0.0], t1 * _CORE_FIT, [t1 * _CORE_CHECK]]
                         + [r[0] for r in rules])
-    conv, n_tau = _steps_conv(ts, d, fd, eps, autocorr)
+    # int F_u(t - tau) A_eps(tau) dtau at each t: Gauss-Legendre of order 3
+    # between the kinks of both factors
+    reach = k[-1]
+    cand = np.concatenate([np.broadcast_to(np.concatenate([-k[::-1], k]), (len(ts), 2 * len(k))),
+                           np.clip(ts[:, None] - d, -reach, reach),
+                           np.clip(ts[:, None] + d, -reach, reach)], axis=1)
+    cand.sort(axis=1)
+    x, w = _gl(3)
+    mid = 0.5 * (cand[:, 1:] + cand[:, :-1])[..., None]
+    half = 0.5 * (cand[:, 1:] - cand[:, :-1])[..., None]
+    tau = mid + half * x
+    vals = shift.unit((ts[:, None, None] - tau)[..., None]) * acf.at(tau / eps) / eps
+    conv = np.sum(half * w * vals, axis=(1, 2))
     fs = conv[1:] - conv[0]
     value = err = 0.0
     if core is not None:
@@ -869,7 +884,7 @@ def _pair_integral_steps(f: Field, region, weight: PiecewisePower, a: float,
         off += len(nodes)
     value += float(np.sum(sums[0]))
     err += float(np.sum(np.abs(sums[0] - sums[1])))
-    evals = len(d) - 1 + 2 * n_tau
+    evals = len(d) - 1 + 2 * tau.size
     j_value = j_err = 0.0
     if region is not None:
         j_value, j_err, n_x = _steps_region_term(f, region, weight, a, b, scale)
@@ -1418,7 +1433,7 @@ _ENGINES = (
     ("lattice", _lattice_form, _pair_integral_lattice),
     ("piecewise_1d", lambda f, *_: f.dim_in == 1 and f.kind == "piecewise",
      _pair_integral_piecewise_1d),
-    ("steps", lambda f, region, weight, a, b, q: _steps_form(f, region, q),
+    ("steps", lambda f, region, weight, a, b, q: _paired_form(f, region, q),
      _pair_integral_steps),
     ("smooth_1d", lambda f, *_: f.dim_in == 1, _pair_integral_smooth_1d),
     ("indicator", lambda f, region, weight, a, b, q: _indicator(f, region, b) is not None,

@@ -24,9 +24,8 @@ from .fields import (Field, RegionSpec, default_region, eval_field,
 from .jumps import jump_variation
 from .kernels import RadialKernelFamily, kernel_profile, kernel_window
 from .mollifiers import MollifierSpec, mollify
-from .quadrature import (_BOX_ORDERS, PiecewisePower, QuadBudget, QuadResult, _box_sphere_sum,
-                         _distinct, _indicator, _panel_nodes, _rated, _shift_integral_mc,
-                         pair_integral, shift_integral)
+from .quadrature import (PiecewisePower, QuadBudget, QuadResult, _distinct, _indicator,
+                         _panel_nodes, _rated, _shift_integral_mc, pair_integral, shift_integral)
 
 __all__ = [
     "FunctionalParams",
@@ -231,21 +230,19 @@ def spherical_variation(f: Field, params: FunctionalParams, eps: float,
     tag = (f"spherical_variation[f={f.name},q={params.q:g},rq={params.rq:g},"
            f"eps={eps:g}]")
     scale = eps ** -params.rq
-    ind = _indicator(f, region, eps)
-    if ind is not None and ind[0].kind == "box":
-        # an unclipped box: its sphere sum is closed form in 2D and on split
-        # polar panels in 3D, with the change on the lower order as error
-        shape, amp = ind
-        side = np.asarray(shape.hi) - np.asarray(shape.lo)
-        val, low = (amp ** params.q * float(_box_sphere_sum(side, np.array([eps]), order)[0])
-                    for order in _BOX_ORDERS)
-        err = abs(val - low) + 16.0 * np.finfo(float).eps * abs(val)
-        return _rated("indicator", budget or QuadBudget(), val, err).scaled(scale, tag)
-    if n == 1 or ind is not None:
+    shift = _indicator(f, region, eps)
+    if n == 1 or shift is not None and shift.sphere is None:
         # S^0 = {+1, -1} and F(h) = F(-h); an unclipped ball indicator varies
         # alike in every direction.  Either way F is one value on the sphere
         r = shift_integral(f, region, eps * np.eye(n)[0], params.q,
                            budget=budget, stream=_stream_of(tag))
+    elif shift is not None:
+        # another unclipped indicator: its sphere sum, with the change on the
+        # lower order as error
+        val, *low = (shift.scale ** params.q * float(shift.sphere(np.array([eps]), order)[0])
+                     for order in shift.orders)
+        err = sum(abs(val - v) for v in low) + 16.0 * np.finfo(float).eps * abs(val)
+        return _rated("indicator", budget or QuadBudget(), val, err).scaled(scale, tag)
     else:
         # region-clipped indicators and other fields: one Monte Carlo over x
         # and the direction together, the mean of F on the sphere of radius eps

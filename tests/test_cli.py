@@ -162,6 +162,30 @@ def test_bad_grid_budget_or_seed_exits_2_before_any_file(section, message, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, message", [
+    ([1], "config: must be an object"),
+    ({"kind": ["jump_chain"]}, "kind: must be one of"),
+    ({"kind": "jump_chain", "mollifier": {"kind": "mix", "components": [[1.0, {"kind": "tent"}]]}},
+     "mollifier.components: must be (number, MollifierSpec) pairs"),
+    ({"kind": "jump_chain", "field": {"name": "disk_2d", "center": 0.5}},
+     "field.center: must be a list"),
+    ({"kind": "jump_chain", "field": {"name": "box_2d", "lo": [-0.5], "hi": [0.5]}},
+     "field.lo: must have 2 coordinates"),
+    ({"kind": "jump_chain", "region": {"kind": "ball", "center": [0.0, 0.0], "radius": 3.0}},
+     "region: must have the field's dimension, 1"),
+])
+def test_a_malformed_config_exits_2_before_any_file(config, message, tmp_path, capsys):
+    # each once ended in a traceback, or failed only after the output
+    # directory existed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    rc = main(["experiment", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section, message", [
     ({"mollifier": {"kind": "tent", "width": 2}}, "mollifier.width: not a parameter"),
     ({"field": {"name": "disk_2d", "radus": 0.3}}, "field.radus: not a parameter"),
