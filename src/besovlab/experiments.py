@@ -102,6 +102,8 @@ class ExperimentConfig:
         region = None if self.region is None else RegionSpec.from_dict(self.region)
         require(region is None or region.dim == f.dim_in, "region",
                 f"must have the field's dimension, {f.dim_in}")
+        require(region is None or region.bbox() is not None or not _KINDS[self.kind][2],
+                "region", "must be bounded: the Gagliardo term integrates over it")
         q, p = self.params.get("q", 2.0), self.params.get("p")
         if _KINDS[self.kind][1]:
             params = built("params", FunctionalParams.jump_regime, {}, q=q, p=p, region=region)
@@ -540,16 +542,16 @@ def _run_bounds_audit(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
 # Entry point
 # ---------------------------------------------------------------------------
 
-# kind -> (body, whether r is pinned to 1/q, the jump regime)
+# kind -> (body, r pinned to 1/q (the jump regime), a Gagliardo term over E)
 _KINDS = {
-    "kernel_audit": (_run_kernel_audit, False),
-    "constants": (_run_constants, False),
-    "sandwich": (_run_chain, True),
-    "kernel_equivalence": (_run_chain, True),
-    "jump_chain": (_run_chain, True),
-    "interpolation": (_run_interpolation, False),
-    "truncation_convergence": (_run_truncation, True),
-    "bounds_audit": (_run_bounds_audit, False),
+    "kernel_audit": (_run_kernel_audit, False, False),
+    "constants": (_run_constants, False, False),
+    "sandwich": (_run_chain, True, True),
+    "kernel_equivalence": (_run_chain, True, True),
+    "jump_chain": (_run_chain, True, True),
+    "interpolation": (_run_interpolation, False, False),
+    "truncation_convergence": (_run_truncation, True, True),
+    "bounds_audit": (_run_bounds_audit, False, True),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
 

@@ -82,7 +82,7 @@ class RegionSpec:
     parts: tuple = ()
 
     @staticmethod
-    def box(lo, hi) -> "RegionSpec":
+    def box(lo: list[float], hi: list[float]) -> "RegionSpec":
         lo = tuple(float(v) for v in np.atleast_1d(lo))
         hi = tuple(float(v) for v in np.atleast_1d(hi))
         if len(lo) != len(hi) or any(a >= b for a, b in zip(lo, hi)):
@@ -94,14 +94,14 @@ class RegionSpec:
         return RegionSpec.box([a], [b])
 
     @staticmethod
-    def ball(center, radius: float) -> "RegionSpec":
+    def ball(center: list[float], radius: float) -> "RegionSpec":
         if radius <= 0:
             raise InputError("radius: must be positive")
         return RegionSpec("ball", center=tuple(float(v) for v in np.atleast_1d(center)),
                           radius=float(radius))
 
     @staticmethod
-    def half_space(normal, offset: float) -> "RegionSpec":
+    def half_space(normal: list[float], offset: float) -> "RegionSpec":
         n = np.atleast_1d(np.asarray(normal, dtype=float))
         if not np.all(np.isfinite(n)) or np.linalg.norm(n) == 0:
             raise InputError("normal: must be a nonzero finite vector")

@@ -47,8 +47,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import CapabilityError, DivergenceError, InputError
 from .fields import (_BLOCK_POINTS, _SAMPLE_POINTS, Field, RegionSpec, eval_field, knots_1d,
-                     mollified_source, sample_rows, scale_field, sphere_measure, sup_amplitude,
-                     support_bbox)
+                     mollified_source, sample_rows, scale_field, sphere_measure, step_intervals,
+                     sup_amplitude, support_bbox)
 
 __all__ = [
     "QuadBudget",
@@ -274,6 +274,8 @@ def _region_1d_edges(region: Optional[RegionSpec]):
         return []
     if region.kind == "box":
         return [region.lo[0], region.hi[0]]
+    if region.kind == "ball":
+        return [region.center[0] - region.radius, region.center[0] + region.radius]
     if region.kind == "half_space":
         return [region.offset / region.normal[0]]
     if region.kind == "union":
@@ -390,29 +392,38 @@ def _quality_1d(f: Field) -> dict:
     return {"t_panels": 48, "t_order": 12, "x_div": 64, "x_order": 12}
 
 
+# (steps, region, q) -> the t-free part of _piecewise_shifts_1d's pair table
+_PAIR_CACHE: dict = {}
+
+
 def _piecewise_shifts_1d(f: Field, region, ts: np.ndarray, q: float) -> np.ndarray:
     """F(t) for each radius t in ts, exact for a piecewise-constant 1D field.
 
     The knots and region edges cut the line into intervals I_i = [a_i, b_i].
     The integrand is constant, c_ij, for x in I_i and x + |t| in I_j, over a
     length formed from differences of edges before |t| is added, so no
-    edge - t is ever rounded: F(t) = sum_ij c_ij |I_i intersect (I_j - |t|)|."""
+    edge - t is ever rounded: F(t) = sum_ij c_ij |I_i intersect (I_j - |t|)|.
+    The pairs with c_ij > 0, their c_ij and their t-free lengths are built
+    once per step sum, region and q, and kept in _PAIR_CACHE."""
+    key = (tuple((lo, hi, tuple(amp.ravel().tolist())) for lo, hi, amp in step_intervals(f)),
+           region, q)
+    if key not in _PAIR_CACHE:
+        p = _distinct(_edge_points_1d(f, region))
+        a = np.concatenate([[-np.inf], p])
+        b = np.concatenate([p, [np.inf]])
+        pad = 1.0 + np.abs(p[[0, -1]])
+        mid = np.concatenate([[p[0] - pad[0]], 0.5 * (p[1:] + p[:-1]),
+                              [p[-1] + pad[1]]])[:, None]
+        u = eval_field(f, mid)
+        c = np.linalg.norm(u[None, :, :] - u[:, None, :], axis=-1) ** q
+        if region is not None:
+            inside = region.contains(mid)
+            c = c * inside[:, None] * inside[None, :]
+        i, j = np.nonzero(c > 0.0)
+        _PAIR_CACHE[key] = (c[i, j], np.minimum(b[j] - a[j], b[i] - a[i]), b[i] - a[j], b[j] - a[i])
+    c, span, lead, lag = _PAIR_CACHE[key]
     t = np.abs(ts)[:, None]
-    p = _distinct(_edge_points_1d(f, region))
-    a = np.concatenate([[-np.inf], p])
-    b = np.concatenate([p, [np.inf]])
-    pad = 1.0 + np.abs(p[[0, -1]])
-    mid = np.concatenate([[p[0] - pad[0]], 0.5 * (p[1:] + p[:-1]),
-                          [p[-1] + pad[1]]])[:, None]
-    u = eval_field(f, mid)
-    c = np.linalg.norm(u[None, :, :] - u[:, None, :], axis=-1) ** q
-    if region is not None:
-        inside = region.contains(mid)
-        c = c * inside[:, None] * inside[None, :]
-    i, j = np.nonzero(c > 0.0)
-    length = np.minimum(np.minimum(b[j] - a[j], b[i] - a[i]),
-                        np.minimum(b[i] - a[j] + t, b[j] - a[i] - t))
-    return np.sum(c[i, j] * np.maximum(length, 0.0), axis=1)
+    return np.sum(c * np.maximum(np.minimum(span, np.minimum(lead + t, lag - t)), 0.0), axis=1)
 
 
 def _smooth_shift_integrals_1d(f: Field, region, ts: np.ndarray, q: float,
@@ -757,9 +768,11 @@ def _pair_integral_indicator(f: Field, region, weight: PiecewisePower, a: float,
 # a 1D step sum F_u is linear between the knot differences d, and A is a
 # cubic between its kinks, so Gauss-Legendre of order 3 between the kinks of
 # both factors is exact in tau, and F_eps is a quintic in t between the
-# points |d +- eps k|.  F_eps is even and C^4 when A is C^2, as the tent's
-# is, so on [0, t1], t1 the least of those points, F_eps / t^2 is a cubic,
-# integrated against t^2 w by moments.
+# points |d +- eps k|.  That rule runs only within reach = eps k_max of some
+# d: elsewhere F_u is linear on A_eps's support and A is even, so the
+# integral is (int A) F_u(t), int A = (int eta)^2.  F_eps is even and C^4
+# when A is C^2, as the tent's is, so on [0, t1], t1 the least of those
+# points, F_eps / t^2 is a cubic, integrated against t^2 w by moments.
 # An interval E strictly around the support subtracts 2 int |u_eps|^2 Phi_E,
 # Phi_E(x) the weight's mass over the window beyond either edge of E.
 
@@ -828,7 +841,8 @@ def _pair_integral_steps(f: Field, region, weight: PiecewisePower, a: float,
     the points |d +- eps k| and geometric points, so that no panel past t1
     spans a ratio above sqrt(2); each reports |order 12 - order 8| as its
     error.  (At ratio 2 the order-8 rule misses t^-2 by about 1e-12 of a
-    panel, which would dominate the error.)"""
+    panel, which would dominate the error.)  evaluations_used counts the F_u
+    and A reads, one F_u read per node past reach of every d, and x-nodes."""
     eps = f.payload["eps"]
     acf = f.payload["mollifier"].autocorr
     shift = _step_shifts(f)
@@ -848,19 +862,23 @@ def _pair_integral_steps(f: Field, region, weight: PiecewisePower, a: float,
     core = (a, min(b, t1)) if a < t1 else None
     ts = np.concatenate([[0.0], t1 * _CORE_FIT, [t1 * _CORE_CHECK]]
                         + [r[0] for r in rules])
-    # int F_u(t - tau) A_eps(tau) dtau at each t: Gauss-Legendre of order 3
-    # between the kinks of both factors
+    # int F_u(t - tau) A_eps(tau) dtau: at each t with a kink d within reach,
+    # Gauss-Legendre of order 3 between the kinks of both factors
     reach = k[-1]
-    cand = np.concatenate([np.broadcast_to(np.concatenate([-k[::-1], k]), (len(ts), 2 * len(k))),
-                           np.clip(ts[:, None] - d, -reach, reach),
-                           np.clip(ts[:, None] + d, -reach, reach)], axis=1)
+    near = np.searchsorted(d, ts + reach) > np.searchsorted(d, ts - reach, side="right")
+    tn = ts[near]
+    cand = np.concatenate([np.broadcast_to(np.concatenate([-k[::-1], k]), (len(tn), 2 * len(k))),
+                           np.clip(tn[:, None] - d, -reach, reach),
+                           np.clip(tn[:, None] + d, -reach, reach)], axis=1)
     cand.sort(axis=1)
     x, w = _gl(3)
     mid = 0.5 * (cand[:, 1:] + cand[:, :-1])[..., None]
     half = 0.5 * (cand[:, 1:] - cand[:, :-1])[..., None]
     tau = mid + half * x
-    vals = shift.unit((ts[:, None, None] - tau)[..., None]) * acf.at(tau / eps) / eps
-    conv = np.sum(half * w * vals, axis=(1, 2))
+    vals = shift.unit((tn[:, None, None] - tau)[..., None]) * acf.at(tau / eps) / eps
+    conv = np.empty(len(ts))
+    conv[near] = np.sum(half * w * vals, axis=(1, 2))
+    conv[~near] = f.payload["mollifier"].total ** 2 * shift.unit(ts[~near, None])
     fs = conv[1:] - conv[0]
     value = err = 0.0
     if core is not None:
@@ -884,7 +902,7 @@ def _pair_integral_steps(f: Field, region, weight: PiecewisePower, a: float,
         off += len(nodes)
     value += float(np.sum(sums[0]))
     err += float(np.sum(np.abs(sums[0] - sums[1])))
-    evals = len(d) - 1 + 2 * tau.size
+    evals = len(d) - 1 + 2 * tau.size + np.count_nonzero(~near)
     j_value = j_err = 0.0
     if region is not None:
         j_value, j_err, n_x = _steps_region_term(f, region, weight, a, b, scale)

@@ -147,7 +147,7 @@ def test_config_sections_reject_unknown_keys(section, path, tmp_path, capsys):
     ({"budget": {"max_evaluations": 0}}, "budget.max_evaluations: must be >= 1"),
     ({"budget": {"target_rel_error": "x"}}, "budget.target_rel_error: must be a number"),
     ({"field": {"name": "step_1d", "amplitude": "x"}}, "field.amplitude: must be a number"),
-    ({"region": {"kind": "box", "lo": [-1], "hi": ["x"]}}, "region: could not convert"),
+    ({"region": {"kind": "box", "lo": [-1], "hi": ["x"]}}, "region.hi[0]: must be a number"),
     ({"kind": "truncation_convergence", "truncation_levels": ["x"]},
      "truncation_levels[0]: must be a number"),
     ({"kind": "bounds_audit", "split_combos": [[0.05]]}, "split_combos[0]: must be three numbers"),
@@ -173,6 +173,13 @@ def test_bad_grid_budget_or_seed_exits_2_before_any_file(section, message, tmp_p
      "field.lo: must have 2 coordinates"),
     ({"kind": "jump_chain", "region": {"kind": "ball", "center": [0.0, 0.0], "radius": 3.0}},
      "region: must have the field's dimension, 1"),
+    ({"kind": "jump_chain", "region": {"kind": "ball", "center": 0.5, "radius": 2.0}},
+     "region.center: must be a list"),
+    ({"kind": "jump_chain", "region": {"kind": "half_space", "normal": [1.0], "offset": 3.0}},
+     "region: must be bounded"),
+    ({"kind": "bounds_audit", "region": {"kind": "complement",
+                                         "inner": {"kind": "box", "lo": [-1.0], "hi": [2.0]}}},
+     "region: must be bounded"),
 ])
 def test_a_malformed_config_exits_2_before_any_file(config, message, tmp_path, capsys):
     # each once ended in a traceback, or failed only after the output
@@ -359,6 +366,24 @@ def test_region_restricted_chain_validates_jump_clearance(tmp_path):
     cfg2.write_text(json.dumps(good))
     rc = main(["experiment", "--config", str(cfg2), "--out", str(tmp_path / "o2")])
     assert rc == 0
+
+
+def test_a_1d_ball_region_chain_passes(tmp_path):
+    # a 1D ball is the interval c +- r: the chain passes, and each term is
+    # within its error of the one over the box [c - r, c + r]
+    terms = []
+    for region in ({"kind": "ball", "center": [0.5], "radius": 2.0},
+                   {"kind": "box", "lo": [-1.5], "hi": [2.5]}):
+        cfg = tmp_path / f"{region['kind']}.json"
+        cfg.write_text(json.dumps({"kind": "jump_chain", "region": region}))
+        out = tmp_path / region["kind"]
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        terms.append(json.loads((out / "summary.json").read_text())["terms"])
+    ball, box = terms
+    assert ball.keys() == box.keys()
+    for name in ball:
+        assert abs(ball[name]["value"] - box[name]["value"]) \
+            <= ball[name]["error"] + box[name]["error"], name
 
 
 def test_constants_experiment_kind(tmp_path):

@@ -193,6 +193,7 @@ def test_shift_integral_smooth_path(bump, tent):
 _REGION_KINDS = {
     "union": (RegionSpec.union_of(RegionSpec.interval(-0.5, 0.6), RegionSpec.interval(1.2, 2.5)),
               [-0.5, 0.6, 1.2, 2.5]),
+    "ball": (RegionSpec.ball([0.4], 0.9), [-0.5, 1.3]),
     "complement": (RegionSpec.complement_of(RegionSpec.interval(0.3, 0.8)), [0.3, 0.8]),
     "half_space+": (RegionSpec.half_space([1.0], 0.7), [0.7]),
     "half_space-": (RegionSpec.half_space([-1.0], -0.4), [0.4]),

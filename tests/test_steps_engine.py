@@ -40,6 +40,8 @@ def test_steps_engine_matches_adaptive_references(step, tent, k):
     ([(0.0, 1.0, (0.6, -0.8)), (1.5, 2.0, (-1.0, 2.0))], 0.05, 0.3),
     ([(-0.4, 0.1, 2.0), (0.3, 0.35, -1.5), (0.9, 1.7, 0.5)], 1e-3, 0.8),
     ([(0.0, 0.02, 1.0), (0.05, 1.0, -1.0)], 0.2, 0.6),
+    # steps closer than 4 eps: the tau-rule windows d +- 2 eps overlap
+    ([(0.0, 1.0, 1.0), (1.03, 1.5, -2.0)], 0.01, 0.5),
 ])
 def test_steps_engine_matches_fourier_oracle(tent, steps, eps, s):
     # Di Nezza-Palatucci-Valdinoci (2012), Prop. 3.4 in 1D: the window
@@ -58,14 +60,67 @@ def test_steps_engine_matches_fourier_oracle(tent, steps, eps, s):
 
 def test_chain_rows_report_exact_errors(step, tent):
     # the chain's Gagliardo rows: E = [-1, 2], window (0, 3); each row within
-    # its error of the e^-4 reference, every error below 1e-12 relative
+    # its error of the e^-4 reference, every error below 1e-12 relative.  The
+    # tau-rule runs only at t-nodes within 2 eps of a kink of F_u, so a row
+    # reads at most 10,000 values (15,585 at e^-2 to 38,265 at e^-9 when
+    # every node ran it)
     region = RegionSpec.interval(-1.0, 2.0)
     for k in range(2, 10):
         r = pair_integral(mollify(step, tent, math.exp(-k)), region,
                           PiecewisePower.power_law(2.0), (0.0, 3.0), 2.0)
         assert r.error_estimate <= 1e-12 * r.value
+        assert r.path == "steps" and 0 < r.evaluations_used <= 10_000
         if k == 4:
             assert abs(r.value / 4.0 - 4.472323696095) <= 1e-11
+
+
+# a t-node farther than 2 eps from every kink d of F_u reads F_u(t) in place
+# of the tau-rule; these put the windows d +- 2 eps where that switch happens
+# next to each other, a window's ends and a weight piece's end
+@pytest.mark.parametrize("steps,eps,weight,window", [
+    ([(0.0, 1.0, 1.0), (1.03, 1.5, -2.0)], 0.01, PiecewisePower.power_law(2.0), (0.0, 2.0)),
+    ([(0.0, 1.0, 1.0), (1.2, 1.7, 0.5)], 0.02, PiecewisePower.power_law(1.6), (0.21, 0.97)),
+    ([(0.0, 1.0, 1.0)], 0.01, PiecewisePower.power_law(2.0), (0.0, 0.8)),
+    ([(0.0, 1.0, 1.0), (1.2, 1.7, 0.5)], 0.02,
+     PiecewisePower(((0.0, 0.49, 1.0, -2.0), (0.49, math.inf, 0.5, -1.5))), (0.0, 2.0)),
+], ids=["overlapping_windows", "a_and_b_in_windows", "kink_past_b", "weight_end_in_window"])
+def test_steps_engine_at_the_kink_windows(tent, steps, eps, weight, window):
+    u = mollify(step_sum(steps), tent, eps)
+    for region in (None, RegionSpec.interval(-0.5, 2.2)):
+        got = pair_integral(u, region, weight, window, 2.0)
+        ref = _smooth(u, region, weight, window)
+        assert got.path == "steps"
+        assert abs(got.value - ref.value) <= got.error_estimate + ref.error_estimate
+        assert got.error_estimate <= 1e-12 * got.value
+
+
+def test_pair_table_is_built_once_per_step_sum_region_and_q(monkeypatch):
+    # the key tells apart steps, region, q and 2-vector amplitudes: a value
+    # read through a full table is the one a fresh table gives.  Equal step
+    # sums built as two Fields share one entry, and evaluate u once
+    calls = []
+    original = quadrature.eval_field
+
+    def counting(field, x):
+        calls.append(field)
+        return original(field, x)
+    monkeypatch.setattr(quadrature, "eval_field", counting)
+    monkeypatch.setattr(quadrature, "_PAIR_CACHE", {})
+    ts = np.array([0.0, 0.3, 0.95, 1.4, 2.5])
+    one = [(0.0, 1.0, (0.6, 0.8)), (1.0, 1.5, (0.8, 0.6))]
+    cases = [(one, None, 2.0), ([(0.0, 1.1, (0.6, 0.8)), (1.1, 1.5, (0.8, 0.6))], None, 2.0),
+             ([(0.0, 1.0, (0.6, 0.8)), (1.0, 1.5, (0.6, 0.8))], None, 2.0),
+             (one, RegionSpec.interval(0.2, 1.2), 2.0), (one, None, 1.0)]
+    warm = [quadrature._piecewise_shifts_1d(step_sum(st, 2), reg, ts, q) for st, reg, q in cases]
+    assert len(quadrature._PAIR_CACHE) == len(cases) == len(calls)
+    for (st, reg, q), value in zip(cases, warm):
+        monkeypatch.setattr(quadrature, "_PAIR_CACHE", {})
+        assert np.array_equal(quadrature._piecewise_shifts_1d(step_sum(st, 2), reg, ts, q), value)
+    monkeypatch.setattr(quadrature, "_PAIR_CACHE", {})
+    calls.clear()
+    pair = [quadrature._piecewise_shifts_1d(step_sum(one, 2), None, ts, 2.0) for _ in range(2)]
+    assert len(calls) == 1 and len(quadrature._PAIR_CACHE) == 1
+    assert np.array_equal(pair[0], pair[1]) and np.array_equal(pair[1], warm[0])
 
 
 def test_smooth_engine_covers_the_missing_knot_reference(step, tent):
