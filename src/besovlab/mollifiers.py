@@ -16,6 +16,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,8 +24,8 @@ import scipy  # its submodules load on first use, on the paths that need them
 
 from .errors import CapabilityError, InputError, ResolutionError, built_kind, require
 from .fields import Field, GridSpec, sample, sphere_measure, step_intervals, support_bbox
-from .quadrature import (_LATTICE_COLS, _LATTICE_ROWS, Autocorrelation, _bspline, _fast_len,
-                         _panel_nodes, shift_integral)
+from .quadrature import (_LATTICE_COLS, _LATTICE_ROWS, Autocorrelation, _fast_len, _panel_nodes,
+                         shift_integral)
 
 __all__ = ["MollifierSpec", "MOLLIFIERS", "make_mollifier", "mollify", "mollifier_bound_check"]
 
@@ -91,6 +92,14 @@ def _tent_cdf(w):
     out = np.where(w <= 0.0, 0.5 * (1.0 + np.clip(w, -1.0, 0.0)) ** 2,
                    1.0 - 0.5 * (1.0 - np.clip(w, 0.0, 1.0)) ** 2)
     return out
+
+
+# G = |.| * A for the tent's A, the cubic B-spline: 7/15 + 2x^2/3 - x^4/6 +
+# x^5/20 on [0, 1] and x + (2 - x)^5 / 60 on [1, 2], the latter about x = 1
+_TENT_AUTOCORR = Autocorrelation(
+    (0.0, 1.0, 2.0),
+    tuple(tuple(Fraction(n, den) for n in row) for row, den in
+          (((28, 0, 40, 0, -10, 3), 60), ((61, 55, 10, -10, 5, -1), 60))))
 
 
 _GAUSS_CUT = 6.0
@@ -166,7 +175,7 @@ def _tent(dim: int) -> MollifierSpec:
     if dim == 1:
         return MollifierSpec("tent", 1, 1.0, 1.0, 1.0, 2.0,
                              pdf=_tent_pdf, grad=_tent_grad,
-                             cdf=_tent_cdf, autocorr=Autocorrelation(_bspline, (0.0, 1.0, 2.0)))
+                             cdf=_tent_cdf, autocorr=_TENT_AUTOCORR)
     # radial tent c (1 - r)+ normalized to unit mass:
     # int_0^1 (1 - r) r^(N-1) dr = 1 / (N (N + 1))
     h = sphere_measure(dim)

@@ -37,9 +37,12 @@ builds every pair- and shift-integral record, with the one low-confidence rule.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -105,30 +108,49 @@ def _rated(path: str, budget: QuadBudget, value: float, error: float = 0.0,
 class ShiftFunction:
     """A field's shift function F(h) = int |u(x+h) - u(x)|^q dx over R^N at
     one q, as scale^q times `unit`, that of u / scale: unit takes shifts of
-    shape (..., N), is `far` (2 ||u / scale||_q^q) past the support's
-    diameter and in 1D is linear between the radii `kinks`.  Its sphere
-    integral S(t) has square-root edges at the radii `roots`; sphere(ts,
-    order) is S by each rule of `orders` (the value's, then one whose change
-    is its error), None when F(t n) is one value for every direction n."""
+    shape (..., N) and is `far` (2 ||u / scale||_q^q) past the support's
+    diameter.  In 1D at q = 2 it is sum_d betas_d max(|t| - d, 0) over its
+    `kinks` d.  Its sphere integral S(t) has square-root edges at the radii
+    `roots`; sphere(ts, order) is S by each rule of `orders` (the value's,
+    then one whose change is its error), None when F(t n) is one value for
+    every direction n."""
 
     scale: float
     unit: Callable
     far: float
     kinks: np.ndarray = ()
+    betas: np.ndarray = ()
     roots: tuple = ()
     sphere: Optional[Callable] = None
     orders: tuple = (None,)
 
 
-@dataclass(frozen=True)
+# hashed by identity: _h_poly's cache keys on the record
+@dataclass(frozen=True, eq=False)
 class Autocorrelation:
-    """A mollifier's autocorrelation A = eta * eta(-.) at unit scale: `at`
-    evaluates it, even and a cubic between its kinks +-kinks, within
-    `error` of A everywhere."""
+    """A 1D mollifier's autocorrelation A = eta * eta(-.) at unit scale and
+    unit mass, held as G = |.| * A: G is even, G'' = 2A, and G(x) = |x| past
+    the last of its `kinks`.  Between kinks[i] and kinks[i + 1], G is the
+    polynomial with exact rational coefficients `coefs[i]` in powers of
+    x - kinks[i], lowest first, within `error` of the true G."""
 
-    at: Callable
     kinks: tuple
+    coefs: tuple
     error: float = 0.0
+
+    @functools.cached_property
+    def _floats(self) -> tuple:
+        return tuple(tuple(float(v) for v in c[::-1]) for c in self.coefs)
+
+    def at(self, x):
+        """G at each x."""
+        x = np.abs(np.asarray(x, dtype=float))
+        out = np.array(x)
+        for lo, hi, c in zip(self.kinks, self.kinks[1:], self._floats):
+            inside = (x >= lo) & (x < hi)
+            u = x[inside] - lo
+            out[inside] = functools.reduce(lambda g, cj: g * u + cj, c)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +192,14 @@ class PiecewisePower:
         """Exact integral of profile(r) * r^extra_power over [a, b], b finite
         or inf.  A scalar a gives a float; an array of lower bounds gives one
         integral per bound, 0 where the bound is at or past b."""
+        return self.moment_terms(a, b, extra_power)[0]
+
+    def moment_terms(self, a, b: float, extra_power: float):
+        """(moment(a, b, extra_power), the summed sizes of the terms it adds
+        up, shaped alike): its rounding is a few ulp of the sizes."""
         lows = np.asarray(a, dtype=float)
         flat = lows.ravel()
-        total = np.zeros(flat.size)
+        total, size = np.zeros(flat.size), np.zeros(flat.size)
         for lo, hi, coef, power in self.pieces:
             p0 = np.maximum(flat, lo)
             p1 = min(b, hi)
@@ -182,19 +209,29 @@ class PiecewisePower:
             xs = p0[live].tolist()
             if coef == 0.0 or not xs:
                 continue
-            p = power + extra_power
-            if (p < -1.0 or abs(p + 1.0) < 1e-14) and 0.0 in xs:
+            p, e = power + extra_power, power + extra_power + 1.0
+            if (p < -1.0 or abs(e) < 1e-14) and 0.0 in xs:
                 raise DivergenceError("divergent core in radial integral")
             if p1 == math.inf:
                 if p >= -1.0:
                     raise DivergenceError("divergent tail in radial integral")
-                total[live] += -coef * np.array([x ** (p + 1.0) for x in xs]) / (p + 1.0)
-            elif abs(p + 1.0) < 1e-14:
-                total[live] += coef * np.array([math.log(p1) - math.log(x) for x in xs])
+                spans = [(-x ** e, x ** e) for x in xs]
+            elif abs(e) < 1e-14:
+                spans = [(math.log(p1) - math.log(x), abs(math.log(p1)) + abs(math.log(x)))
+                         for x in xs]
+                e = 1.0
             else:
-                total[live] += coef * np.array([p1 ** (p + 1.0) - x ** (p + 1.0)
-                                                for x in xs]) / (p + 1.0)
-        return total.reshape(lows.shape) if lows.ndim else float(total[0])
+                # within p1 < x exp(0.01 / |e|), p1^e - x^e would lose digits:
+                # x^e expm1(e log1p((p1 - x) / x)) keeps them, its own size
+                near, top = math.exp(min(0.01 / abs(e), 700.0)), p1 ** e
+                spans = [(x ** e * math.expm1(e * math.log1p((float(p1) - x) / x)),) * 2
+                         if p1 < near * x else (top - x ** e, top + x ** e) for x in xs]
+            spans = np.array(spans)
+            total[live] += coef * spans[:, 0] / e
+            size[live] += abs(coef * spans[:, 1] / e)
+        if lows.ndim:
+            return total.reshape(lows.shape), size.reshape(lows.shape)
+        return float(total[0]), float(size[0])
 
 
 def radial_integral(profile: PiecewisePower, n: int,
@@ -759,56 +796,97 @@ def _pair_integral_indicator(f: Field, region, weight: PiecewisePower, a: float,
 # ---------------------------------------------------------------------------
 #
 # For u_eps = u * eta_eps, Wiener-Khinchin gives the q = 2 shift integral over
-# R as
-#
-#   F_eps(t) = int [F_u(t - tau) - F_u(tau)] A_eps(tau) dtau,
-#
-# F_u the ShiftFunction of u, and A_eps(tau) = A(tau / eps) / eps the
+# R as F_eps(t) = int [F_u(t - tau) - F_u(tau)] A_eps(tau) dtau, A_eps the
 # Autocorrelation of eta_eps, which the payload's MollifierSpec carries.  For
-# a 1D step sum F_u is linear between the knot differences d, and A is a
-# cubic between its kinks, so Gauss-Legendre of order 3 between the kinks of
-# both factors is exact in tau, and F_eps is a quintic in t between the
-# points |d +- eps k|.  That rule runs only within reach = eps k_max of some
-# d: elsewhere F_u is linear on A_eps's support and A is even, so the
-# integral is (int A) F_u(t), int A = (int eta)^2.  F_eps is even and C^4
-# when A is C^2, as the tent's is, so on [0, t1], t1 the least of those
-# points, F_eps / t^2 is a cubic, integrated against t^2 w by moments.
-# An interval E strictly around the support subtracts 2 int |u_eps|^2 Phi_E,
+# a 1D step sum F_u(t) = sum_d beta_d max(|t| - d, 0) (_step_shifts), so
+#
+#   F_eps(t) = sum_d (beta_d / 2) H_d(t),
+#   H_d(t) = G_eps(t - d) + G_eps(t + d) - 2 G_eps(d),
+#
+# G_eps(x) = eps G(x / eps) and G = |.| * A.  With R = eps times A's last
+# kink, H_d is 0 below d - R, a polynomial between the points |d + eps k|,
+# k = 0, +-kinks, and 2 (t - G_eps(d)) past d + R.  So int_a^b w H_d is exact
+# up to roundoff: the linear tails by moments of w; a polynomial piece
+# [lo, hi] with lo >= hi - lo by Gauss-Legendre of order _STEPS_ORDER between
+# a, b and w's piece ends, which at ratio hi / lo = 2 misses int t^p,
+# -4 <= p <= 6, by under 1e-17 relative; any other piece, where w may be
+# singular, by moments of w against H_d's coefficients in t (_h_poly).  An
+# interval E strictly around the support subtracts 2 int |u_eps|^2 Phi_E,
 # Phi_E(x) the weight's mass over the window beyond either edge of E.
 
-# Gauss-Legendre orders of the t- and x-panels; the error is their difference
+_STEPS_ORDER = 14
+# Gauss-Legendre orders of the region term's x-panels; the error is their
+# difference
 _STEPS_ORDERS = (12, 8)
-# t-breaks below b times this are dropped
-_STEPS_FLOOR = 1e-9
-# where F_eps / t^2 is fitted on [0, t1], in units of t1, and checked
-_CORE_FIT = np.array([0.25, 0.5, 0.75, 1.0])
-_CORE_CHECK = 0.625
 
 
 def _paired_form(f: Field, region, q: float) -> bool:
     """True when the q = 2 engine serves these inputs: u has a ShiftFunction
     and eta an Autocorrelation, exact, as the engine counts no table error,
-    and E is R or an interval around the support."""
+    and E is R or an interval (a box or a ball) around the support."""
     u = mollified_source(f)
     if u is None or u.kind != "piecewise" or q != 2.0 \
             or getattr(f.payload["mollifier"].autocorr, "error", None) != 0.0:
         return False
-    if region is None:
-        return True
-    lo, hi = support_bbox(f)
-    return region.kind == "box" and region.lo[0] < lo[0] and hi[0] < region.hi[0]
+    if region is None or region.kind not in ("box", "ball"):
+        return region is None
+    (lo,), (hi,) = support_bbox(f)
+    lo_e, hi_e = _region_1d_edges(region)
+    return lo_e < lo and hi < hi_e
 
 
 def _step_shifts(f: Field) -> ShiftFunction:
-    """The q = 2 ShiftFunction of the step sum u of f = u * eta_eps over R:
-    scale the least power of 2 above u's largest amplitude, so that
-    multiplying by scale^2 is exact, as is dividing by it, and unit the
-    interpolant of its values at the knot differences d of u, from 0 up."""
+    """The q = 2 ShiftFunction of the step sum u of f = u * eta_eps over R.
+    With c_i the jumps of u / scale at its knots x_i, F(t) = sum_d betas_d
+    max(|t| - d, 0) over the distinct knot differences d = |x_k - x_i|
+    (`kinks`, 0 first), betas_d the sum of c_i . c_k over the ordered pairs
+    (i, k) at distance d.  scale is the least power of 2 above u's largest
+    amplitude, so dividing the jumps by it and multiplying by scale^2 are
+    exact."""
     scale = 2.0 ** math.frexp(_amplitude(f))[1]
-    src = scale_field(f.payload["field"], 1.0 / scale)
-    d = _shift_breaks_1d(src, None)
-    fd = _piecewise_shifts_1d(src, None, d, 2.0)
-    return ShiftFunction(scale, lambda h: np.interp(np.abs(h[..., 0]), d, fd), float(fd[-1]), d)
+    jumps: dict = {}
+    for lo, hi, amp in step_intervals(f.payload["field"]):
+        jumps[lo] = jumps.get(lo, 0.0) + amp / scale
+        jumps[hi] = jumps.get(hi, 0.0) - amp / scale
+    x, c = np.array(list(jumps)), np.array(list(jumps.values()))
+    gaps = np.abs(x[:, None] - x[None, :]).ravel()
+    d = _distinct(gaps)
+    betas = np.zeros(len(d))
+    np.add.at(betas, np.searchsorted(d, gaps), (c @ c.T).ravel())
+    return ShiftFunction(scale, lambda h: np.sum(betas * np.maximum(np.abs(h) - d, 0.0), axis=-1),
+                         float(-betas @ d), d, betas)
+
+
+@functools.lru_cache(maxsize=1024)
+def _h_poly(acf: Autocorrelation, r: float, y: float) -> tuple:
+    """The coefficients in y, lowest first, of h(y) = G(y - r) + G(y + r) -
+    2 G(r) = H_d(eps y) / eps at r = d / eps, on its piece that holds y (the
+    one from 0 when y is 0).  Worked in exact rationals and rounded once, the
+    small coefficients that meet the weight's singular moments near t = 0
+    keep their digits; on the piece from 0 the first two are 0."""
+    exact, out = Fraction(r), [0] * max(map(len, acf.coefs))
+
+    def add(i, slope, offset, times):
+        # times G(slope y + offset) on G's piece i, |x| past the last kink
+        k, c = (Fraction(acf.kinks[i]), acf.coefs[i]) if i < len(acf.coefs) else (0, (0, 1))
+        poly = [c[-1]]
+        for ck in c[-2::-1]:
+            poly = [ck + (offset - k) * poly[0]] + [
+                (offset - k) * u + slope * v for u, v in zip(poly[1:] + [0], poly)]
+        for j, v in enumerate(poly):
+            out[j] += times * v
+    add(bisect.bisect_right(acf.kinks, r) - 1, 0, exact, -2)
+    for shift in (-1, 1):
+        if y > 0.0:
+            x = y + shift * r
+            sign, i = (1 if x >= 0.0 else -1), bisect.bisect_right(acf.kinks, abs(x)) - 1
+        elif shift < 0 < r:
+            # on the piece from 0, |y - r| rises to r and y + r falls to it
+            sign, i = -1, bisect.bisect_left(acf.kinks, r) - 1
+        else:
+            sign, i = 1, bisect.bisect_right(acf.kinks, r) - 1
+        add(i, sign, sign * shift * exact, 1)
+    return tuple(float(v) for v in out)
 
 
 def _steps_region_term(f: Field, region: RegionSpec, weight: PiecewisePower,
@@ -817,7 +895,7 @@ def _steps_region_term(f: Field, region: RegionSpec, weight: PiecewisePower,
     panels split at u_eps's knots, where the distance to an edge of E is a, b
     or an end of a weight piece, and geometrically toward E's edges, so no
     panel is wider than its distance to them."""
-    lo_e, hi_e = region.lo[0], region.hi[0]
+    lo_e, hi_e = _region_1d_edges(region)
     (s0,), (s1,) = support_bbox(f)
     cuts = [c for c in [a, b] + [e for piece in weight.pieces for e in piece[:2]]
             if math.isfinite(c)]
@@ -836,81 +914,57 @@ def _steps_region_term(f: Field, region: RegionSpec, weight: PiecewisePower,
 
 def _pair_integral_steps(f: Field, region, weight: PiecewisePower, a: float,
                          b: float, q: float, budget, stream) -> QuadResult:
-    """The q = 2 engine, F_u of _step_shifts against A; see the section
-    comment.  The t-panels split at a, b, the ends of the weight's pieces,
-    the points |d +- eps k| and geometric points, so that no panel past t1
-    spans a ratio above sqrt(2); each reports |order 12 - order 8| as its
-    error.  (At ratio 2 the order-8 rule misses t^-2 by about 1e-12 of a
-    panel, which would dominate the error.)  evaluations_used counts the F_u
-    and A reads, one F_u read per node past reach of every d, and x-nodes."""
-    eps = f.payload["eps"]
-    acf = f.payload["mollifier"].autocorr
+    """The q = 2 engine, 2 int_a^b w(t) sum_d (beta_d / 2) H_d(t) dt; see the
+    section comment.  The error is 16 ulp of the summed sizes of the terms, a
+    weight value exp(power ln t) counting |power ln t| ulp more.
+    evaluations_used counts the Gauss-Legendre nodes and the region term's
+    x-nodes."""
+    eps, acf = f.payload["eps"], f.payload["mollifier"].autocorr
     shift = _step_shifts(f)
-    d, scale = shift.kinks, shift.scale
+    d, beta, scale = shift.kinks, 0.5 * shift.betas, shift.scale
+    reach, r = eps * acf.kinks[-1], d / eps
+    near, g_r = d < reach, eps * acf.at(r)
+    # past d + reach, H_d(t) = 2 (t - G_eps(d)), and G_eps(d) = d once d >= reach
+    lows, g_d = np.maximum(a, d + reach), np.where(near, g_r, d)
+    (m1, s1), (m0, s0) = weight.moment_terms(lows, b, 1.0), weight.moment_terms(lows, b, 0.0)
+    value = 2.0 * float(beta @ (m1 - g_d * m0))
+    size = 2.0 * float(np.abs(beta) @ (s1 + g_d * s0))
+    # H_d's polynomial pieces that meet the window, none below d - reach
     k = eps * np.asarray(acf.kinks)
-    breaks = np.abs(d[:, None] + np.concatenate([-k, k])).ravel()
-    # F_eps is C^4, so a break d below b * _STEPS_FLOOR changes F_eps on
-    # [0, d] by a share of order (d / eps)^3: it is dropped, which keeps the
-    # weight finite on the t-panels.  The core's check catches the rest
-    breaks = breaks[breaks > b * _STEPS_FLOOR]
-    t1 = float(np.min(breaks, initial=b))
-    ends = [e for piece in weight.pieces for e in piece[:2]]
-    geo = t1 * 2.0 ** (0.5 * np.arange(max(0, math.ceil(2.0 * math.log2(b / t1))) + 1))
-    pts = _distinct(np.concatenate([[a, b], breaks, ends, geo]))
-    pts = pts[(pts >= max(a, t1)) & (pts <= b)]
-    rules = [_panel_nodes(pts[:-1], pts[1:], order) for order in _STEPS_ORDERS]
-    core = (a, min(b, t1)) if a < t1 else None
-    ts = np.concatenate([[0.0], t1 * _CORE_FIT, [t1 * _CORE_CHECK]]
-                        + [r[0] for r in rules])
-    # int F_u(t - tau) A_eps(tau) dtau: at each t with a kink d within reach,
-    # Gauss-Legendre of order 3 between the kinks of both factors
-    reach = k[-1]
-    near = np.searchsorted(d, ts + reach) > np.searchsorted(d, ts - reach, side="right")
-    tn = ts[near]
-    cand = np.concatenate([np.broadcast_to(np.concatenate([-k[::-1], k]), (len(tn), 2 * len(k))),
-                           np.clip(tn[:, None] - d, -reach, reach),
-                           np.clip(tn[:, None] + d, -reach, reach)], axis=1)
-    cand.sort(axis=1)
-    x, w = _gl(3)
-    mid = 0.5 * (cand[:, 1:] + cand[:, :-1])[..., None]
-    half = 0.5 * (cand[:, 1:] - cand[:, :-1])[..., None]
-    tau = mid + half * x
-    vals = shift.unit((tn[:, None, None] - tau)[..., None]) * acf.at(tau / eps) / eps
-    conv = np.empty(len(ts))
-    conv[near] = np.sum(half * w * vals, axis=(1, 2))
-    conv[~near] = f.payload["mollifier"].total ** 2 * shift.unit(ts[~near, None])
-    fs = conv[1:] - conv[0]
-    value = err = 0.0
-    if core is not None:
-        # F_eps / t^2 = sum_j c_j (t / t1)^j on [0, t1], so the core is
-        # g @ (F_eps / t^2 at the fit nodes), g the moments through the fit;
-        # each F_eps there carries the roundoff of conv(t) - conv(0)
-        vander = np.vander(_CORE_FIT, 4, increasing=True)
-        fit_t = t1 * _CORE_FIT
-        moments = np.array([weight.moment(*core, 2.0 + j) / t1 ** j for j in range(4)])
-        g = np.linalg.solve(vander.T, moments)
-        value += float(g @ (fs[:4] / fit_t ** 2))
-        c = np.linalg.solve(vander, fs[:4] / fit_t ** 2)
-        resid = np.polyval(c[::-1], _CORE_CHECK) - fs[4] / (t1 * _CORE_CHECK) ** 2
-        err += abs(resid * moments[0]) + float(np.abs(g) @ (
-            8.0 * np.finfo(float).eps * (np.abs(conv[1:5]) + abs(conv[0])) / fit_t ** 2))
-    # per panel and order: weights @ w(t) F_eps(t)
-    off, sums = 5, []
-    for (nodes, w), order in zip(rules, _STEPS_ORDERS):
-        terms = w * weight(nodes) * fs[off:off + len(nodes)]
-        sums.append(np.sum(terms.reshape(-1, order), axis=1))
-        off += len(nodes)
-    value += float(np.sum(sums[0]))
-    err += float(np.sum(np.abs(sums[0] - sums[1])))
-    evals = len(d) - 1 + 2 * tau.size + np.count_nonzero(~near)
+    edges = np.sort(np.column_stack([np.maximum(d - reach, 0.0),
+                                     np.abs(d[:, None] + np.concatenate([-k[:0:-1], k]))]), axis=1)
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    keep = (hi > lo) & (hi > a) & (lo < b)
+    lo, hi, idx = lo[keep], hi[keep], np.nonzero(keep)[0]
+    gl = lo >= hi - lo
+    for i, e0, e1 in zip(idx[~gl], lo[~gl], hi[~gl]):
+        h = _h_poly(acf, float(r[i]), 0.5 * (e0 + e1) / eps if e0 > 0.0 else 0.0)
+        for j, hj in enumerate(h):
+            if hj != 0.0:
+                c = beta[i] * hj * eps ** (1 - j)
+                m, m_size = weight.moment_terms(max(a, e0), min(b, e1), float(j))
+                value, size = value + c * m, size + abs(c) * m_size
+    cuts = np.array([c for c in [a, b, *(e for piece in weight.pieces for e in piece[:2])]
+                     if math.isfinite(c)])
+    lo, hi = lo[gl, None], hi[gl, None]
+    parts = np.sort(np.hstack([lo, hi, np.clip(cuts, lo, hi)]), axis=1)
+    p0, p1 = parts[:, :-1], parts[:, 1:]
+    live = (p0 >= a) & (p1 <= b) & (p1 > p0)
+    i = np.broadcast_to(idx[gl, None], p0.shape)[live][:, None]
+    t, wts = (v.reshape(-1, _STEPS_ORDER) for v in _panel_nodes(p0[live], p1[live], _STEPS_ORDER))
+    wts = beta[i] * wts * weight(t)
+    g1, g2, dt = eps * acf.at((t - d[i]) / eps), eps * acf.at((t + d[i]) / eps), t - d[i]
+    value += float(np.sum(wts * (g1 + np.where(near[i], g2 - 2.0 * g_r[i], dt))))
+    power = max(abs(piece[3]) for piece in weight.pieces)
+    size += float(np.sum(np.abs(wts) * (1.0 + power * np.abs(np.log(t)) / 16.0)
+                         * (g1 + np.where(near[i], g2 + 2.0 * g_r[i], np.abs(dt)))))
+    evals = t.size
     j_value = j_err = 0.0
     if region is not None:
         j_value, j_err, n_x = _steps_region_term(f, region, weight, a, b, scale)
         evals += n_x
-    total = 2.0 * (value - j_value) * scale * scale
-    err = (2.0 * (err + j_err) + 64.0 * np.finfo(float).eps * (abs(value) + abs(j_value))) \
-        * scale * scale
-    return QuadResult(float(total), float(err), evals)
+    err = 2.0 * (j_err + np.finfo(float).eps * (16.0 * size + 64.0 * abs(j_value)))
+    return QuadResult(2.0 * (value - j_value) * scale * scale, err * scale * scale, evals)
 
 
 def _unit_directions(rng, m: int, n: int) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Independent brute-force oracles for the derived expected values.
 
 Everything here deliberately avoids the package's integration machinery:
-dense midpoint/Riemann sums, plain Monte Carlo with a fixed generator, and
-scipy reference quadrature only.  One exception: indicator_pair_integral
+dense midpoint/Riemann sums, plain Monte Carlo with a fixed generator,
+scipy reference quadrature and mpmath only.  One exception: indicator_pair_integral
 reads a box's sphere sum from the package (closed form in 2D).  Oracle values are compared against the
 package paths in the tests; several frozen constants in the tests were
 generated by these functions.
@@ -11,7 +11,9 @@ generated by these functions.
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 from scipy import integrate as sciint
 
@@ -525,3 +527,118 @@ def indicator_pair_integral(shape, amp, q, weight, a, b):
             t = max(t, 1e-200)
             return float(_box_sphere_sum(side, np.array([t]), 64)[0]) / t
     return amp ** q * weighted_quad(s_over_t, weight, a, b, n, kinks)
+
+
+def _tent_g_poly(sign, near):
+    """G = |.| * A for the tent's autocorrelation A, on one side (sign) of 0,
+    as exact coefficients in x, lowest first: 7/15 + 2x^2/3 - x^4/6 +
+    |x|^5/20 for |x| <= 1 (near 1), |x| + (2 - |x|)^5/60 for 1 <= |x| <= 2
+    (near 2), |x| beyond (near 0)."""
+    f = Fraction
+    if near == 1:
+        return [f(7, 15), 0, f(2, 3), 0, f(-1, 6), sign * f(1, 20)]
+    if near == 2:
+        # |x| + (2 - |x|)^5 / 60, |x| = sign x
+        fifth = [f(math.comb(5, j) * 2 ** (5 - j) * (-sign) ** j, 60) for j in range(6)]
+        return [fifth[0], fifth[1] + sign] + fifth[2:]
+    return [0, sign]
+
+
+def _poly_shift(c, scale, offset):
+    """Exact coefficients in t of sum_j c_j ((t - offset) / scale)^j."""
+    out = [Fraction(0)] * len(c)
+    for j, cj in enumerate(c):
+        for i in range(j + 1):
+            out[i] += cj * math.comb(j, i) * (-offset) ** (j - i) / scale ** j
+    return out
+
+
+def steps_pair_integral_mp(steps, eps, s, window, region=None, dps=50):
+    """int int_E |u(x) - u(y)|^2 |x - y|^-s dx dy over a <= |x - y| <= b, as an
+    mpmath number good to dps digits, for the step sum u = sum_j amp_j
+    1_[a_j, b_j] mollified by the tent at eps; E is R, or an interval
+    region = (lo, hi) strictly around u's support.
+
+    Over R it is 2 int_a^b t^-s F(t) dt with F(t) = sum_{i,k} c_i . c_k
+    (G_eps(t - x_k + x_i) - G_eps(x_k - x_i)) for the jumps c_i of u at x_i,
+    G_eps(x) = eps G(x / eps) and G of _tent_g_poly.  Between consecutive
+    points x_k - x_i + eps m, m = -2..2, F is a polynomial in t: its exact
+    rational coefficients are integrated term by term, in enough digits to
+    absorb their cancellation.  E subtracts 2 int |u(x)|^2 Phi(x) dx, Phi(x)
+    the mass of t^-s over [a, b] beyond either edge of E, by mpmath.quad on
+    the pieces where the integrand is smooth."""
+    f = Fraction
+    jumps = {}
+    for a_j, b_j, amp in steps:
+        amp = [f(float(v)) for v in np.atleast_1d(amp)]
+        for x, sign in ((f(a_j), 1), (f(b_j), -1)):
+            jumps[x] = [u + sign * v for u, v in zip(jumps.get(x, [0] * len(amp)), amp)]
+    pairs = [(xk - xi, sum(u * v for u, v in zip(ci, ck)))
+             for xi, ci in jumps.items() for xk, ck in jumps.items()]
+    e, (a, b) = f(eps), (f(window[0]), f(window[1]))
+
+    def g_eps(x):
+        # G_eps on the piece that holds x, as exact coefficients in t
+        z = float(x / e)
+        near = 1 if abs(z) < 1 else 2 if abs(z) < 2 else 0
+        return [e * c for c in _poly_shift(_tent_g_poly(1 if z >= 0 else -1, near), e, 0)]
+
+    def mp(x):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    cuts = sorted({a, b} | {d + m * e for d, _ in pairs for m in range(-2, 3) if a < d + m * e < b})
+    shifts = max(abs(d) for d, _ in pairs) / e
+    total = mpmath.mpf(0)
+    with mpmath.workdps(dps + 10 + 5 * math.ceil(math.log10(float(shifts) + 1.0))):
+        s_mp = mpmath.mpf(s)
+        for t0, t1 in zip(cuts[:-1], cuts[1:]):
+            mid = (t0 + t1) / 2
+            poly = [f(0)] * 6
+            for d, p in pairs:
+                # G_eps(t - d) on this piece, less G_eps(d)
+                for j, c in enumerate(_poly_shift(g_eps(mid - d), 1, d)):
+                    poly[j] += p * c
+                poly[0] -= p * sum(c * d ** j for j, c in enumerate(g_eps(d)))
+            for j, c in enumerate(poly):
+                power = 1 - s_mp + j
+                if c == 0:
+                    continue
+                if t0 == 0 and power <= 0:
+                    raise ValueError("divergent core")
+                if power == 0:
+                    total += mp(c) * (mpmath.log(mp(t1)) - mpmath.log(mp(t0)))
+                else:
+                    total += mp(c) * (mp(t1) ** power - mp(t0) ** power) / power
+    if region is None:
+        return 2 * total
+    with mpmath.workdps(dps + 10):
+        lo_e, hi_e = mpmath.mpf(region[0]), mpmath.mpf(region[1])
+        a_mp, b_mp, e_mp, s_mp = mp(a), mp(b), mp(e), mpmath.mpf(s)
+        amps = [[mpmath.mpf(float(v)) for v in np.atleast_1d(amp)] for _, _, amp in steps]
+
+        def mass(lo):
+            # int_lo^b t^-s dt, 0 at and past b
+            if lo >= b_mp:
+                return mpmath.mpf(0)
+            if s_mp == 1:
+                return mpmath.log(b_mp / lo)
+            return (lo ** (1 - s_mp) - b_mp ** (1 - s_mp)) / (s_mp - 1)
+
+        def cdf(v):
+            v = min(max(v, -1), 1)
+            return (1 + v) ** 2 / 2 if v <= 0 else 1 - (1 - v) ** 2 / 2
+
+        def integrand(x):
+            u = [0] * len(amps[0])
+            for (a_j, b_j, _), amp in zip(steps, amps):
+                bump = cdf((x - a_j) / e_mp) - cdf((x - b_j) / e_mp)
+                u = [v + c * bump for v, c in zip(u, amp)]
+            return sum(v * v for v in u) * (mass(max(a_mp, hi_e - x)) + mass(max(a_mp, x - lo_e)))
+
+        xs = [float(x) for x in jumps]
+        x_lo, x_hi = min(xs) - eps, max(xs) + eps
+        pts = {x + m * eps for x in xs for m in (-1, 0, 1)} | \
+            {region[1] - window[0], region[1] - window[1], region[0] + window[0],
+             region[0] + window[1]}
+        pts = sorted(mpmath.mpf(p) for p in pts if x_lo <= p <= x_hi)
+        return 2 * (total - mpmath.quad(integrand, pts))

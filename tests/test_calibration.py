@@ -21,8 +21,8 @@ from besovlab.fields import Field, RegionSpec, support_bbox
 from besovlab.mollifiers import make_mollifier, mollify
 from besovlab.quadrature import PiecewisePower, QuadBudget, pair_integral
 
-from oracles import (fourier_pair_integral, fourier_seminorm_steps, grid_field,
-                     indicator_pair_integral, step_sum, weighted_quad)
+from oracles import (fourier_pair_integral, grid_field, indicator_pair_integral, step_sum,
+                     steps_pair_integral_mp, weighted_quad)
 
 _A_FRAC = st.one_of(st.just(0.0), st.floats(0.0, 0.95))
 
@@ -107,14 +107,20 @@ def _steps_cases(draw):
         float(hi[0] - lo[0]) * draw(st.floats(1.0, 2.0)), 2.0, None
 
 
+def _steps_case(steps, dim_out, eps, s):
+    """The steps under the tent at eps, t^-(1 + 2s) over (0, b), b 1.5 times
+    the support's width."""
+    u = mollify(step_sum(steps, dim_out), make_mollifier("tent"), eps)
+    lo, hi = support_bbox(u)
+    return u, None, PiecewisePower.power_law(1.0 + 2.0 * s), 0.0, 1.5 * float(hi[0] - lo[0]), \
+        2.0, None
+
+
 def _steps_reference(f, region, weight, a, b, q, budget):
-    # the R seminorm less its part past b; on these draws the oracle is good
-    # to about 1e-9
-    s = 0.5 * (-weight.pieces[0][3] - 1.0)
+    # the 50-digit closed form, whose one error is its rounding to a float
     steps = [(p.lo[0], p.hi[0], amp) for p, amp in f.payload["field"].payload["pieces"]]
-    semi, l2 = fourier_seminorm_steps(steps, f.payload["eps"], s)
-    ref = semi - 4.0 * l2 * b ** (-2.0 * s) / (2.0 * s)
-    return ref, 1e-8 * abs(ref)
+    ref = float(steps_pair_integral_mp(steps, f.payload["eps"], -weight.pieces[0][3], (a, b)))
+    return ref, 0.5 * math.ulp(ref)
 
 
 @st.composite
@@ -190,7 +196,7 @@ def _mc_cases(draw):
 ROWS = [
     ("lattice", _lattice_cases(), _lattice_reference, 5e-8, 6),
     ("piecewise_1d", _step_cases(), _step_reference, 0.0, 20),
-    ("steps", _steps_cases(), _steps_reference, 1e-9, 6),
+    ("steps", _steps_cases(), _steps_reference, 1.3e-13, 6),
     # both engines' roundoff: 1e-13
     ("smooth_1d", _smooth_cases(), _engine_reference("steps", 1e-13), 1e-9, 30),
     ("indicator", _indicator_cases(), _indicator_reference, 1e-8, 40),
@@ -202,6 +208,10 @@ def _power_case(shape, amp, s, q, a, b):
     return _indicator(shape, amp), None, PiecewisePower.power_law(s), a, b, q, None
 
 
+# steps: two-vector amplitudes; steps closer than 4 eps; knots closer than
+# 2 eps, whose H_d pieces reach t = 0; a knot difference just above 2 eps,
+# whose piece [d - 2 eps, d - eps] starts 1e-12 above 0; one just above eps,
+# whose piece [d - eps, d] starts 2e-11 above 0, where t^-2.8 H_d ~ t^-0.8.
 # lattice: (70, 130) splits both the 64 frequency columns (136 of them) and
 # the 64 lag rows (70) unevenly, (5, 9, 70) the columns (1314) in 3D.
 # indicator, cases that once failed: the ball's symmetric difference lost
@@ -211,6 +221,12 @@ EXAMPLES = {
     "lattice": [_lattice_case(*c) for c in [
         ((3, 4), 1, 0.5), ((4, 3), 2, 0.3), ((5, 5), 1, 0.9), ((2, 3, 2), 1, 0.5),
         ((3, 2, 2), 2, 0.8), ((70, 130), 2, 0.5), ((5, 9, 70), 1, 0.5)]],
+    "steps": [
+        _steps_case([(0.0, 1.0, (0.6, -0.8)), (1.5, 2.0, (-1.0, 2.0))], 2, 0.05, 0.3),
+        _steps_case([(0.0, 1.0, 1.0), (1.03, 1.5, -2.0)], 1, 0.01, 0.5),
+        _steps_case([(0.0, 1.0, 1.0), (1.03, 1.5, -2.0)], 1, 0.02, 0.5),
+        _steps_case([(0.0, 1.0, 1.0), (1.040000000001, 1.5, -2.0)], 1, 0.02, 0.8),
+        _steps_case([(0.0, 1.0, 1.0), (1.02000000002, 1.5, -2.0)], 1, 0.02, 0.9)],
     "indicator": [
         _power_case(RegionSpec.ball([0.0, 0.0], 0.32), 1.54, 2.73, 1.0, 0.0, 0.17),
         _power_case(RegionSpec.ball([0.0, 0.0, 0.0], 1.01), 1.0, 3.69, 2.0, 0.0, 1.25),

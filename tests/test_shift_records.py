@@ -1,8 +1,8 @@
 """The records the q = 2 and indicator engines read: each listed kink or
 square-root edge of a shift function F, its sphere sum S or an
-autocorrelation A sits where their finite differences change, they are
-smooth between those points, and F is its far constant past the support's
-diameter."""
+autocorrelation's G = |.| * A sits where their finite differences change,
+they are smooth between those points, and F is its far constant past the
+support's diameter."""
 
 import math
 from dataclasses import replace
@@ -10,9 +10,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from besovlab.fields import Field, RegionSpec, sphere_measure
+from numpy.polynomial.polynomial import polyder, polyval
+
+from besovlab.fields import Field, RegionSpec, scale_field, sphere_measure
 from besovlab.mollifiers import make_mollifier, mollify
-from besovlab.quadrature import (Autocorrelation, PiecewisePower, _bspline, _indicator,
+from besovlab.quadrature import (PiecewisePower, _bspline, _indicator, _piecewise_shifts_1d,
                                  _step_shifts, pair_integral)
 from besovlab.seminorms import lq_norm_q
 
@@ -47,11 +49,24 @@ def _case(name):
         u = _random_steps(int(name[-1]), int(name[-2]))
         shift = _step_shifts(mollify(u, make_mollifier("tent"), 0.01))
         assert shift.far == pytest.approx(2.0 * lq_norm_q(u, 2.0) / shift.scale ** 2, rel=1e-13)
+        # the (d, beta_d) table gives the exact F of u / scale
+        ts = np.linspace(0.0, 1.2 * shift.kinks[-1], 97)
+        exact = _piecewise_shifts_1d(scale_field(u, 1.0 / shift.scale), None, ts, 2.0)
+        assert np.allclose(shift.unit(ts[:, None]), exact, rtol=1e-13, atol=1e-14)
         return shift, lambda t: shift.unit(t[..., None]), shift.kinks, 1, 1e-6, 1
     if name == "tent":
+        # G = |.| * A: 7/15 at 0 (lq_norm_q's 7 eps / 15 defect), |x| past 2,
+        # and G'' = 2A on each piece, A the cubic B-spline; its fifth
+        # derivative jumps at 0, 1 and 2
         acf = make_mollifier("tent").autocorr
-        assert np.all(acf.at(np.array([2.0, 2.5, -3.0])) == 0.0)
-        return None, acf.at, np.asarray(acf.kinks), 3, 1e-3, 1
+        assert acf.kinks == (0.0, 1.0, 2.0) and acf.error == 0.0
+        assert acf.at(0.0) == 7.0 / 15.0
+        assert np.array_equal(acf.at(np.array([2.0, 2.5, -3.0])), [2.0, 2.5, 3.0])
+        for lo, c in zip(acf.kinks, acf.coefs):
+            x = lo + np.linspace(0.0, 1.0, 11)
+            second = polyval(x - lo, polyder([float(v) for v in c], 2))
+            assert np.allclose(second, 2.0 * _bspline(x), rtol=0.0, atol=1e-15)
+        return None, acf.at, np.asarray(acf.kinks), 5, 0.05, 1
     shape = {"ball2": RegionSpec.ball([0.1, -0.2], 0.4),
              "ball3": RegionSpec.ball([0.0, 0.1, 0.2], 0.3),
              "box2": RegionSpec.box([-0.3, -0.2], [0.4, 0.6]),
@@ -83,7 +98,7 @@ def test_listed_kinks_and_edges_are_where_the_record_changes(name):
     between = [_jump(g, t, h, p) for t in mids]
     assert min(at, default=math.inf) > 5.0 * max(between), (at, between)
     # between two points: second differences small on a grid of 40 steps,
-    # and for F linear (A cubic) its second (fourth) differences roundoff,
+    # and for F linear (G quintic) its second (sixth) differences roundoff,
     # so no kink is missing from the list
     for lo, hi in zip(ends[:-1], ends[1:]):
         grid = np.linspace(lo, hi, 43)[1:-1]
@@ -112,4 +127,3 @@ def test_the_q2_engine_pairs_exact_autocorrelations_only(step, tent):
     assert pair_integral(u, None, weight, (0.0, 3.0), 2.0).path == "steps"
     assert pair_integral(mollify(step, inexact, 0.05), None, weight, (0.0, 3.0), 2.0).path \
         == "smooth_1d"
-    assert tent.autocorr == Autocorrelation(_bspline, (0.0, 1.0, 2.0))

@@ -1,20 +1,22 @@
 """The q = 2 engine for mollified 1D step sums: against the 1D Fourier
-oracle and adaptive-quadrature references, which inputs reach it, its
-evaluation counts, and the smooth 1D engine's agreement with it."""
+oracle, adaptive-quadrature references and a 50-digit evaluation of its own
+closed form, which inputs reach it, its evaluation counts, and the smooth 1D
+engine's agreement with it."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from besovlab import quadrature
+from besovlab import quadrature, seminorms
 from besovlab.errors import DivergenceError
 from besovlab.fields import RegionSpec, make_field, support_bbox
 from besovlab.kernels import RadialKernelFamily, kernel_profile, kernel_window
 from besovlab.mollifiers import make_mollifier, mollify
 from besovlab.quadrature import PiecewisePower, pair_integral
 
-from oracles import fourier_seminorm_steps, step_sum
+from oracles import fourier_seminorm_steps, step_sum, steps_pair_integral_mp
 
 
 def _smooth(f, region, weight, window, q=2.0):
@@ -40,7 +42,8 @@ def test_steps_engine_matches_adaptive_references(step, tent, k):
     ([(0.0, 1.0, (0.6, -0.8)), (1.5, 2.0, (-1.0, 2.0))], 0.05, 0.3),
     ([(-0.4, 0.1, 2.0), (0.3, 0.35, -1.5), (0.9, 1.7, 0.5)], 1e-3, 0.8),
     ([(0.0, 0.02, 1.0), (0.05, 1.0, -1.0)], 0.2, 0.6),
-    # steps closer than 4 eps: the tau-rule windows d +- 2 eps overlap
+    # steps closer than 4 eps: the pieces of H_d around d = 0 and d = 0.03
+    # overlap
     ([(0.0, 1.0, 1.0), (1.03, 1.5, -2.0)], 0.01, 0.5),
 ])
 def test_steps_engine_matches_fourier_oracle(tent, steps, eps, s):
@@ -60,10 +63,10 @@ def test_steps_engine_matches_fourier_oracle(tent, steps, eps, s):
 
 def test_chain_rows_report_exact_errors(step, tent):
     # the chain's Gagliardo rows: E = [-1, 2], window (0, 3); each row within
-    # its error of the e^-4 reference, every error below 1e-12 relative.  The
-    # tau-rule runs only at t-nodes within 2 eps of a kink of F_u, so a row
-    # reads at most 10,000 values (15,585 at e^-2 to 38,265 at e^-9 when
-    # every node ran it)
+    # its error of the e^-4 reference, every error below 1e-12 relative (the
+    # region term's x-rule sets it).  A row reads the weight at the
+    # Gauss-Legendre nodes of H_d's pieces near d = 0 and d = 1, and u_eps at
+    # the region term's x-nodes
     region = RegionSpec.interval(-1.0, 2.0)
     for k in range(2, 10):
         r = pair_integral(mollify(step, tent, math.exp(-k)), region,
@@ -74,16 +77,52 @@ def test_chain_rows_report_exact_errors(step, tent):
             assert abs(r.value / 4.0 - 4.472323696095) <= 1e-11
 
 
-# a t-node farther than 2 eps from every kink d of F_u reads F_u(t) in place
-# of the tau-rule; these put the windows d +- 2 eps where that switch happens
-# next to each other, a window's ends and a weight piece's end
+@pytest.mark.parametrize("k", [20, 21, 25])
+def test_deep_chain_rows_match_the_closed_form(step, tent, k):
+    # the chain's inputs at eps below 3e-9 b: the engine that came before
+    # the closed form dropped t-breaks below b 1e-9, the d = 0 kinks at eps
+    # and 2 eps among them, and read 81.872107 +- 0.0045 at e^-20 and
+    # 12.782967 +- 0.15 at e^-21 and e^-25
+    eps = math.exp(-k)
+    r = pair_integral(mollify(step, tent, eps), RegionSpec.interval(-1.0, 2.0),
+                      PiecewisePower.power_law(2.0), (0.0, 3.0), 2.0)
+    ref = float(steps_pair_integral_mp([(0.0, 1.0, 1.0)], eps, 2.0, (0.0, 3.0), (-1.0, 2.0)))
+    assert r.path == "steps" and not r.low_confidence
+    assert abs(r.value - ref) <= r.error_estimate <= 1e-12 * ref
+
+
+def test_rows_over_r_are_exact_to_roundoff(step, tent):
+    # with no region the error is a roundoff bound: at most 1e-14 of the
+    # value, and it covers the miss against the 50-digit closed form
+    for k in range(2, 26):
+        eps = math.exp(-k)
+        r = pair_integral(mollify(step, tent, eps), None, PiecewisePower.power_law(2.0),
+                          (0.0, 3.0), 2.0)
+        ref = float(steps_pair_integral_mp([(0.0, 1.0, 1.0)], eps, 2.0, (0.0, 3.0)))
+        assert abs(r.value - ref) <= r.error_estimate <= 1e-14 * ref
+
+
+def test_a_1d_ball_region_is_its_interval(step, tent, jump_params):
+    # the ball of center 0.5 and radius 2 is the interval [-1.5, 2.5]
+    rows = [seminorms.gagliardo_constant_at(step, tent, replace(jump_params, region=region),
+                                            math.exp(-4.0))
+            for region in (RegionSpec.ball([0.5], 2.0), RegionSpec.interval(-1.5, 2.5))]
+    assert rows[0].path == rows[1].path == "steps"
+    assert (rows[0].value, rows[0].error_estimate) == (rows[1].value, rows[1].error_estimate)
+
+
+# H_d is a polynomial on the pieces between the points |d + eps k|, k = 0,
+# +-1, +-2, and linear past d + 2 eps; these put those pieces of two knot
+# differences side by side, a window's ends inside them, a knot difference
+# past b and a weight piece's end inside them
 @pytest.mark.parametrize("steps,eps,weight,window", [
     ([(0.0, 1.0, 1.0), (1.03, 1.5, -2.0)], 0.01, PiecewisePower.power_law(2.0), (0.0, 2.0)),
     ([(0.0, 1.0, 1.0), (1.2, 1.7, 0.5)], 0.02, PiecewisePower.power_law(1.6), (0.21, 0.97)),
     ([(0.0, 1.0, 1.0)], 0.01, PiecewisePower.power_law(2.0), (0.0, 0.8)),
     ([(0.0, 1.0, 1.0), (1.2, 1.7, 0.5)], 0.02,
      PiecewisePower(((0.0, 0.49, 1.0, -2.0), (0.49, math.inf, 0.5, -1.5))), (0.0, 2.0)),
-], ids=["overlapping_windows", "a_and_b_in_windows", "kink_past_b", "weight_end_in_window"])
+], ids=["steps_closer_than_4eps", "a_and_b_inside_pieces", "kink_past_b",
+        "weight_end_inside_a_piece"])
 def test_steps_engine_at_the_kink_windows(tent, steps, eps, weight, window):
     u = mollify(step_sum(steps), tent, eps)
     for region in (None, RegionSpec.interval(-0.5, 2.2)):
@@ -231,7 +270,7 @@ def test_evaluation_counts(monkeypatch, step, tent):
     r = _smooth(u, region, w, (0.0, 3.0))
     assert r.evaluations_used > 0 and 2 * r.evaluations_used == sum(n for _, n in points)
     # the steps engine reads u_eps once per region-term node, and counts its
-    # F_u and A evaluations on top
+    # weight reads at Gauss-Legendre nodes on top
     points.clear()
     r = pair_integral(u, region, w, (0.0, 3.0), 2.0)
     u_reads = sum(n for kind, n in points if kind == "smooth")
